@@ -6,15 +6,11 @@ from .grad import (
     gradient_magnitude_profile,
     smp_backward,
 )
-from .moments import MomentVector, central_moments, moment_gradients
 from .normalize import (
     BatchNormState,
     batch_norm,
-    batch_norm_backward,
     layer_norm,
-    layer_norm_backward,
     max_norm,
-    max_norm_backward,
     norm_backward,
 )
 from .rng import Xoshiro256pp
@@ -28,44 +24,28 @@ from .tensor import (
     tensor_write,
 )
 from .toytrain import ToyTrainConfig, ToyTrainReport, run_toytrain
-from .windows import (
-    GeometryError,
-    PoolSpec,
-    WindowMatrix,
-    col2im_accumulate,
-    im2col,
-    output_dims,
-)
+from .windows import GeometryError, PoolSpec, output_dims
 
 __all__ = [
     "BatchNormState",
     "GeometryError",
     "GradCheckReport",
     "MomentSpec",
-    "MomentVector",
     "OpCostReport",
     "PoolSpec",
     "Tensor",
     "TensorFileError",
     "ToyTrainConfig",
     "ToyTrainReport",
-    "WindowMatrix",
     "Xoshiro256pp",
     "batch_norm",
-    "batch_norm_backward",
-    "central_moments",
     "checkerboard",
-    "col2im_accumulate",
     "finite_diff_check",
     "gradient_magnitude_profile",
     "has_nonfinite",
-    "im2col",
     "layer_norm",
-    "layer_norm_backward",
     "make_pattern",
     "max_norm",
-    "max_norm_backward",
-    "moment_gradients",
     "norm_backward",
     "op_cost",
     "output_dims",

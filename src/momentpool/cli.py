@@ -154,7 +154,7 @@ def _cmd_bench(args) -> int:
         ("smp4", MomentSpec(n=4, norm="layer")),
     ]
     print(f"# bench shape={_fmt_shape(shape)} kernel={args.kernel} "
-          f"stride={args.stride} repeats={args.repeats} threads={args.threads}")
+          f"stride={args.stride} repeats={args.repeats}")
     costs = {}
     medians = {}
     for name, spec in variants:
@@ -240,8 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shape", default="1,8,64,64")
     p.add_argument("--repeats", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1,
-                   help="recorded for the report; pooling kernels are single-threaded")
     _add_geometry_flags(p, kernel_default="global")
     p.set_defaults(handler=_cmd_bench)
 

@@ -25,12 +25,13 @@ from typing import Callable
 
 import numpy as np
 
-from . import normalize
-from .normalize import BatchNormState
+from .normalize import BatchNormState, _peak_divisor
 from .smp import (
     MomentSpec,
     _grouped,
-    _pre_norm_out,
+    _normalize_vjp,
+    _pooled,
+    _pre_norm_block,
     _standardize_denoms,
     _window_stats,
     smp_forward,
@@ -76,25 +77,11 @@ def smp_backward(t: Tensor, pool: PoolSpec, spec: MomentSpec, upstream: Tensor,
     u = u4.astype(np.float64, copy=True)
 
     if spec.norm != "none" and spec.n >= 3:
-        # rebuild the normalization layer's input (standardized or raw)
-        pre = np.concatenate(stats[2:], axis=1)
-        if spec.standardize_pre_norm:
-            d3, d4 = _standardize_denoms(stats[1], spec.eps_norm)
-            pre[:, :channels] /= d3
-            if spec.n >= 4:
-                pre[:, channels:] /= d4
-        ublock = u[:, 2 * channels :]
-        if spec.norm == "batch":
-            u[:, 2 * channels :] = normalize.batch_norm_backward(
-                pre, ublock, state=bn_state, training=training,
-                eps=spec.eps_norm)
-        else:
-            shape5 = (n_samples, spec.n - 2, channels, h_out, w_out)
-            xg, axis = _grouped(pre.reshape(shape5), spec.norm_axis)
-            ug, _ = _grouped(ublock.reshape(shape5), spec.norm_axis)
-            u[:, 2 * channels :] = normalize.norm_backward(
-                spec.norm, xg, ug, eps=spec.eps_norm, axis=axis
-            ).reshape(ublock.shape)
+        # the pre-norm block is rebuilt here and dropped once the VJP returns,
+        # before the per-window gradient allocates its window-sized buffers
+        u[:, 2 * channels :] = _normalize_vjp(
+            _pre_norm_block(stats, spec), u[:, 2 * channels :], spec,
+            bn_state, training)
 
     if spec.standardize_pre_norm and spec.n >= 3:
         m2 = stats[1]
@@ -145,28 +132,18 @@ def check_forward(x: Tensor, pool: PoolSpec, spec: MomentSpec,
     configuration returns the true forward.
     """
     if spec.norm != "max" or spec.n < 3:
-        def fwd(t: Tensor) -> Tensor:
-            return smp_forward(t, pool, spec, bn_state=bn_state,
-                               training=training)
-        return fwd
+        return lambda t: smp_forward(t, pool, spec, bn_state=bn_state,
+                                     training=training)
 
-    x4 = x.nchw
-    channels = x4.shape[1]
-    base = _pre_norm_out(x4, pool, spec)
-    shape5 = (base.shape[0], spec.n - 2, channels,
-              base.shape[2], base.shape[3])
-    grouped, axis = _grouped(base[:, 2 * channels :].reshape(shape5),
-                             spec.norm_axis)
-    peaks = np.abs(grouped).max(axis=axis, keepdims=True) + spec.eps_norm
+    base = _pre_norm_block(_window_stats(x.nchw, pool, spec.n)[3], spec)
+    grouped, axis = _grouped(base, spec)
+    peaks = _peak_divisor(grouped, spec.eps_norm, axis)
 
-    def fwd(t: Tensor) -> Tensor:
-        out = _pre_norm_out(t.nchw, pool, spec)
-        slab = out[:, 2 * channels :].reshape(shape5)
-        g, _ = _grouped(slab, spec.norm_axis)
-        slab[...] = (g / peaks).reshape(slab.shape)
-        return Tensor(out.shape, out)
+    def fixed_peak(block: np.ndarray) -> np.ndarray:
+        g, _ = _grouped(block, spec)
+        return (g / peaks).reshape(block.shape)
 
-    return fwd
+    return lambda t: _pooled(t.nchw, pool, spec, fixed_peak)
 
 
 def finite_diff_check(forward: Callable[[Tensor], Tensor],

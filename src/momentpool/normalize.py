@@ -6,16 +6,19 @@ a denominator below eps.
 
 layer:  y = (x - mean(x)) / sqrt(var(x) + eps), statistics over the group
 max:    y = x / (max|x| + eps), outputs bounded to [-1, 1]
-batch:  per-channel statistics over batch and spatial positions, with
-        running state updated at momentum 0.1 during training
+batch:  the layer standardization per channel, over batch and spatial
+        axes, with running state updated at momentum 0.1 during training;
+        eval mode standardizes by the running state instead
 
-Backward passes are analytic vector-Jacobian products. Layer and batch
-norm use the full three-term Jacobian (the upstream, minus its group mean,
-minus the normalized input times the group mean of upstream * normalized
-input, all over sqrt(var + eps)). Max norm deliberately treats the divisor
-as a constant: the true derivative is discontinuous at the argmax, so the
-gradient flows through the numerator only (straight-through subgradient),
-and that surrogate is what the gradient checks verify.
+`norm_backward(kind, ...)` is the one vector-Jacobian product for all
+three kinds. Layer norm and training-mode batch norm share the full
+three-term Jacobian (the upstream, minus its group mean, minus the
+normalized input times the group mean of upstream * normalized input, all
+over sqrt(var + eps)); eval-mode batch norm is a fixed per-channel rescale.
+Max norm deliberately treats the divisor as a constant: the true
+derivative is discontinuous at the argmax, so the gradient flows through
+the numerator only (straight-through subgradient), and that surrogate is
+what the gradient checks verify.
 """
 
 from __future__ import annotations
@@ -25,42 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_EPS = 1e-5
-
-
-def layer_norm(x: np.ndarray, eps: float = DEFAULT_EPS, axis=None) -> np.ndarray:
-    """Standardize over the group axes (all elements when axis is None)."""
-    x = np.asarray(x, dtype=np.float64)
-    mean = x.mean(axis=axis, keepdims=True)
-    var = x.var(axis=axis, keepdims=True)
-    return (x - mean) / np.sqrt(var + eps)
-
-
-def layer_norm_backward(x: np.ndarray, upstream: np.ndarray,
-                        eps: float = DEFAULT_EPS, axis=None) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    u = np.asarray(upstream, dtype=np.float64)
-    mean = x.mean(axis=axis, keepdims=True)
-    var = x.var(axis=axis, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mean) * inv
-    return (u - u.mean(axis=axis, keepdims=True)
-            - xhat * (u * xhat).mean(axis=axis, keepdims=True)) * inv
-
-
-def max_norm(x: np.ndarray, eps: float = DEFAULT_EPS, axis=None) -> np.ndarray:
-    """Scale the group by its peak magnitude; outputs lie in [-1, 1]."""
-    x = np.asarray(x, dtype=np.float64)
-    peak = np.abs(x).max(axis=axis, keepdims=True)
-    return x / (peak + eps)
-
-
-def max_norm_backward(x: np.ndarray, upstream: np.ndarray,
-                      eps: float = DEFAULT_EPS, axis=None) -> np.ndarray:
-    # straight-through on the divisor; see module docstring
-    x = np.asarray(x, dtype=np.float64)
-    u = np.asarray(upstream, dtype=np.float64)
-    peak = np.abs(x).max(axis=axis, keepdims=True)
-    return u / (peak + eps)
 
 
 @dataclass
@@ -77,71 +44,96 @@ class BatchNormState:
                    momentum=momentum)
 
 
-def _channel_axes(x: np.ndarray) -> tuple[int, ...]:
+def _group_stats(x: np.ndarray, axis):
+    """Group mean and population variance, kept broadcastable against x."""
+    return x.mean(axis=axis, keepdims=True), x.var(axis=axis, keepdims=True)
+
+
+def _standardize(x: np.ndarray, mean, var, eps: float) -> np.ndarray:
+    return (x - mean) / np.sqrt(var + eps)
+
+
+def _peak_divisor(x: np.ndarray, eps: float, axis) -> np.ndarray:
+    return np.abs(x).max(axis=axis, keepdims=True) + eps
+
+
+def _batch_axes(x: np.ndarray) -> tuple[int, ...]:
+    """Batch and spatial axes of a (N, C, ...) block, for training mode."""
+    if x.shape[0] < 2:
+        raise ValueError("batch normalization in training mode needs batch size >= 2")
     return (0,) + tuple(range(2, x.ndim))
+
+
+def _running_stats(state: BatchNormState | None, x: np.ndarray):
+    """The state's (mean, var), shaped to broadcast over x's channel axis."""
+    if state is None:
+        raise ValueError("eval-mode batch normalization needs running state")
+    channels = x.shape[1]
+    given = (np.shape(state.mean), np.shape(state.var))
+    if given != ((channels,), (channels,)):
+        raise ValueError(
+            f"BatchNormState must hold {channels} channels to match the input, "
+            f"got mean shape {given[0]} and var shape {given[1]}"
+        )
+    shape = (1, -1) + (1,) * (x.ndim - 2)
+    return state.mean.reshape(shape), state.var.reshape(shape)
+
+
+def layer_norm(x: np.ndarray, eps: float = DEFAULT_EPS, axis=None) -> np.ndarray:
+    """Standardize over the group axes (all elements when axis is None)."""
+    x = np.asarray(x, dtype=np.float64)
+    return _standardize(x, *_group_stats(x, axis), eps)
+
+
+def max_norm(x: np.ndarray, eps: float = DEFAULT_EPS, axis=None) -> np.ndarray:
+    """Scale the group by its peak magnitude; outputs lie in [-1, 1]."""
+    x = np.asarray(x, dtype=np.float64)
+    return x / _peak_divisor(x, eps, axis)
 
 
 def batch_norm(x: np.ndarray, state: BatchNormState | None = None,
                training: bool = True, eps: float = DEFAULT_EPS) -> np.ndarray:
     """Per-channel normalization of a (N, C, ...) block.
 
-    Training mode normalizes by batch statistics (population variance over
-    batch and spatial axes) and, when a state is supplied, folds them into
-    the running estimates. Eval mode normalizes by the running state and
-    requires one.
+    Training mode is the `layer_norm` standardization over the batch and
+    spatial axes (population variance) and, when a state is supplied, folds
+    the batch statistics into the running estimates. Eval mode normalizes by
+    the running state and requires one.
     """
     x = np.asarray(x, dtype=np.float64)
-    if training:
-        if x.shape[0] < 2:
-            raise ValueError("batch normalization in training mode needs batch size >= 2")
-        axes = _channel_axes(x)
-        mean = x.mean(axis=axes)
-        var = x.var(axis=axes)
-        if state is not None:
-            m = state.momentum
-            state.mean = (1.0 - m) * state.mean + m * mean
-            state.var = (1.0 - m) * state.var + m * var
-    else:
-        if state is None:
-            raise ValueError("eval-mode batch normalization needs running state")
-        mean, var = state.mean, state.var
-    shape = (1, -1) + (1,) * (x.ndim - 2)
-    return (x - mean.reshape(shape)) / np.sqrt(var.reshape(shape) + eps)
-
-
-def batch_norm_backward(x: np.ndarray, upstream: np.ndarray,
-                        state: BatchNormState | None = None,
-                        training: bool = True,
-                        eps: float = DEFAULT_EPS) -> np.ndarray:
-    """VJP of batch_norm; training mode differentiates through batch stats."""
-    x = np.asarray(x, dtype=np.float64)
-    u = np.asarray(upstream, dtype=np.float64)
-    shape = (1, -1) + (1,) * (x.ndim - 2)
     if not training:
-        if state is None:
-            raise ValueError("eval-mode batch normalization needs running state")
-        return u / np.sqrt(state.var.reshape(shape) + eps)
-    if x.shape[0] < 2:
-        raise ValueError("batch normalization in training mode needs batch size >= 2")
-    axes = _channel_axes(x)
-    mean = x.mean(axis=axes, keepdims=True)
-    var = x.var(axis=axes, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mean) * inv
-    return (u - u.mean(axis=axes, keepdims=True)
-            - xhat * (u * xhat).mean(axis=axes, keepdims=True)) * inv
+        return _standardize(x, *_running_stats(state, x), eps)
+    mean, var = _group_stats(x, _batch_axes(x))
+    if state is not None:
+        old_mean, old_var = _running_stats(state, x)
+        m = state.momentum
+        state.mean = ((1.0 - m) * old_mean + m * mean).reshape(-1)
+        state.var = ((1.0 - m) * old_var + m * var).reshape(-1)
+    return _standardize(x, mean, var, eps)
 
 
 def norm_backward(kind: str, x: np.ndarray, upstream: np.ndarray,
                   eps: float = DEFAULT_EPS, axis=None,
                   state: BatchNormState | None = None,
                   training: bool = True) -> np.ndarray:
-    """Dispatch the backward pass for a normalization kind."""
-    if kind == "layer":
-        return layer_norm_backward(x, upstream, eps=eps, axis=axis)
+    """VJP of the `kind` normalization at `x` for the given upstream weights.
+
+    `axis` selects the groups of layer and max norm; batch norm always
+    reduces over the batch and spatial axes, and in eval mode reads `state`.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    u = np.asarray(upstream, dtype=np.float64)
     if kind == "max":
-        return max_norm_backward(x, upstream, eps=eps, axis=axis)
+        # straight-through on the divisor; see module docstring
+        return u / _peak_divisor(x, eps, axis)
     if kind == "batch":
-        return batch_norm_backward(x, upstream, state=state,
-                                   training=training, eps=eps)
-    raise ValueError(f"unknown normalization kind {kind!r}")
+        if not training:
+            return u / np.sqrt(_running_stats(state, x)[1] + eps)
+        axis = _batch_axes(x)
+    elif kind != "layer":
+        raise ValueError(f"unknown normalization kind {kind!r}")
+    mean, var = _group_stats(x, axis)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mean) * inv
+    return (u - u.mean(axis=axis, keepdims=True)
+            - xhat * (u * xhat).mean(axis=axis, keepdims=True)) * inv

@@ -37,6 +37,7 @@ plus divide). The total is strictly monotone in n.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +45,7 @@ import numpy as np
 from . import normalize
 from .normalize import BatchNormState
 from .tensor import Tensor
-from .windows import PoolSpec, output_dims, window_view
+from .windows import PoolSpec, _is_int, output_dims, window_view
 
 NORM_KINDS = ("none", "layer", "max", "batch")
 NORM_AXES = ("order", "joint", "location")
@@ -72,14 +73,15 @@ class MomentSpec:
     unsafe_no_norm: bool = False
 
     def __post_init__(self):
-        if self.n not in (1, 2, 3, 4):
-            raise ValueError(f"moment order must be 1..4, got {self.n}")
+        if not _is_int(self.n) or self.n not in (1, 2, 3, 4):
+            raise ValueError(f"moment order must be an int in 1..4, got {self.n!r}")
         if self.norm not in NORM_KINDS:
             raise ValueError(f"norm must be one of {NORM_KINDS}, got {self.norm!r}")
         if self.norm_axis not in NORM_AXES:
             raise ValueError(f"norm_axis must be one of {NORM_AXES}")
-        if self.eps_norm <= 0:
-            raise ValueError("eps_norm must be positive")
+        if not (math.isfinite(self.eps_norm) and self.eps_norm > 0):
+            raise ValueError(
+                f"eps_norm must be finite and positive, got {self.eps_norm!r}")
         if self.n >= 3 and self.norm == "none" and not self.unsafe_no_norm:
             raise ValueError(
                 "order >= 3 without normalization destabilizes training; "
@@ -149,40 +151,69 @@ def _standardize_denoms(m2: np.ndarray, eps: float):
     return sigma * m2 + eps, m2 * m2 + eps
 
 
-def _order_slab(out: np.ndarray, channels: int, n: int) -> np.ndarray:
-    """View of the order >= 3 channels as (N, n-2, C, H', W')."""
-    n_samples, _, h_out, w_out = out.shape
-    return out[:, 2 * channels :].reshape(
-        n_samples, n - 2, channels, h_out, w_out
-    )
+def _pre_norm_block(stats, spec: MomentSpec) -> np.ndarray:
+    """Orders >= 3 of the window statistics as one (N, (n-2)*C, H', W') block.
 
-
-def _grouped(slab: np.ndarray, norm_axis: str):
-    """Reshape an order slab so one reduction axis spans each norm group."""
-    n_samples, k, c, h_out, w_out = slab.shape
-    if norm_axis == "order":
-        return slab.reshape(n_samples, k, c * h_out * w_out), 2
-    if norm_axis == "joint":
-        return slab.reshape(n_samples, k * c * h_out * w_out), 1
-    return slab.reshape(n_samples, k, c, h_out * w_out), 2  # location
-
-
-def _pre_norm_out(x4: np.ndarray, pool: PoolSpec, spec: MomentSpec) -> np.ndarray:
-    """Moment channels before normalization (standardization applied)."""
-    n_samples, channels, h, w = x4.shape
-    h_out, w_out = output_dims(h, w, pool)
-    _, _, _, stats = _window_stats(x4, pool, spec.n)
-
-    out = np.empty((n_samples, spec.n * channels, h_out, w_out))
-    for i, m_i in enumerate(stats):
-        out[:, i * channels : (i + 1) * channels] = m_i
-
-    if spec.standardize_pre_norm and spec.n >= 3:
+    This is the normalization input: m3 and m4, divided by sigma^3 + eps and
+    sigma^4 + eps when `spec.standardize_pre_norm` is set.
+    """
+    block = np.concatenate(stats[2:], axis=1)
+    if spec.standardize_pre_norm:
+        channels = stats[0].shape[1]
         d3, d4 = _standardize_denoms(stats[1], spec.eps_norm)
-        out[:, 2 * channels : 3 * channels] /= d3
+        block[:, :channels] /= d3
         if spec.n >= 4:
-            out[:, 3 * channels : 4 * channels] /= d4
-    return out
+            block[:, channels:] /= d4
+    return block
+
+
+def _grouped(block: np.ndarray, spec: MomentSpec):
+    """Reshape a pre-norm block so one reduction axis spans each norm group.
+
+    Batch norm groups per channel over batch and spatial axes, which is the
+    block's own layout, so it comes back unchanged and with no axis.
+    """
+    if spec.norm == "batch":
+        return block, None
+    n_samples, k = block.shape[0], spec.n - 2
+    if spec.norm_axis == "order":
+        return block.reshape(n_samples, k, -1), 2
+    if spec.norm_axis == "joint":
+        return block.reshape(n_samples, -1), 1
+    return block.reshape(n_samples, k, block.shape[1] // k, -1), 2  # location
+
+
+def _normalize(block: np.ndarray, spec: MomentSpec,
+               bn_state: BatchNormState | None, training: bool) -> np.ndarray:
+    """`spec.norm` applied to a pre-norm block in its `spec.norm_axis` groups."""
+    if spec.norm == "none":
+        return block
+    if spec.norm == "batch":
+        return normalize.batch_norm(block, state=bn_state, training=training,
+                                    eps=spec.eps_norm)
+    x, axis = _grouped(block, spec)
+    fn = normalize.layer_norm if spec.norm == "layer" else normalize.max_norm
+    return fn(x, eps=spec.eps_norm, axis=axis).reshape(block.shape)
+
+
+def _normalize_vjp(block: np.ndarray, upstream: np.ndarray, spec: MomentSpec,
+                   bn_state: BatchNormState | None, training: bool) -> np.ndarray:
+    """VJP of `_normalize` at `block` for upstream weights of the same shape."""
+    x, axis = _grouped(block, spec)
+    u, _ = _grouped(upstream, spec)
+    return normalize.norm_backward(spec.norm, x, u, spec.eps_norm, axis,
+                                   bn_state, training).reshape(upstream.shape)
+
+
+def _pooled(x4: np.ndarray, pool: PoolSpec, spec: MomentSpec, norm) -> Tensor:
+    """Moment channels m1, m2 and `norm` of the pre-norm block, concatenated."""
+    stats = _window_stats(x4, pool, spec.n)[3]
+    if spec.n >= 3:
+        stats[2:] = [_pre_norm_block(stats, spec)]  # frees m3, m4 before norm
+        stats[2] = norm(stats[2])
+    out = np.concatenate(stats, axis=1)
+    del stats  # before the Tensor copy, so only `out` is held twice
+    return Tensor(out.shape, out)
 
 
 def smp_forward(t: Tensor, pool: PoolSpec, spec: MomentSpec,
@@ -194,23 +225,8 @@ def smp_forward(t: Tensor, pool: PoolSpec, spec: MomentSpec,
     batch norm reads/updates `bn_state` (a fresh transient state is used
     when none is given in training mode).
     """
-    x4 = t.nchw
-    channels = x4.shape[1]
-    out = _pre_norm_out(x4, pool, spec)
-
-    if spec.norm != "none" and spec.n >= 3:
-        if spec.norm == "batch":
-            block = out[:, 2 * channels :]
-            out[:, 2 * channels :] = normalize.batch_norm(
-                block, state=bn_state, training=training, eps=spec.eps_norm
-            )
-        else:
-            slab = _order_slab(out, channels, spec.n)
-            grouped, axis = _grouped(slab, spec.norm_axis)
-            fn = normalize.layer_norm if spec.norm == "layer" else normalize.max_norm
-            slab[...] = fn(grouped, eps=spec.eps_norm, axis=axis).reshape(slab.shape)
-
-    return Tensor(out.shape, out)
+    return _pooled(t.nchw, pool, spec,
+                   lambda block: _normalize(block, spec, bn_state, training))
 
 
 def sap_forward(t: Tensor, pool: PoolSpec) -> Tensor:

@@ -1,4 +1,4 @@
-"""Pooling-window geometry and im2col/col2im window extraction.
+"""Pooling-window geometry, the strided window view and its scatter adjoint.
 
 Window placement follows the standard convolution rule: with input extent
 `in`, padding `p`, dilation `d`, kernel `k` and stride `s`, the output
@@ -6,24 +6,26 @@ extent is floor((in + 2p - d*(k-1) - 1) / s) + 1. Geometry that would yield
 a non-positive output extent is rejected rather than producing empty
 tensors.
 
-`im2col` flattens every window into one row (raster order over output
-positions, raster order within the window); `col2im_accumulate` is its
-adjoint and scatter-adds per-window values back onto the input grid,
-discarding contributions that fall on padding.
+`window_view` exposes every window as a strided (N, C, H', W', kh, kw)
+view; `scatter_windows` is its adjoint and scatter-adds per-window values
+back onto the input grid, discarding contributions that fall on padding.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .tensor import Tensor
-
 
 class GeometryError(ValueError):
     """Raised when a pooling geometry is invalid for a given input size."""
+
+
+def _is_int(value) -> bool:
+    """True for Python and numpy integers; bools are rejected."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -40,12 +42,11 @@ class PoolSpec:
     dilation_w: int = 1
 
     def __post_init__(self):
-        for name in ("kernel_h", "kernel_w", "stride_h", "stride_w",
-                     "dilation_h", "dilation_w"):
-            if getattr(self, name) < 1:
-                raise GeometryError(f"{name} must be >= 1")
-        if self.pad_h < 0 or self.pad_w < 0:
-            raise GeometryError("padding must be >= 0")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            low = 0 if f.name.startswith("pad") else 1
+            if not _is_int(value) or value < low:
+                raise GeometryError(f"{f.name} must be an int >= {low}, got {value!r}")
         # pad < effective kernel guarantees every window touches the input;
         # otherwise boundary windows would consist of padding alone and
         # exclusive-padding statistics would divide by zero
@@ -126,81 +127,6 @@ def window_view(x4: np.ndarray, spec: PoolSpec, pad_value: float = 0.0):
     valid = valid_h[:, None, :, None] & valid_w[None, :, None, :]
     counts = valid.sum(axis=(2, 3)).astype(np.float64)
     return view, valid, counts
-
-
-@dataclass(frozen=True)
-class WindowMatrix:
-    """im2col result for one channel.
-
-    Row r holds the window at output position (r // W', r % W'); columns
-    follow raster order within the kernel. `valid` marks in-bounds cells
-    when extraction tracked padding, else None.
-    """
-
-    data: np.ndarray
-    origin_shape: tuple[int, int]
-    valid: np.ndarray | None = None
-
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.data.shape[1]
-
-
-def _as_chw(t: Tensor) -> np.ndarray:
-    x4 = t.nchw
-    if x4.shape[0] != 1:
-        raise ValueError("per-channel window extraction expects a single sample")
-    return x4
-
-
-def im2col(t: Tensor, spec: PoolSpec, pad_value: float = 0.0,
-           track_valid: bool = False) -> list[WindowMatrix]:
-    """Extract per-channel window matrices from a (C, H, W) tensor."""
-    x4 = _as_chw(t)
-    _, c, h, w = x4.shape
-    h_out, w_out = output_dims(h, w, spec)
-    view, valid, _ = window_view(x4, spec, pad_value)
-    k = spec.window_size
-    valid_rows = None
-    if track_valid:
-        if valid is None:
-            valid_rows = np.ones((h_out * w_out, k), dtype=bool)
-        else:
-            valid_rows = valid.reshape(h_out * w_out, k)
-    return [
-        WindowMatrix(
-            data=view[0, ch].reshape(h_out * w_out, k).copy(),
-            origin_shape=(h_out, w_out),
-            valid=valid_rows,
-        )
-        for ch in range(c)
-    ]
-
-
-def col2im_accumulate(grads, spec: PoolSpec, h: int, w: int) -> Tensor:
-    """Adjoint of im2col: scatter-add per-window values onto a (C, H, W) grid.
-
-    Every input position receives the sum of contributions from all windows
-    covering it; contributions landing on padding are dropped.
-    """
-    h_out, w_out = output_dims(h, w, spec)
-    mats = [g.data if isinstance(g, WindowMatrix) else np.asarray(g) for g in grads]
-    for m in mats:
-        if m.shape != (h_out * w_out, spec.window_size):
-            raise ValueError(
-                f"window matrix shape {m.shape} does not match geometry "
-                f"({h_out * w_out}, {spec.window_size})"
-            )
-    c = len(mats)
-    stacked = np.stack(mats).reshape(
-        1, c, h_out, w_out, spec.kernel_h, spec.kernel_w
-    )
-    out = scatter_windows(stacked, spec, h, w)
-    return Tensor((c, h, w), out[0])
 
 
 def scatter_windows(gwin: np.ndarray, spec: PoolSpec, h: int, w: int) -> np.ndarray:

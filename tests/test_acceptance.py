@@ -19,7 +19,6 @@ from momentpool.grad import (
     gradient_magnitude_profile,
     smp_backward,
 )
-from momentpool.moments import central_moments
 from momentpool.smp import MomentSpec, op_cost, sap_forward, smp_forward
 from momentpool.synth import checkerboard, solid
 from momentpool.tensor import Tensor
@@ -27,6 +26,7 @@ from momentpool.toytrain import ToyTrainConfig, run_toytrain
 from momentpool.windows import PoolSpec
 
 from childenv import child_env
+from oracle import central_moments
 from test_smp import naive_forward, random_suite
 from test_windows import random_geometry
 

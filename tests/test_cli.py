@@ -230,6 +230,14 @@ class TestToytrainCommand:
                              "--norm", "none")
         assert rc == 2 and "unsafe" in err
 
+    def test_non_finite_eps_norm_is_usage_error(self, capsys):
+        rc, _, err = run_cli(capsys, "gradcheck", "--n", "4", "--norm", "layer",
+                             "--eps-norm", "nan", "--shape", "1,1,4,4")
+        assert rc == 2 and "eps_norm" in err
+        rc, _, err = run_cli(capsys, "toytrain", "--seed", "1", "--steps", "1",
+                             "--eps-norm", "inf")
+        assert rc == 2 and "eps_norm" in err
+
 
 class TestDeterminism:
     """Identical invocations must produce byte-identical files and reports."""

@@ -77,6 +77,12 @@ def test_upstream_shape_mismatch_rejected():
                standardize_pre_norm=True),
     MomentSpec(n=4, norm="layer", norm_axis="joint"),
     MomentSpec(n=4, norm="max", norm_axis="location"),
+    MomentSpec(n=4, norm="batch", standardize_pre_norm=True),
+    MomentSpec(n=3, norm="batch"),
+    MomentSpec(n=3, norm="max"),
+    MomentSpec(n=4, norm="layer", norm_axis="location"),
+    MomentSpec(n=4, norm="max", norm_axis="joint"),
+    MomentSpec(n=4, norm="max", standardize_pre_norm=True),
 ], ids=lambda s: f"n{s.n}-{s.norm}-{s.norm_axis}"
        + ("-std" if s.standardize_pre_norm else ""))
 def test_backward_matches_finite_differences(spec):
@@ -188,8 +194,8 @@ def test_backward_matches_per_window_gradient_scatter():
     derivatives, weights them by the upstream, and scatter-adds the rows
     back; must agree with the vectorized backward.
     """
-    from momentpool.moments import moment_gradients
-    from momentpool.windows import col2im_accumulate, output_dims
+    from momentpool.windows import output_dims
+    from oracle import col2im_accumulate, moment_gradients
     from test_windows import gather_window
 
     rng = np.random.default_rng(89)

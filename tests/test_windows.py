@@ -4,13 +4,9 @@ import numpy as np
 import pytest
 
 from momentpool.tensor import Tensor
-from momentpool.windows import (
-    GeometryError,
-    PoolSpec,
-    col2im_accumulate,
-    im2col,
-    output_dims,
-)
+from momentpool.windows import GeometryError, PoolSpec, output_dims
+
+from oracle import col2im_accumulate, im2col
 
 
 def anchors_by_brute_force(h, w, spec):
@@ -97,6 +93,11 @@ class TestOutputDims:
             PoolSpec(1, 1, stride_h=0)
         with pytest.raises(GeometryError):
             PoolSpec(1, 1, pad_h=-1)
+        for bad in ((True, 2), (2.5, 2), (3, 3, 1.0), (2, 2, 1, 1, False),
+                    (2, 2, 1, 1, 0, 0, np.float64(1.0))):
+            with pytest.raises(GeometryError, match="must be an int >= "):
+                PoolSpec(*bad)
+        PoolSpec(np.int64(2), 2)  # numpy integers are ints
 
     def test_all_padding_windows_rejected(self):
         # pad >= effective kernel would let boundary windows hold padding only
