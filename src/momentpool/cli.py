@@ -246,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("toytrain", help="seeded training-stability experiment")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--steps", type=int, default=500)
-    p.add_argument("--lr", type=float, default=0.05)
+    p.add_argument("--lr", type=float, default=5e-4)
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--norm", choices=NORM_KINDS, default="layer")
     p.add_argument("--batch", type=int, default=8)

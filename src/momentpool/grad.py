@@ -20,7 +20,7 @@ derivative happens to vanish from drowning the report in 0/0 noise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import fsum
+from math import fsum, isfinite
 from typing import Callable
 
 import numpy as np
@@ -73,7 +73,7 @@ def smp_backward(t: Tensor, pool: PoolSpec, spec: MomentSpec, upstream: Tensor,
         raise ValueError(f"upstream shape {u4.shape} does not match forward "
                          f"output {expected}")
 
-    view, valid, counts, stats = _window_stats(x4, pool, spec.n)
+    view, _, counts, stats = _window_stats(x4, pool, spec.n)
     u = u4.astype(np.float64, copy=True)
 
     if spec.norm != "none" and spec.n >= 3:
@@ -97,26 +97,26 @@ def smp_backward(t: Tensor, pool: PoolSpec, spec: MomentSpec, upstream: Tensor,
                 -stats[3] * 2.0 * m2 / (d4 * d4))
             u4o /= d4
 
-    inv = 1.0 / counts
-    orders = [u[:, i * channels : (i + 1) * channels] for i in range(spec.n)]
-    gwin = np.zeros(view.shape)
-    gwin += (orders[0] * inv)[..., None, None]
-    if spec.n >= 2:
-        dev = view - stats[0][..., None, None]
-        if valid is not None:
-            dev = dev * valid
-        gwin += (2.0 * inv * orders[1])[..., None, None] * dev
-        if spec.n >= 3:
-            d2 = dev * dev
-            gwin += (3.0 * inv * orders[2])[..., None, None] * (
-                d2 - stats[1][..., None, None])
-            if spec.n >= 4:
-                gwin += (4.0 * inv * orders[3])[..., None, None] * (
-                    d2 * dev - stats[2][..., None, None])
-    if valid is not None:
-        gwin *= valid
+    # coef[:, k - 1] = k * u_k / window count, order k's cell-gradient weight
+    coef = u.reshape(n_samples, spec.n, channels, h_out, w_out)
+    coef *= (np.arange(1.0, spec.n + 1)[:, None, None] * (1.0 / counts))[:, None]
 
-    grad = scatter_windows(gwin, pool, h, w)
+    def row_grad(i):
+        # cells on kernel row i of every window; padding cells get values
+        # too, which land in the scatter buffer's border and are cut away
+        g = np.zeros(view.shape[:4] + view.shape[5:])
+        g += coef[:, 0, ..., None]
+        if spec.n >= 2:
+            dev = view[..., i, :] - stats[0][..., None]
+            g += coef[:, 1, ..., None] * dev
+            if spec.n >= 3:
+                d2 = dev * dev
+                g += coef[:, 2, ..., None] * (d2 - stats[1][..., None])
+                if spec.n >= 4:
+                    g += coef[:, 3, ..., None] * (d2 * dev - stats[2][..., None])
+        return g
+
+    grad = scatter_windows(map(row_grad, range(pool.kernel_h)), pool, x4.shape)
     return Tensor(t.shape, grad.reshape(t.shape))
 
 
@@ -152,11 +152,14 @@ def finite_diff_check(forward: Callable[[Tensor], Tensor],
                       h: float = 1e-6, tol: float = 1e-6) -> GradCheckReport:
     """Sweep every input element with central differences of step `h`.
 
-    The forward must be deterministic (it is called twice up front and the
-    outputs compared bitwise). Error metric per the module docstring.
+    `h` and `tol` must be finite and positive. The forward must be
+    deterministic (it is called twice up front and the outputs compared
+    bitwise). Error metric per the module docstring.
     """
-    if h <= 0:
-        raise ValueError("step size must be positive")
+    if not (isfinite(h) and h > 0):
+        raise ValueError(f"step size must be finite and positive, got {h!r}")
+    if not (isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     ref = forward(x)
     again = forward(x)
     if ref.data.tobytes() != again.data.tobytes():

@@ -127,7 +127,7 @@ def tensor_read(path: str | os.PathLike) -> Tensor:
     if (
         not isinstance(shape, list)
         or not 1 <= len(shape) <= 4
-        or not all(isinstance(s, int) and s >= 1 for s in shape)
+        or not all(type(s) is int and s >= 1 for s in shape)  # bool is an int
     ):
         raise TensorFileError(f"invalid shape in header: {shape!r}")
     size = 1

@@ -43,7 +43,7 @@ _TARGET_NOISE_SCALE = 0.01
 class ToyTrainConfig:
     seed: int
     steps: int = 500
-    lr: float = 0.05
+    lr: float = 5e-4
     n: int = 4
     norm: str = "layer"
     batch: int = 8
@@ -55,12 +55,13 @@ class ToyTrainConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and positive, got {self.lr!r}")
         if self.batch < 1:
             raise ValueError("batch must be >= 1")
-        if self.input_scale <= 0:
-            raise ValueError("input_scale must be positive")
+        if not (math.isfinite(self.input_scale) and self.input_scale > 0):
+            raise ValueError(
+                f"input_scale must be finite and positive, got {self.input_scale!r}")
         if len(self.feature_shape) != 3:
             raise ValueError("feature_shape must be (C, H, W)")
         self.moment_spec()  # surface order/norm guard violations eagerly

@@ -7,8 +7,8 @@ a non-positive output extent is rejected rather than producing empty
 tensors.
 
 `window_view` exposes every window as a strided (N, C, H', W', kh, kw)
-view; `scatter_windows` is its adjoint and scatter-adds per-window values
-back onto the input grid, discarding contributions that fall on padding.
+view; `scatter_windows` is its adjoint, fed one kernel row at a time; it
+adds in fixed raster order and drops values that fall on padding.
 """
 
 from __future__ import annotations
@@ -129,25 +129,25 @@ def window_view(x4: np.ndarray, spec: PoolSpec, pad_value: float = 0.0):
     return view, valid, counts
 
 
-def scatter_windows(gwin: np.ndarray, spec: PoolSpec, h: int, w: int) -> np.ndarray:
-    """Scatter-add a (N, C, H', W', kh, kw) gradient block onto (N, C, H, W).
+def scatter_windows(rows, spec: PoolSpec, shape) -> np.ndarray:
+    """Scatter-add per-window values onto an (N, C, H, W) `shape`, row by row.
 
-    For a fixed kernel offset the target slices never overlap, so each
-    offset is one vectorized add; accumulation order over offsets is fixed
-    (raster), keeping results bit-identical run to run.
+    `rows` yields kh blocks in order, block i the (N, C, H', W', kw) values
+    of the cells on kernel row i; cells on padding land in the buffer's
+    border, which is cut away. Kernel offsets are added in fixed raster
+    order, one vectorized add each, so results are bit-identical run to run.
     """
-    n, c, h_out, w_out = gwin.shape[:4]
+    n, c, h, w = shape
+    h_out, w_out = output_dims(h, w, spec)
     ph, pw = spec.pad_h, spec.pad_w
     buf = np.zeros((n, c, h + 2 * ph, w + 2 * pw))
     h_stop = (h_out - 1) * spec.stride_h + 1
     w_stop = (w_out - 1) * spec.stride_w + 1
-    for i in range(spec.kernel_h):
+    for i, row in enumerate(rows):
         oi = i * spec.dilation_h
         for j in range(spec.kernel_w):
             oj = j * spec.dilation_w
             buf[:, :,
                 oi : oi + h_stop : spec.stride_h,
-                oj : oj + w_stop : spec.stride_w] += gwin[:, :, :, :, i, j]
-    if ph or pw:
-        return buf[:, :, ph : ph + h, pw : pw + w]
-    return buf
+                oj : oj + w_stop : spec.stride_w] += row[..., j]
+    return buf[:, :, ph : ph + h, pw : pw + w]

@@ -25,8 +25,10 @@ im2col / col2im
 `im2col` flattens every window into one row (raster order over output
 positions, raster order within the window); `col2im_accumulate` is its
 adjoint and scatter-adds per-window values back onto the input grid,
-discarding contributions that fall on padding. Both go through the
-package's own `window_view` and `scatter_windows`.
+discarding contributions that fall on padding. `im2col` goes through the
+package's own `window_view`; `col2im_accumulate` is a plain per-window index
+loop, so it shares no code with the package's `scatter_windows` and the
+backward can be checked against it.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from math import fsum
 import numpy as np
 
 from momentpool.tensor import Tensor
-from momentpool.windows import PoolSpec, output_dims, scatter_windows, window_view
+from momentpool.windows import PoolSpec, output_dims, window_view
 
 MAX_ORDER = 4
 
@@ -170,9 +172,14 @@ def col2im_accumulate(grads, spec: PoolSpec, h: int, w: int) -> Tensor:
                 f"window matrix shape {m.shape} does not match geometry "
                 f"({h_out * w_out}, {spec.window_size})"
             )
-    c = len(mats)
-    stacked = np.stack(mats).reshape(
-        1, c, h_out, w_out, spec.kernel_h, spec.kernel_w
-    )
-    out = scatter_windows(stacked, spec, h, w)
-    return Tensor((c, h, w), out[0])
+    out = np.zeros((len(mats), h, w))
+    for ch, m in enumerate(mats):
+        for r in range(h_out * w_out):
+            oh, ow = divmod(r, w_out)
+            for k in range(spec.window_size):
+                i, j = divmod(k, spec.kernel_w)
+                y = oh * spec.stride_h + i * spec.dilation_h - spec.pad_h
+                x = ow * spec.stride_w + j * spec.dilation_w - spec.pad_w
+                if 0 <= y < h and 0 <= x < w:
+                    out[ch, y, x] += m[r, k]
+    return Tensor(out.shape, out)

@@ -31,9 +31,9 @@ from test_smp import naive_forward, random_suite
 from test_windows import random_geometry
 
 # pinned stability experiment: establishes divergence for unnormalized
-# order 4 at scale 10 while every other variant trains through (the
-# default lr of 0.05 is far above the convergence threshold of even the
-# normalized variants on this task, so the pinned run uses 5e-4)
+# order 4 at scale 10 while every other variant trains through (lr 5e-4
+# is also the toytrain default; 0.05, the default before it, is far above
+# the convergence threshold of even the normalized variants on this task)
 PINNED_TOYTRAIN = dict(seed=17, steps=500, lr=5e-4, batch=8,
                        feature_shape=(4, 16, 16), input_scale=10.0)
 

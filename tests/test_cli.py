@@ -10,6 +10,7 @@ import pytest
 from momentpool.cli import main
 from momentpool.synth import checkerboard, ramp
 from momentpool.tensor import tensor_read, tensor_write
+from momentpool.toytrain import ToyTrainConfig, run_toytrain
 
 from childenv import child_env
 
@@ -225,6 +226,14 @@ class TestToytrainCommand:
         assert bad is not None and bad <= 200
         assert isinstance(report["final_loss"], str)
 
+    def test_default_run_trains_through(self, capsys):
+        rc, out, _ = run_cli(capsys, "toytrain", "--seed", "17")
+        assert rc == 0
+        assert out.strip() == run_toytrain(ToyTrainConfig(seed=17)).to_json()
+        report = json.loads(out)
+        assert report["step_of_first_nonfinite"] is None
+        assert report["final_loss"] < report["loss_curve"][0]
+
     def test_guard_applies(self, capsys):
         rc, _, err = run_cli(capsys, "toytrain", "--seed", "1", "--n", "4",
                              "--norm", "none")
@@ -237,6 +246,17 @@ class TestToytrainCommand:
         rc, _, err = run_cli(capsys, "toytrain", "--seed", "1", "--steps", "1",
                              "--eps-norm", "inf")
         assert rc == 2 and "eps_norm" in err
+
+    @pytest.mark.parametrize("args, name", [
+        (("gradcheck", "--shape", "1,1,4,4", "--step", "nan"), "step size"),
+        (("gradcheck", "--shape", "1,1,4,4", "--tol", "nan"), "tol"),
+        (("toytrain", "--seed", "1", "--steps", "1", "--lr", "nan"), "lr"),
+        (("toytrain", "--seed", "1", "--steps", "1", "--input-scale", "inf"),
+         "input_scale"),
+    ])
+    def test_non_finite_numeric_flag_is_usage_error(self, capsys, args, name):
+        rc, out, err = run_cli(capsys, *args)
+        assert rc == 2 and f"{name} must be finite" in err and out == ""
 
 
 class TestDeterminism:

@@ -200,6 +200,7 @@ def test_backward_matches_per_window_gradient_scatter():
 
     rng = np.random.default_rng(89)
     for spec_pool in (PoolSpec.square(2, stride=2),
+                      PoolSpec.square(3, stride=1, pad=1),
                       PoolSpec.square(3, stride=2, pad=1),
                       PoolSpec(2, 3, 1, 2, 1, 0, 2, 1)):
         c_s, h, w = 3, 7, 8

@@ -105,6 +105,7 @@ def test_has_nonfinite(data, expect):
     b'{"dtype":"f64"}\n' + bytes(8),
     b'[1,2]\n' + bytes(8),
     b'{"dtype":"f64","shape":[1]}',  # no newline at all
+    b'{"dtype":"f64","shape":[true,2]}\n' + bytes(16),  # bool read as extent 1
 ])
 def test_malformed_files_rejected(tmp_path, raw):
     p = tmp_path / "bad.tensor"

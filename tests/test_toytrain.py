@@ -54,6 +54,11 @@ def test_config_validation():
         ToyTrainConfig(seed=1, lr=0.0)
     with pytest.raises(ValueError):
         ToyTrainConfig(seed=1, input_scale=-1.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="lr must be finite"):
+            ToyTrainConfig(seed=1, lr=bad)
+        with pytest.raises(ValueError, match="input_scale must be finite"):
+            ToyTrainConfig(seed=1, input_scale=bad)
     with pytest.raises(ValueError):
         ToyTrainConfig(seed=1, feature_shape=(2, 2))
     with pytest.raises(ValueError):

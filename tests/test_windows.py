@@ -1,10 +1,18 @@
-"""Window geometry, im2col extraction and the col2im adjoint."""
+"""Window geometry, im2col extraction, the col2im adjoint and the scatter."""
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from momentpool.tensor import Tensor
-from momentpool.windows import GeometryError, PoolSpec, output_dims
+from momentpool.windows import (
+    GeometryError,
+    PoolSpec,
+    output_dims,
+    scatter_windows,
+    window_view,
+)
 
 from oracle import col2im_accumulate, im2col
 
@@ -253,3 +261,36 @@ class TestAdjointAndConvolution:
                                              ow * spec.stride_w + j * spec.dilation_w]
                 conv[r] = acc
             np.testing.assert_allclose(row_means, conv, atol=1e-12)
+
+
+@st.composite
+def adjoint_cases(draw):
+    """A valid geometry, an input that fits it and a seed for the data."""
+    k = st.integers(1, 4)
+    s = st.integers(1, 3)
+    p = st.integers(0, 2)
+    try:
+        spec = PoolSpec(draw(k), draw(k), draw(s), draw(s), draw(p), draw(p),
+                        draw(s), draw(s))
+    except GeometryError:
+        reject()
+    h = draw(st.integers(max(1, spec.eff_kernel_h - 2 * spec.pad_h), 10))
+    w = draw(st.integers(max(1, spec.eff_kernel_w - 2 * spec.pad_w), 10))
+    shape = (draw(st.integers(1, 2)), draw(st.integers(1, 3)), h, w)
+    return spec, shape, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(adjoint_cases())
+def test_scatter_windows_is_adjoint_of_window_view(case):
+    """<window_view(x), G> over in-bounds cells == <x, scatter_windows(G)>."""
+    spec, shape, seed = case
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(shape)
+    view, valid, _ = window_view(x, spec)
+    g = rng.standard_normal(view.shape)
+    mask = 1.0 if valid is None else valid
+    lhs = float(np.sum(view * g * mask))
+    rows = (g[..., i, :] for i in range(spec.kernel_h))
+    rhs = float(np.sum(x * scatter_windows(rows, spec, shape)))
+    assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
