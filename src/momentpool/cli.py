@@ -20,7 +20,7 @@ from .grad import check_forward, finite_diff_check, smp_backward
 from .rng import Xoshiro256pp
 from .smp import MomentSpec, NORM_AXES, NORM_KINDS, op_cost, sap_forward, smp_forward
 from .synth import PATTERNS, make_pattern
-from .tensor import Tensor, TensorFileError, tensor_read, tensor_write
+from .tensor import Tensor, TensorFileError, nchw_shape, tensor_read, tensor_write
 from .toytrain import ToyTrainConfig, run_toytrain
 from .windows import GeometryError, PoolSpec, output_dims
 
@@ -30,8 +30,7 @@ def _parse_shape(text: str) -> tuple[int, ...]:
         dims = tuple(int(p) for p in text.split(","))
     except ValueError:
         raise ValueError(f"shape must be comma-separated integers, got {text!r}")
-    if not 1 <= len(dims) <= 4 or any(d < 1 for d in dims):
-        raise ValueError(f"shape must be 1..4 positive extents, got {text!r}")
+    nchw_shape(dims)  # raises unless dims follow the tensor shape rule
     return dims
 
 
@@ -115,7 +114,7 @@ def _cmd_pool(args) -> int:
 def _cmd_gradcheck(args) -> int:
     shape = _parse_shape(args.shape)
     spec = _moment_spec(args)
-    full = (1,) * (4 - len(shape)) + shape
+    full = nchw_shape(shape)
     pool = _pool_spec(args, input_hw=(full[2], full[3]))
     h_out, w_out = output_dims(full[2], full[3], pool)
 
@@ -143,7 +142,7 @@ def _cmd_gradcheck(args) -> int:
 
 def _cmd_bench(args) -> int:
     shape = _parse_shape(args.shape)
-    full = (1,) * (4 - len(shape)) + shape
+    full = nchw_shape(shape)
     pool = _pool_spec(args, input_hw=(full[2], full[3]))
     size = int(np.prod(shape))
     x = Tensor(shape, Xoshiro256pp(args.seed, 0).fill_uniform(size, -1.0, 1.0))

@@ -37,7 +37,7 @@ from .smp import (
     smp_forward,
 )
 from .tensor import Tensor
-from .windows import PoolSpec, output_dims, scatter_windows
+from .windows import PoolSpec, output_dims
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ def smp_backward(t: Tensor, pool: PoolSpec, spec: MomentSpec, upstream: Tensor,
         raise ValueError(f"upstream shape {u4.shape} does not match forward "
                          f"output {expected}")
 
-    view, _, counts, stats = _window_stats(x4, pool, spec.n)
+    steps, counts, stats = _window_stats(x4, pool, spec.n)
     u = u4.astype(np.float64, copy=True)
 
     if spec.norm != "none" and spec.n >= 3:
@@ -100,23 +100,23 @@ def smp_backward(t: Tensor, pool: PoolSpec, spec: MomentSpec, upstream: Tensor,
     # coef[:, k - 1] = k * u_k / window count, order k's cell-gradient weight
     coef = u.reshape(n_samples, spec.n, channels, h_out, w_out)
     coef *= (np.arange(1.0, spec.n + 1)[:, None, None] * (1.0 / counts))[:, None]
+    # sum_k coef_k * (dev**(k-1) - m_(k-1)), m_0 = m_1 = 0, as a polynomial
+    # in the cell's deviation dev from the window mean
+    poly = [coef[:, k].reshape(-1, h_out, w_out) for k in range(spec.n)]
+    m = [s.reshape(-1, h_out, w_out) for s in stats]  # per plane, as the steps
+    for k in range(2, spec.n):
+        poly[0] -= poly[k] * m[k - 1]
 
-    def row_grad(i):
-        # cells on kernel row i of every window; padding cells get values
-        # too, which land in the scatter buffer's border and are cut away
-        g = np.zeros(view.shape[:4] + view.shape[5:])
-        g += coef[:, 0, ..., None]
-        if spec.n >= 2:
-            dev = view[..., i, :] - stats[0][..., None]
-            g += coef[:, 1, ..., None] * dev
-            if spec.n >= 3:
-                d2 = dev * dev
-                g += coef[:, 2, ..., None] * (d2 - stats[1][..., None])
-                if spec.n >= 4:
-                    g += coef[:, 3, ..., None] * (d2 * dev - stats[2][..., None])
-        return g
-
-    grad = scatter_windows(map(row_grad, range(pool.kernel_h)), pool, x4.shape)
+    grad = np.zeros(x4.shape)  # no cell repeats within a block: += is safe
+    for st in steps:
+        dev = st.block(x4) - m[0][st.win]
+        g = np.zeros(dev.shape)
+        for c in reversed(poly[1:]):  # Horner, highest order first
+            g += c[st.win]
+            g *= dev
+        g += poly[0][st.win]
+        dst = st.block(grad)
+        dst += g
     return Tensor(t.shape, grad.reshape(t.shape))
 
 
@@ -135,7 +135,7 @@ def check_forward(x: Tensor, pool: PoolSpec, spec: MomentSpec,
         return lambda t: smp_forward(t, pool, spec, bn_state=bn_state,
                                      training=training)
 
-    base = _pre_norm_block(_window_stats(x.nchw, pool, spec.n)[3], spec)
+    base = _pre_norm_block(_window_stats(x.nchw, pool, spec.n)[2], spec)
     grouped, axis = _grouped(base, spec)
     peaks = _peak_divisor(grouped, spec.eps_norm, axis)
 

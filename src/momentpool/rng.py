@@ -85,9 +85,6 @@ class Xoshiro256pp:
         """Uniform double in [0, 1), 53-bit resolution."""
         return (self.next_u64() >> 11) * _DOUBLE_SCALE
 
-    def uniform(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * self.random()
-
     def fill_uniform(self, count: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
         """Flat float64 array of ``count`` uniform draws in [lo, hi)."""
         span = hi - lo

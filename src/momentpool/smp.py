@@ -44,8 +44,8 @@ import numpy as np
 
 from . import normalize
 from .normalize import BatchNormState
-from .tensor import Tensor
-from .windows import PoolSpec, _is_int, output_dims, window_view
+from .tensor import Tensor, _is_int, nchw_shape
+from .windows import PoolSpec, output_dims, window_steps
 
 NORM_KINDS = ("none", "layer", "max", "batch")
 NORM_AXES = ("order", "joint", "location")
@@ -97,52 +97,35 @@ class OpCostReport:
     extra_vs_sap: int
 
 
-# centered-power temporaries are processed in chunks this size: small
-# enough that the three scratch buffers stay in L2 and below glibc's mmap
-# ceiling, so repeat passes hit cache and the allocator recycles the heap
-# blocks instead of page-faulting fresh mappings
-_CHUNK_BYTES = 1 << 17
+def _cell_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over a block's kernel axes; a one-cell block has none."""
+    return a if a.ndim == 3 else a.sum(axis=(3, 4))
 
 
 def _window_stats(x4: np.ndarray, pool: PoolSpec, n: int):
-    """Window view plus raw moment maps m1..mn, each (N, C, H', W').
+    """Window steps, in-bounds counts (H', W') and (N, C, H', W') maps m1..mn.
 
-    The centered-power pass is chunked over channels and kernel rows with
-    partial-sum accumulation in fixed raster order, so results are
-    bit-identical for a given shape regardless of run or thread count.
+    The mean, then the centered power sums, accumulate over the steps in
+    their fixed order, so results are bit-identical run to run.
     """
-    view, valid, counts = window_view(x4, pool)
+    steps, (count_h, count_w) = window_steps(x4.shape, pool)
+    counts = np.multiply.outer(count_h, count_w)
+    mu = np.zeros((x4.shape[0] * x4.shape[1],) + counts.shape)  # one per plane
+    for st in steps:
+        mu[st.out] += _cell_sum(st.block(x4))
     inv = 1.0 / counts
-    mu = view.sum(axis=(-2, -1)) * inv
-    stats = [mu]
-    if n == 1:
-        return view, valid, counts, stats
-
-    n_s, c_s, h_out, w_out = view.shape[:4]
-    k_h, k_w = view.shape[4:]
-    sums = [np.zeros((n_s, c_s, h_out, w_out)) for _ in range(n - 1)]
-    cell_bytes = h_out * w_out * k_w * 8
-    chans = max(1, _CHUNK_BYTES // (cell_bytes * k_h))
-    k_rows = k_h if chans > 1 else max(1, _CHUNK_BYTES // cell_bytes)
-    for b in range(n_s):
-        for c0 in range(0, c_s, chans):
-            cs = slice(c0, min(c0 + chans, c_s))
-            mu_c = mu[b, cs][..., None, None]
-            for i0 in range(0, k_h, k_rows):
-                ks = slice(i0, min(i0 + k_rows, k_h))
-                dev = view[b, cs, :, :, ks, :] - mu_c
-                if valid is not None:
-                    dev *= valid[:, :, ks, :]
-                d2 = dev * dev
-                sums[0][b, cs] += d2.sum(axis=(-2, -1))
-                if n >= 3:
-                    d2_dev = d2 * dev
-                    sums[1][b, cs] += d2_dev.sum(axis=(-2, -1))
-                if n >= 4:
-                    d4 = np.multiply(d2, d2, out=d2_dev)  # scratch reuse
-                    sums[2][b, cs] += d4.sum(axis=(-2, -1))
-    stats.extend(s * inv for s in sums)
-    return view, valid, counts, stats
+    mu *= inv
+    sums = [np.zeros_like(mu) for _ in range(n - 1)]
+    for st in steps if sums else ():
+        dev = st.block(x4) - mu[st.win]
+        d2 = dev * dev
+        sums[0][st.out] += _cell_sum(d2)
+        if n >= 3:  # the powers reuse the deviation's and the square's buffers
+            sums[1][st.out] += _cell_sum(np.multiply(d2, dev, out=dev))
+        if n >= 4:
+            sums[2][st.out] += _cell_sum(np.multiply(d2, d2, out=d2))
+    stats = [mu] + [np.multiply(s, inv, out=s) for s in sums]
+    return steps, counts, [m.reshape(x4.shape[:2] + counts.shape) for m in stats]
 
 
 def _standardize_denoms(m2: np.ndarray, eps: float):
@@ -207,7 +190,7 @@ def _normalize_vjp(block: np.ndarray, upstream: np.ndarray, spec: MomentSpec,
 
 def _pooled(x4: np.ndarray, pool: PoolSpec, spec: MomentSpec, norm) -> Tensor:
     """Moment channels m1, m2 and `norm` of the pre-norm block, concatenated."""
-    stats = _window_stats(x4, pool, spec.n)[3]
+    stats = _window_stats(x4, pool, spec.n)[2]
     if spec.n >= 3:
         stats[2:] = [_pre_norm_block(stats, spec)]  # frees m3, m4 before norm
         stats[2] = norm(stats[2])
@@ -236,11 +219,7 @@ def sap_forward(t: Tensor, pool: PoolSpec) -> Tensor:
 
 def op_cost(shape, pool: PoolSpec, spec: MomentSpec) -> OpCostReport:
     """MAC count for one forward pass; formula in the module docstring."""
-    dims = tuple(int(s) for s in shape)
-    if not 1 <= len(dims) <= 4:
-        raise ValueError("shape must have 1..4 extents")
-    full = (1,) * (4 - len(dims)) + dims
-    n_samples, channels, h, w = full
+    n_samples, channels, h, w = nchw_shape(shape)
     h_out, w_out = output_dims(h, w, pool)
     cells = h_out * w_out
     m = pool.window_size

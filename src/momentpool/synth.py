@@ -14,13 +14,13 @@ from __future__ import annotations
 import numpy as np
 
 from .rng import Xoshiro256pp
-from .tensor import Tensor
+from .tensor import Tensor, nchw_shape
 
 PATTERNS = ("checkerboard", "solid", "ramp", "uniform-noise")
 
 
 def checkerboard(shape, a: float = 1.0, b: float = 0.0) -> Tensor:
-    full = (1,) * (4 - len(shape)) + tuple(shape)
+    full = nchw_shape(shape)
     h_idx = np.arange(full[2])[:, None]
     w_idx = np.arange(full[3])[None, :]
     plane = np.where((h_idx + w_idx) % 2 == 0, float(a), float(b))

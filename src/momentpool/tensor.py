@@ -19,6 +19,7 @@ never rejected at construction.
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -30,21 +31,31 @@ class TensorFileError(ValueError):
     """Raised for malformed tensor files."""
 
 
+def _is_int(value) -> bool:
+    """True for Python and numpy integers; bools are rejected."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def nchw_shape(shape) -> tuple[int, int, int, int]:
+    """`shape` padded to rank 4 after the tensor rule: 1..4 int extents >= 1."""
+    dims = tuple(shape)
+    if not 1 <= len(dims) <= 4:
+        raise ValueError(f"shape must have 1..4 extents, got {dims}")
+    if not all(_is_int(s) and s >= 1 for s in dims):
+        raise ValueError(f"shape extents must be ints >= 1, got {dims}")
+    return (1,) * (4 - len(dims)) + tuple(int(s) for s in dims)
+
+
 class Tensor:
     """Immutable dense float64 array with explicit shape bookkeeping."""
 
     __slots__ = ("shape", "data")
 
     def __init__(self, shape, data):
-        shape = tuple(int(s) for s in shape)
-        if not 1 <= len(shape) <= 4:
-            raise ValueError(f"tensor rank must be 1..4, got {len(shape)}")
-        if any(s < 1 for s in shape):
-            raise ValueError(f"tensor extents must be >= 1, got {shape}")
+        full = nchw_shape(shape)
+        shape = full[4 - len(shape):]
         arr = np.array(data, dtype=np.float64, copy=True).reshape(-1)
-        size = 1
-        for s in shape:
-            size *= s
+        size = math.prod(full)
         if arr.size != size:
             raise ValueError(
                 f"shape {shape} implies {size} elements, data has {arr.size}"
@@ -63,18 +74,12 @@ class Tensor:
     @property
     def nchw(self) -> np.ndarray:
         """Read-only rank-4 view with leading dimensions padded to 1."""
-        full = (1,) * (4 - len(self.shape)) + self.shape
-        return self.data.reshape(full)
+        return self.data.reshape(nchw_shape(self.shape))
 
     @property
     def array(self) -> np.ndarray:
         """Read-only view with the shape as stored."""
         return self.data.reshape(self.shape)
-
-    @classmethod
-    def from_array(cls, arr) -> "Tensor":
-        a = np.asarray(arr, dtype=np.float64)
-        return cls(a.shape, a)
 
     def __eq__(self, other):
         if not isinstance(other, Tensor):
@@ -124,15 +129,11 @@ def tensor_read(path: str | os.PathLike) -> Tensor:
     if dtype != _HEADER_DTYPE:
         raise TensorFileError(f"unsupported dtype {dtype!r}, expected 'f64'")
     shape = header.get("shape")
-    if (
-        not isinstance(shape, list)
-        or not 1 <= len(shape) <= 4
-        or not all(type(s) is int and s >= 1 for s in shape)  # bool is an int
-    ):
-        raise TensorFileError(f"invalid shape in header: {shape!r}")
-    size = 1
-    for s in shape:
-        size *= s
+    try:
+        nchw_shape(shape if isinstance(shape, list) else ())  # else: rank 0
+    except ValueError as exc:
+        raise TensorFileError(f"invalid shape in header: {shape!r}") from exc
+    size = math.prod(shape)
     payload = raw[newline + 1 :]
     if len(payload) != 8 * size:
         raise TensorFileError(

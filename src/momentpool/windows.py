@@ -1,4 +1,4 @@
-"""Pooling-window geometry, the strided window view and its scatter adjoint.
+"""Pooling-window geometry and the window walk shared by forward and backward.
 
 Window placement follows the standard convolution rule: with input extent
 `in`, padding `p`, dilation `d`, kernel `k` and stride `s`, the output
@@ -6,26 +6,27 @@ extent is floor((in + 2p - d*(k-1) - 1) / s) + 1. Geometry that would yield
 a non-positive output extent is rejected rather than producing empty
 tensors.
 
-`window_view` exposes every window as a strided (N, C, H', W', kh, kw)
-view; `scatter_windows` is its adjoint, fed one kernel row at a time; it
-adds in fixed raster order and drops values that fall on padding.
+`window_steps` is the one window walk, shared by forward and backward: a
+fixed sequence of strided blocks of the unpadded input that visit every
+in-bounds (window, kernel cell) pair exactly once, never a padding cell,
+and no input cell twice within one block, so the backward can add a block
+of cell gradients into the input gradient with a plain `+=`.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, fields
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+
+from .tensor import _is_int
 
 
 class GeometryError(ValueError):
     """Raised when a pooling geometry is invalid for a given input size."""
-
-
-def _is_int(value) -> bool:
-    """True for Python and numpy integers; bools are rejected."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -87,67 +88,86 @@ def output_dims(h: int, w: int, spec: PoolSpec) -> tuple[int, int]:
     return h_out, w_out
 
 
-def window_view(x4: np.ndarray, spec: PoolSpec, pad_value: float = 0.0):
-    """Strided window view of a rank-4 array.
+# a step's block holds at most this many bytes wherever whole planes or
+# kernel rows can be cut off: its temporaries then stay in L2 and below
+# glibc's mmap threshold, so the allocator recycles heap blocks instead of
+# page-faulting fresh mappings on every call
+_STEP_BYTES = 1 << 18
 
-    Returns (view, valid, counts):
-      view   (N, C, H', W', kh, kw) window values, padding filled with
-             `pad_value`; a view into a padded copy, do not write to it.
-      valid  (H', W', kh, kw) bool, False where the window cell lies on
-             padding, or None when there is no padding.
-      counts (H', W') number of in-bounds cells per window (float64).
+
+class WindowStep(NamedTuple):
+    """One block of the walk: (P'', H'', W'', kr, kc) cells of a range of P''
+    planes, or (P'', H'', W'') for one kernel cell, laid over the buffer of
+    a C-contiguous array of the walked shape; a plane is one channel of one
+    sample. `out` indexes the slice of a (planes, H', W') output that the
+    block feeds and `win` the same slice broadcast against the block."""
+
+    out: tuple
+    win: tuple
+    offset: int
+    shape: tuple
+    strides: tuple
+
+    def block(self, arr: np.ndarray) -> np.ndarray:
+        """The block as a view of `arr`, which must have the walked shape."""
+        return np.ndarray(self.shape, np.float64, arr, self.offset, self.strides)
+
+
+def _runs(size: int, out: int, k: int, s: int, d: int, p: int):
+    """[output slice, first input index, cells] per run of kernel indices.
+
+    Consecutive indices share a run while they share one in-bounds output
+    range and their cells cannot collide: the range is one position, or the
+    run's span (len-1)*d stays below the stride s.
     """
-    n, c, h, w = x4.shape
-    h_out, w_out = output_dims(h, w, spec)
-    ph, pw = spec.pad_h, spec.pad_w
-    if ph or pw:
-        xp = np.pad(x4, ((0, 0), (0, 0), (ph, ph), (pw, pw)),
-                    constant_values=pad_value)
-    else:
-        xp = x4
-    sw = sliding_window_view(xp, (spec.eff_kernel_h, spec.eff_kernel_w),
-                             axis=(2, 3))
-    view = sw[
-        :, :,
-        : (h_out - 1) * spec.stride_h + 1 : spec.stride_h,
-        : (w_out - 1) * spec.stride_w + 1 : spec.stride_w,
-        :: spec.dilation_h,
-        :: spec.dilation_w,
-    ]
-    if ph == 0 and pw == 0:
-        counts = np.full((h_out, w_out), float(spec.window_size))
-        return view, None, counts
-    # padded coordinate of window cell (i, j) at output position (oh, ow)
-    rows = (np.arange(h_out) * spec.stride_h)[:, None] + \
-        (np.arange(spec.kernel_h) * spec.dilation_h)[None, :]
-    cols = (np.arange(w_out) * spec.stride_w)[:, None] + \
-        (np.arange(spec.kernel_w) * spec.dilation_w)[None, :]
-    valid_h = (rows >= ph) & (rows < h + ph)
-    valid_w = (cols >= pw) & (cols < w + pw)
-    valid = valid_h[:, None, :, None] & valid_w[None, :, None, :]
-    counts = valid.sum(axis=(2, 3)).astype(np.float64)
-    return view, valid, counts
+    runs, prev = [], None
+    for i in range(k):
+        lo = max(0, -((i * d - p) // s))  # first output with o*s + i*d >= p
+        hi = min(out, (size - 1 + p - i * d) // s + 1)
+        if lo >= hi:
+            prev = None
+        elif prev and prev[0] == slice(lo, hi) and (hi - lo == 1 or prev[2] * d < s):
+            prev[2] += 1
+        else:
+            prev = [slice(lo, hi), lo * s + i * d - p, 1]
+            runs.append(prev)
+    return runs
 
 
-def scatter_windows(rows, spec: PoolSpec, shape) -> np.ndarray:
-    """Scatter-add per-window values onto an (N, C, H, W) `shape`, row by row.
+@lru_cache(maxsize=64)
+def window_steps(shape: tuple, spec: PoolSpec):
+    """The walk for an (N, C, H, W) `shape`, cached: (steps, counts).
 
-    `rows` yields kh blocks in order, block i the (N, C, H', W', kw) values
-    of the cells on kernel row i; cells on padding land in the buffer's
-    border, which is cut away. Kernel offsets are added in fixed raster
-    order, one vectorized add each, so results are bit-identical run to run.
+    Each step holds as many whole planes and kernel rows of one run as fit
+    in `_STEP_BYTES`, at least one of each. `counts` is a read-only pair: the
+    in-bounds kernel rows per output row and columns per output column,
+    whose product is a window's cell count; kept per axis for a small cache.
     """
     n, c, h, w = shape
+    planes = n * c
     h_out, w_out = output_dims(h, w, spec)
-    ph, pw = spec.pad_h, spec.pad_w
-    buf = np.zeros((n, c, h + 2 * ph, w + 2 * pw))
-    h_stop = (h_out - 1) * spec.stride_h + 1
-    w_stop = (w_out - 1) * spec.stride_w + 1
-    for i, row in enumerate(rows):
-        oi = i * spec.dilation_h
-        for j in range(spec.kernel_w):
-            oj = j * spec.dilation_w
-            buf[:, :,
-                oi : oi + h_stop : spec.stride_h,
-                oj : oj + w_stop : spec.stride_w] += row[..., j]
-    return buf[:, :, ph : ph + h, pw : pw + w]
+    rows = _runs(h, h_out, spec.kernel_h, spec.stride_h, spec.dilation_h, spec.pad_h)
+    cols = _runs(w, w_out, spec.kernel_w, spec.stride_w, spec.dilation_w, spec.pad_w)
+    counts = np.zeros(h_out), np.zeros(w_out)
+    for count, runs in zip(counts, (rows, cols)):
+        for out_slice, _, cells in runs:
+            count[out_slice] += cells
+        count.setflags(write=False)
+    item = np.dtype(np.float64).itemsize
+    strides = tuple(item * s for s in (h * w, spec.stride_h * w, spec.stride_w,
+                                       spec.dilation_h * w, spec.dilation_w))
+    steps = []
+    for (out_h, y0, kr), (out_w, x0, kc) in itertools.product(rows, cols):
+        hw = (out_h.stop - out_h.start, out_w.stop - out_w.start)
+        row = hw[0] * hw[1] * kc * item  # one plane's kernel row
+        per_p = max(1, min(planes, _STEP_BYTES // (row * kr)))
+        per_r = kr if per_p > 1 else max(1, _STEP_BYTES // row)
+        for p0, r0 in itertools.product(range(0, planes, per_p), range(0, kr, per_r)):
+            out = (slice(p0, min(planes, p0 + per_p)), out_h, out_w)
+            cells = (min(per_r, kr - r0), kc)
+            rank = 3 if cells == (1, 1) else 5
+            offset = p0 * strides[0] + ((y0 + r0 * spec.dilation_h) * w + x0) * item
+            steps.append(WindowStep(out, out + (None,) * (rank - 3), offset,
+                                    ((out[0].stop - p0,) + hw + cells)[:rank],
+                                    strides[:rank]))
+    return tuple(steps), counts

@@ -25,10 +25,9 @@ im2col / col2im
 `im2col` flattens every window into one row (raster order over output
 positions, raster order within the window); `col2im_accumulate` is its
 adjoint and scatter-adds per-window values back onto the input grid,
-discarding contributions that fall on padding. `im2col` goes through the
-package's own `window_view`; `col2im_accumulate` is a plain per-window index
-loop, so it shares no code with the package's `scatter_windows` and the
-backward can be checked against it.
+discarding contributions that fall on padding. Both are plain per-window
+index loops that share no code with the package's `window_steps`, so the
+forward and the backward can be checked against them.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from math import fsum
 import numpy as np
 
 from momentpool.tensor import Tensor
-from momentpool.windows import PoolSpec, output_dims, window_view
+from momentpool.windows import PoolSpec, output_dims
 
 MAX_ORDER = 4
 
@@ -134,26 +133,30 @@ def _as_chw(t: Tensor) -> np.ndarray:
     return x4
 
 
+def _window_cells(spec: PoolSpec, oh: int, ow: int):
+    """Input (y, x) of one window's cells in raster order, padding included."""
+    for i in range(spec.kernel_h):
+        for j in range(spec.kernel_w):
+            yield (oh * spec.stride_h + i * spec.dilation_h - spec.pad_h,
+                   ow * spec.stride_w + j * spec.dilation_w - spec.pad_w)
+
+
 def im2col(t: Tensor, spec: PoolSpec, pad_value: float = 0.0,
            track_valid: bool = False) -> list[WindowMatrix]:
     """Extract per-channel window matrices from a (C, H, W) tensor."""
     x4 = _as_chw(t)
     _, c, h, w = x4.shape
     h_out, w_out = output_dims(h, w, spec)
-    view, valid, _ = window_view(x4, spec, pad_value)
-    k = spec.window_size
-    valid_rows = None
-    if track_valid:
-        if valid is None:
-            valid_rows = np.ones((h_out * w_out, k), dtype=bool)
-        else:
-            valid_rows = valid.reshape(h_out * w_out, k)
+    data = np.full((c, h_out * w_out, spec.window_size), float(pad_value))
+    valid = np.zeros((h_out * w_out, spec.window_size), dtype=bool)
+    for r in range(h_out * w_out):
+        for k, (y, x) in enumerate(_window_cells(spec, *divmod(r, w_out))):
+            if 0 <= y < h and 0 <= x < w:
+                data[:, r, k] = x4[0, :, y, x]
+                valid[r, k] = True
     return [
-        WindowMatrix(
-            data=view[0, ch].reshape(h_out * w_out, k).copy(),
-            origin_shape=(h_out, w_out),
-            valid=valid_rows,
-        )
+        WindowMatrix(data=data[ch], origin_shape=(h_out, w_out),
+                     valid=valid if track_valid else None)
         for ch in range(c)
     ]
 
@@ -175,11 +178,7 @@ def col2im_accumulate(grads, spec: PoolSpec, h: int, w: int) -> Tensor:
     out = np.zeros((len(mats), h, w))
     for ch, m in enumerate(mats):
         for r in range(h_out * w_out):
-            oh, ow = divmod(r, w_out)
-            for k in range(spec.window_size):
-                i, j = divmod(k, spec.kernel_w)
-                y = oh * spec.stride_h + i * spec.dilation_h - spec.pad_h
-                x = ow * spec.stride_w + j * spec.dilation_w - spec.pad_w
+            for k, (y, x) in enumerate(_window_cells(spec, *divmod(r, w_out))):
                 if 0 <= y < h and 0 <= x < w:
                     out[ch, y, x] += m[r, k]
     return Tensor(out.shape, out)

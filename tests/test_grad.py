@@ -1,5 +1,7 @@
 """Backward pass correctness, VJP algebra, and gradient scaling laws."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,30 @@ def test_dilated_unpadded_geometry_backward():
         check_forward(x, pool, spec),
         lambda t, u: smp_backward(t, pool, spec, u), x, up)
     assert report.passed
+
+
+@pytest.mark.parametrize("spec", [
+    MomentSpec(n=4, norm="layer"),
+    MomentSpec(n=4, norm="none", unsafe_no_norm=True),
+], ids=["layer", "none"])
+def test_padding_cells_never_enter_the_backward(spec):
+    """A huge constant input pools and differentiates silently and exactly.
+
+    At 2**342 every window mean is exact, so every in-bounds deviation is 0.
+    A padding cell's (0 - mean)**3 would overflow; the backward must never
+    visit one, and the gradient must not depend on the constant's level.
+    """
+    pool = PoolSpec.square(3, stride=1, pad=1)
+    big = solid((1, 1, 4, 4), 2.0 ** 342)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = smp_forward(big, pool, spec)
+        up = Tensor(y.shape, np.linspace(-1.0, 1.0, y.size))
+        g = smp_backward(big, pool, spec, up)
+        g_one = smp_backward(solid((1, 1, 4, 4), 1.0), pool, spec, up)
+    assert (y.nchw[:, 0] == 2.0 ** 342).all()
+    assert np.isfinite(g.data).all()
+    np.testing.assert_array_equal(g.data, g_one.data)
 
 
 def test_linear_operator_checks_to_tight_tolerance():

@@ -287,6 +287,17 @@ class TestOpCost:
         ]
         assert costs == sorted(costs) and len(set(costs)) == 4
 
+    def test_bad_shapes_rejected(self):
+        """Shapes follow the Tensor rule: rank 1..4, int extents >= 1."""
+        pool, spec = PoolSpec(1, 1), MomentSpec(n=2)
+        for bad in ((-2, 3, 8, 8), (0, 3, 8, 8), (2.7, 3, 8, 8), (1, 3, 8.0, 8),
+                    (True, 3, 8, 8), (), (1, 1, 1, 8, 8)):
+            with pytest.raises(ValueError):
+                op_cost(bad, pool, spec)
+        full = op_cost((1, 3, 8, 8), pool, spec)
+        assert op_cost((3, 8, 8), pool, spec) == full
+        assert op_cost(np.array([1, 3, 8, 8]), pool, spec) == full
+
     def test_norm_cost_included(self):
         pool = PoolSpec(8, 8)
         shape = (1, 2, 8, 8)

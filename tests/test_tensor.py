@@ -106,6 +106,8 @@ def test_has_nonfinite(data, expect):
     b'[1,2]\n' + bytes(8),
     b'{"dtype":"f64","shape":[1]}',  # no newline at all
     b'{"dtype":"f64","shape":[true,2]}\n' + bytes(16),  # bool read as extent 1
+    b'{"dtype":"f64","shape":[2.0]}\n' + bytes(16),
+    b'{"dtype":"f64","shape":"11"}\n' + bytes(8),
 ])
 def test_malformed_files_rejected(tmp_path, raw):
     p = tmp_path / "bad.tensor"
@@ -123,6 +125,9 @@ def test_construction_validation():
         Tensor((2, 0), [])
     with pytest.raises(ValueError):
         Tensor((3,), [1.0, 2.0])
+    for bad in ((2.5, 2), (2.0, 2), (True, 2)):  # extents are ints, not bools
+        with pytest.raises(ValueError, match="ints >= 1"):
+            Tensor(bad, [0.0] * 4)
 
 
 def test_tensor_is_immutable():

@@ -1,18 +1,16 @@
-"""Window geometry, im2col extraction, the col2im adjoint and the scatter."""
+"""Window geometry, im2col extraction, the col2im adjoint and the window walk."""
+
+import contextlib
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from momentpool import windows
 from momentpool.tensor import Tensor
-from momentpool.windows import (
-    GeometryError,
-    PoolSpec,
-    output_dims,
-    scatter_windows,
-    window_view,
-)
+from momentpool.windows import GeometryError, PoolSpec, output_dims, window_steps
 
 from oracle import col2im_accumulate, im2col
 
@@ -280,17 +278,93 @@ def adjoint_cases(draw):
     return spec, shape, draw(st.integers(0, 2**32 - 1))
 
 
+def step_cells(step, shape, spec):
+    """Flat input index and (n, c, oh, ow, i, j) of every block element.
+
+    Decoded from the input index the block reads and the output slice it
+    feeds, so nothing but `out` and `block` of the step is trusted.
+    """
+    n_s, c_s, h, w = shape
+    flat = step.block(np.arange(float(np.prod(shape))).reshape(shape))
+    flat = flat.astype(np.int64).reshape(flat.shape[:3] + (flat.shape[3:] or (1, 1)))
+    plane, rest = divmod(flat, h * w)
+    y, x = divmod(rest, w)
+    planes, out_h, out_w = step.out
+    oh = np.arange(out_h.start, out_h.stop)[:, None, None, None]
+    ow = np.arange(out_w.start, out_w.stop)[None, :, None, None]
+    i, i_rem = divmod(y - oh * spec.stride_h + spec.pad_h, spec.dilation_h)
+    j, j_rem = divmod(x - ow * spec.stride_w + spec.pad_w, spec.dilation_w)
+    assert not i_rem.any() and not j_rem.any()  # cells sit on the kernel grid
+    assert ((0 <= i) & (i < spec.kernel_h) & (0 <= j) & (j < spec.kernel_w)).all()
+    lead = np.arange(planes.start, planes.stop)[:, None, None, None, None]
+    assert (plane == lead).all()
+    n, c = divmod(plane, c_s)
+    block_shape = step.block(np.zeros(shape)).shape
+    return flat, tuple(np.broadcast_to(a, flat.shape).reshape(block_shape)
+                       for a in (n, c, oh, ow, i, j))
+
+
+@contextlib.contextmanager
+def block_budget(nbytes):
+    """Walk with another block budget; cached walks are dropped both ways."""
+    window_steps.cache_clear()
+    try:
+        with mock.patch.object(windows, "_STEP_BYTES", nbytes):
+            yield
+    finally:
+        window_steps.cache_clear()
+
+
+def walk(shape, spec, x, g):
+    """Visit counts per (n, c, oh, ow, i, j), <blocks of x, g>, the scatter
+    of g through the blocks and the walk's own window counts."""
+    visits = np.zeros(g.shape, dtype=np.int64)
+    gathered = 0.0
+    scattered = np.zeros(shape)
+    steps, (count_h, count_w) = window_steps(shape, spec)
+    for step in steps:
+        flat, idx = step_cells(step, shape, spec)
+        assert np.unique(flat).size == flat.size
+        np.add.at(visits, idx, 1)
+        gathered += float(np.sum(step.block(x) * g[idx]))
+        dst = step.block(scattered)
+        dst += g[idx]
+    return visits, gathered, scattered, np.multiply.outer(count_h, count_w)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(adjoint_cases())
-def test_scatter_windows_is_adjoint_of_window_view(case):
-    """<window_view(x), G> over in-bounds cells == <x, scatter_windows(G)>."""
+def test_window_steps_visit_each_inbounds_cell_once(case):
+    """Every in-bounds (window, cell) pair is visited by exactly one step, no
+    input cell repeats within a step's block, the walk counts each window's
+    in-bounds cells, and the blocks' gather and scatter are adjoint, the
+    scatter agreeing with `col2im_accumulate`.
+
+    Checked at the default block budget and at two small ones, which cut
+    planes and runs of kernel rows into several steps.
+    """
     spec, shape, seed = case
+    n_s, c_s, h, w = shape
+    h_out, w_out = output_dims(h, w, spec)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(shape)
-    view, valid, _ = window_view(x, spec)
-    g = rng.standard_normal(view.shape)
-    mask = 1.0 if valid is None else valid
-    lhs = float(np.sum(view * g * mask))
-    rows = (g[..., i, :] for i in range(spec.kernel_h))
-    rhs = float(np.sum(x * scatter_windows(rows, spec, shape)))
-    assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+    g = rng.standard_normal((n_s, c_s, h_out, w_out, spec.kernel_h, spec.kernel_w))
+    rows = (np.arange(h_out)[:, None] * spec.stride_h
+            + np.arange(spec.kernel_h) * spec.dilation_h - spec.pad_h)
+    cols = (np.arange(w_out)[:, None] * spec.stride_w
+            + np.arange(spec.kernel_w) * spec.dilation_w - spec.pad_w)
+    inside = (((0 <= rows) & (rows < h))[:, None, :, None]
+              & ((0 <= cols) & (cols < w))[None, :, None, :])
+    col2im = np.stack([
+        col2im_accumulate([g[b, c].reshape(h_out * w_out, spec.window_size)
+                           for c in range(c_s)], spec, h, w).array
+        for b in range(n_s)])
+    expected = float(np.sum(x * col2im))
+
+    for budget in (windows._STEP_BYTES, 1024, 8):
+        with block_budget(budget):
+            visits, gathered, scattered, counts = walk(shape, spec, x, g)
+        assert np.array_equal(visits, np.broadcast_to(inside, g.shape))
+        assert np.array_equal(counts, inside.sum(axis=(2, 3)))
+        np.testing.assert_allclose(scattered, col2im, rtol=0, atol=1e-12)
+        assert abs(gathered - expected) <= 1e-12 * max(1.0, abs(expected))
