@@ -1,11 +1,6 @@
 """Spatial moment pooling: windowed means and central moments with gradients."""
 
-from .grad import (
-    GradCheckReport,
-    finite_diff_check,
-    gradient_magnitude_profile,
-    smp_backward,
-)
+from .grad import GradCheckReport, finite_diff_check, gradient_magnitude_profile
 from .normalize import (
     BatchNormState,
     batch_norm,
@@ -14,7 +9,14 @@ from .normalize import (
     norm_backward,
 )
 from .rng import Xoshiro256pp
-from .smp import MomentSpec, OpCostReport, op_cost, sap_forward, smp_forward
+from .smp import (
+    MomentSpec,
+    OpCostReport,
+    op_cost,
+    sap_forward,
+    smp_backward,
+    smp_forward,
+)
 from .synth import checkerboard, make_pattern, ramp, solid, uniform_noise
 from .tensor import (
     Tensor,

@@ -14,12 +14,10 @@ import statistics
 import sys
 import time
 
-import numpy as np
-
-from .grad import check_forward, finite_diff_check, smp_backward
-from .rng import Xoshiro256pp
-from .smp import MomentSpec, NORM_AXES, NORM_KINDS, op_cost, sap_forward, smp_forward
-from .synth import PATTERNS, make_pattern
+from .grad import finite_diff_check
+from .smp import (MomentSpec, NORM_AXES, NORM_KINDS, check_forward, op_cost,
+                  sap_forward, smp_backward, smp_forward)
+from .synth import PATTERNS, make_pattern, uniform_noise
 from .tensor import Tensor, TensorFileError, nchw_shape, tensor_read, tensor_write
 from .toytrain import ToyTrainConfig, run_toytrain
 from .windows import GeometryError, PoolSpec, output_dims
@@ -118,11 +116,9 @@ def _cmd_gradcheck(args) -> int:
     pool = _pool_spec(args, input_hw=(full[2], full[3]))
     h_out, w_out = output_dims(full[2], full[3], pool)
 
-    size = int(np.prod(shape))
-    x = Tensor(shape, Xoshiro256pp(args.seed, 0).fill_uniform(size, -1.0, 1.0))
+    x = uniform_noise(shape, -1.0, 1.0, args.seed, stream=0)
     up_shape = (full[0], spec.n * full[1], h_out, w_out)
-    up = Tensor(up_shape, Xoshiro256pp(args.seed, 1).fill_uniform(
-        int(np.prod(up_shape)), -1.0, 1.0))
+    up = uniform_noise(up_shape, -1.0, 1.0, args.seed, stream=1)
 
     # for max norm this freezes the peak divisor, matching the operator's
     # declared straight-through gradient
@@ -144,34 +140,32 @@ def _cmd_bench(args) -> int:
     shape = _parse_shape(args.shape)
     full = nchw_shape(shape)
     pool = _pool_spec(args, input_hw=(full[2], full[3]))
-    size = int(np.prod(shape))
-    x = Tensor(shape, Xoshiro256pp(args.seed, 0).fill_uniform(size, -1.0, 1.0))
+    x = uniform_noise(shape, -1.0, 1.0, args.seed)
 
-    variants = [
-        ("sap", None),
-        ("smp2", MomentSpec(n=2, norm="none")),
-        ("smp4", MomentSpec(n=4, norm="layer")),
-    ]
+    variants = {
+        "sap": MomentSpec(n=1, norm="none"),
+        "smp2": MomentSpec(n=2, norm="none"),
+        "smp4": MomentSpec(n=4, norm="layer"),
+    }
     print(f"# bench shape={_fmt_shape(shape)} kernel={args.kernel} "
           f"stride={args.stride} repeats={args.repeats}")
-    costs = {}
-    medians = {}
-    for name, spec in variants:
-        run = (lambda: sap_forward(x, pool)) if spec is None else \
-            (lambda spec=spec: smp_forward(x, pool, spec))
-        out = run()  # warmup, also gives the output size
-        times = []
-        for _ in range(args.repeats):
+    # one warmup each, then every repeat times each variant once, so a burst
+    # of load lands on all variants instead of inflating one variant's block
+    outs = {name: smp_forward(x, pool, spec) for name, spec in variants.items()}
+    times = {name: [] for name in variants}
+    for _ in range(args.repeats):
+        for name, spec in variants.items():
             t0 = time.perf_counter_ns()
-            run()
-            times.append(time.perf_counter_ns() - t0)
-        med = statistics.median(times)
-        medians[name] = med
-        cost_spec = spec if spec is not None else MomentSpec(n=1, norm="none")
-        costs[name] = op_cost(shape, pool, cost_spec)
+            smp_forward(x, pool, spec)
+            times[name].append(time.perf_counter_ns() - t0)
+    costs = {name: op_cost(shape, pool, spec) for name, spec in variants.items()}
+    for name, out in outs.items():
+        med = statistics.median(times[name])
         print(f"{name}: out={_fmt_shape(out.shape)} median_ms={med / 1e6:.3f} "
               f"ns_per_out_elem={med / out.size:.1f}")
-    print(f"wall_ratio_smp4_sap={medians['smp4'] / medians['sap']:.2f}")
+    wall_ratio = statistics.median(
+        t4 / t1 for t4, t1 in zip(times["smp4"], times["sap"]))
+    print(f"wall_ratio_smp4_sap={wall_ratio:.2f}")
     ratio = costs["smp4"].extra_vs_sap / costs["smp2"].extra_vs_sap
     print(json.dumps({
         "op_cost": {name: {"mul_add_count": c.mul_add_count,

@@ -17,6 +17,21 @@ with no normalization requires an explicit unsafe flag, because those raw
 channels are known to destabilize training (see `grad` and the toytrain
 experiment).
 
+Backward
+--------
+`smp_backward` is the vector-Jacobian product of `smp_forward`: for
+upstream weights u it satisfies
+
+    <smp_backward(u), dx>  ==  d/de <smp_forward(x + e*dx), u> at e = 0.
+
+It recomputes the window statistics along the forward's walk, then chains
+the normalization VJP (orders >= 3), the pre-norm standardization VJP when
+enabled, and the per-window moment derivatives, evaluated per cell as a
+polynomial in its deviation from the window mean and added back onto the
+input grid block by block. `check_forward` is the matching
+finite-difference target: the true forward, except that max norm holds its
+peak divisor fixed, as the backward does.
+
 Operation-count model
 ---------------------
 `op_cost` counts multiply-accumulate operations; a fused multiply-add and a
@@ -39,6 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -210,6 +226,95 @@ def smp_forward(t: Tensor, pool: PoolSpec, spec: MomentSpec,
     """
     return _pooled(t.nchw, pool, spec,
                    lambda block: _normalize(block, spec, bn_state, training))
+
+
+def smp_backward(t: Tensor, pool: PoolSpec, spec: MomentSpec, upstream: Tensor,
+                 bn_state: BatchNormState | None = None,
+                 training: bool = True) -> Tensor:
+    """Input gradients of `smp_forward` for the given upstream weights."""
+    x4 = t.nchw
+    n_samples, channels, h, w = x4.shape
+    h_out, w_out = output_dims(h, w, pool)
+    expected = (n_samples, spec.n * channels, h_out, w_out)
+    u4 = upstream.nchw
+    if u4.shape != expected:
+        raise ValueError(f"upstream shape {u4.shape} does not match forward "
+                         f"output {expected}")
+
+    steps, counts, stats = _window_stats(x4, pool, spec.n)
+    u = u4.astype(np.float64, copy=True)
+
+    if spec.norm != "none" and spec.n >= 3:
+        # the pre-norm block is rebuilt here and dropped once the VJP returns,
+        # before the per-window gradient allocates its window-sized buffers
+        u[:, 2 * channels :] = _normalize_vjp(
+            _pre_norm_block(stats, spec), u[:, 2 * channels :], spec,
+            bn_state, training)
+
+    if spec.standardize_pre_norm and spec.n >= 3:
+        m2 = stats[1]
+        d3, d4 = _standardize_denoms(m2, spec.eps_norm)
+        u3 = u[:, 2 * channels : 3 * channels]
+        # d(m3 / d3)/d m2 = -m3 * 1.5*sqrt(m2) / d3^2, and likewise for m4
+        u[:, channels : 2 * channels] += u3 * (
+            -stats[2] * 1.5 * np.sqrt(m2) / (d3 * d3))
+        u3 /= d3
+        if spec.n >= 4:
+            u4o = u[:, 3 * channels : 4 * channels]
+            u[:, channels : 2 * channels] += u4o * (
+                -stats[3] * 2.0 * m2 / (d4 * d4))
+            u4o /= d4
+
+    # coef[:, k - 1] = k * u_k / window count, order k's cell-gradient weight
+    coef = u.reshape(n_samples, spec.n, channels, h_out, w_out)
+    coef *= (np.arange(1.0, spec.n + 1)[:, None, None] * (1.0 / counts))[:, None]
+    # sum_k coef_k * (dev**(k-1) - m_(k-1)), m_0 = m_1 = 0, as a polynomial
+    # in the cell's deviation dev from the window mean
+    poly = [coef[:, k].reshape(-1, h_out, w_out) for k in range(spec.n)]
+    m = [s.reshape(-1, h_out, w_out) for s in stats]  # per plane, as the steps
+    for k in range(2, spec.n):
+        poly[0] -= poly[k] * m[k - 1]
+
+    grad = np.zeros(x4.shape)  # no cell repeats within a block: += is safe
+    for st in steps:
+        dev = st.block(x4) - m[0][st.win]
+        g = np.zeros(dev.shape)
+        for c in reversed(poly[1:]):  # Horner, highest order first
+            g += c[st.win]
+            g *= dev
+        g += poly[0][st.win]
+        dst = st.block(grad)
+        dst += g
+    return Tensor(t.shape, grad.reshape(t.shape))
+
+
+def check_forward(x: Tensor, pool: PoolSpec, spec: MomentSpec,
+                  bn_state: BatchNormState | None = None,
+                  training: bool = True) -> Callable[[Tensor], Tensor]:
+    """Forward closure matching the operator's declared gradient semantics.
+
+    For max norm the declared gradient is straight-through on the peak
+    divisor, so the finite-difference target must hold that divisor fixed
+    at the evaluation point `x`; perturbing through the peak would measure
+    a derivative the backward deliberately does not implement. Every other
+    configuration returns the true forward. Training-mode outputs never
+    read `bn_state`, so only eval-mode probes get it: a check must not fold
+    its perturbed batches into the running statistics.
+    """
+    if spec.norm != "max" or spec.n < 3:
+        state = None if training else bn_state
+        return lambda t: smp_forward(t, pool, spec, bn_state=state,
+                                     training=training)
+
+    base = _pre_norm_block(_window_stats(x.nchw, pool, spec.n)[2], spec)
+    grouped, axis = _grouped(base, spec)
+    peaks = normalize._peak_divisor(grouped, spec.eps_norm, axis)
+
+    def fixed_peak(block: np.ndarray) -> np.ndarray:
+        g, _ = _grouped(block, spec)
+        return (g / peaks).reshape(block.shape)
+
+    return lambda t: _pooled(t.nchw, pool, spec, fixed_peak)
 
 
 def sap_forward(t: Tensor, pool: PoolSpec) -> Tensor:

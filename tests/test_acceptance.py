@@ -13,13 +13,15 @@ import time
 
 import numpy as np
 
-from momentpool.grad import (
+from momentpool.grad import finite_diff_check, gradient_magnitude_profile
+from momentpool.smp import (
+    MomentSpec,
     check_forward,
-    finite_diff_check,
-    gradient_magnitude_profile,
+    op_cost,
+    sap_forward,
     smp_backward,
+    smp_forward,
 )
-from momentpool.smp import MomentSpec, op_cost, sap_forward, smp_forward
 from momentpool.synth import checkerboard, solid
 from momentpool.tensor import Tensor
 from momentpool.toytrain import ToyTrainConfig, run_toytrain

@@ -201,6 +201,32 @@ class TestBenchCommand:
                     if l.startswith("wall_ratio_smp4_sap="))
         assert float(line.split("=")[1]) < 10.0
 
+    def test_wall_ratio_survives_a_load_burst(self, capsys, monkeypatch):
+        # fake clock: a sap forward costs 1 unit, smp2 2 and smp4 4, and the
+        # last third of all forward calls run 10x slower, as under a burst of
+        # load; the burst must not land on one variant alone
+        repeats = 9
+        total = 3 * (repeats + 1)  # one warmup per variant
+        clock = {"now": 0, "calls": 0}
+
+        def charge(units):
+            clock["calls"] += 1
+            slow = 10 if clock["calls"] > total - total // 3 else 1
+            clock["now"] += 1000 * units * slow
+            return ramp((1, 1, 1, 1))
+
+        monkeypatch.setattr("momentpool.cli.smp_forward",
+                            lambda x, pool, spec: charge(spec.n))
+        monkeypatch.setattr("momentpool.cli.sap_forward",
+                            lambda x, pool: charge(1))
+        monkeypatch.setattr("time.perf_counter_ns", lambda: clock["now"])
+        rc, out, _ = run_cli(capsys, "bench", "--shape", "1,2,8,8",
+                             "--repeats", str(repeats))
+        assert rc == 0 and clock["calls"] == total
+        line = next(l for l in out.splitlines()
+                    if l.startswith("wall_ratio_smp4_sap="))
+        assert float(line.split("=")[1]) == pytest.approx(4.0, abs=0.5)
+
 
 class TestToytrainCommand:
     def test_report_schema(self, capsys):

@@ -5,13 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from momentpool.grad import (
-    check_forward,
-    finite_diff_check,
-    gradient_magnitude_profile,
-    smp_backward,
-)
-from momentpool.smp import MomentSpec, smp_forward
+from momentpool.grad import finite_diff_check, gradient_magnitude_profile
+from momentpool.smp import MomentSpec, check_forward, smp_backward, smp_forward
 from momentpool.synth import solid
 from momentpool.tensor import Tensor
 from momentpool.windows import PoolSpec
@@ -116,6 +111,23 @@ def test_eval_mode_batch_norm_backward():
                                   training=False),
         x, up)
     assert report.passed, report
+
+
+def test_gradient_check_leaves_batch_norm_state_untouched():
+    """Training-mode probes must not fold perturbed batches into the state."""
+    from momentpool.normalize import BatchNormState
+    pool = PoolSpec.square(3, stride=2, pad=1)
+    spec = MomentSpec(n=4, norm="batch")
+    x, up = make_case(73, (4, 2, 6, 6), pool, spec)
+    state = BatchNormState.fresh(4)
+    mean, var = state.mean.tobytes(), state.var.tobytes()
+    report = finite_diff_check(
+        check_forward(x, pool, spec, bn_state=state),
+        lambda t, u: smp_backward(t, pool, spec, u, bn_state=state),
+        x, up)
+    assert report.passed, report
+    assert state.mean.tobytes() == mean
+    assert state.var.tobytes() == var
 
 
 def test_dilated_unpadded_geometry_backward():

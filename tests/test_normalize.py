@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from momentpool.grad import smp_backward
 from momentpool.normalize import (
     BatchNormState,
     batch_norm,
@@ -13,7 +12,7 @@ from momentpool.normalize import (
     max_norm,
     norm_backward,
 )
-from momentpool.smp import MomentSpec, smp_forward
+from momentpool.smp import MomentSpec, smp_backward, smp_forward
 from momentpool.tensor import Tensor
 from momentpool.windows import PoolSpec
 
