@@ -13,6 +13,7 @@ from .smp import (
     MomentSpec,
     OpCostReport,
     op_cost,
+    output_shape,
     sap_forward,
     smp_backward,
     smp_forward,
@@ -51,6 +52,7 @@ __all__ = [
     "norm_backward",
     "op_cost",
     "output_dims",
+    "output_shape",
     "ramp",
     "run_toytrain",
     "sap_forward",

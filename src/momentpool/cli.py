@@ -16,11 +16,11 @@ import time
 
 from .grad import finite_diff_check
 from .smp import (MomentSpec, NORM_AXES, NORM_KINDS, check_forward, op_cost,
-                  sap_forward, smp_backward, smp_forward)
+                  output_shape, sap_forward, smp_backward, smp_forward)
 from .synth import PATTERNS, make_pattern, uniform_noise
 from .tensor import Tensor, TensorFileError, nchw_shape, tensor_read, tensor_write
 from .toytrain import ToyTrainConfig, run_toytrain
-from .windows import GeometryError, PoolSpec, output_dims
+from .windows import GeometryError, PoolSpec
 
 
 def _parse_shape(text: str) -> tuple[int, ...]:
@@ -45,10 +45,8 @@ def _parse_pair(text: str, what: str) -> tuple[int, int]:
     raise ValueError(f"{what} must be INT or INTxINT, got {text!r}")
 
 
-def _pool_spec(args, input_hw: tuple[int, int] | None = None) -> PoolSpec:
+def _pool_spec(args, input_hw: tuple[int, int]) -> PoolSpec:
     if args.kernel == "global":
-        if input_hw is None:
-            raise ValueError("--kernel global needs an input tensor")
         kh, kw = input_hw
     else:
         kh, kw = _parse_pair(args.kernel, "--kernel")
@@ -99,7 +97,7 @@ def _cmd_generate(args) -> int:
 def _cmd_pool(args) -> int:
     t = tensor_read(args.input)
     x4 = t.nchw
-    pool = _pool_spec(args, input_hw=(x4.shape[2], x4.shape[3]))
+    pool = _pool_spec(args, x4.shape[2:])
     if args.mode == "sap":
         out = sap_forward(t, pool)
     else:
@@ -112,13 +110,10 @@ def _cmd_pool(args) -> int:
 def _cmd_gradcheck(args) -> int:
     shape = _parse_shape(args.shape)
     spec = _moment_spec(args)
-    full = nchw_shape(shape)
-    pool = _pool_spec(args, input_hw=(full[2], full[3]))
-    h_out, w_out = output_dims(full[2], full[3], pool)
-
+    pool = _pool_spec(args, nchw_shape(shape)[2:])
     x = uniform_noise(shape, -1.0, 1.0, args.seed, stream=0)
-    up_shape = (full[0], spec.n * full[1], h_out, w_out)
-    up = uniform_noise(up_shape, -1.0, 1.0, args.seed, stream=1)
+    up = uniform_noise(output_shape(shape, pool, spec), -1.0, 1.0, args.seed,
+                       stream=1)
 
     # for max norm this freezes the peak divisor, matching the operator's
     # declared straight-through gradient
@@ -137,9 +132,10 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    if args.repeats < 1:
+        raise ValueError(f"--repeats must be >= 1, got {args.repeats}")
     shape = _parse_shape(args.shape)
-    full = nchw_shape(shape)
-    pool = _pool_spec(args, input_hw=(full[2], full[3]))
+    pool = _pool_spec(args, nchw_shape(shape)[2:])
     x = uniform_noise(shape, -1.0, 1.0, args.seed)
 
     variants = {
@@ -177,20 +173,11 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_toytrain(args) -> int:
-    cfg = ToyTrainConfig(
-        seed=args.seed,
-        steps=args.steps,
-        lr=args.lr,
-        n=args.n,
-        norm=args.norm,
-        batch=args.batch,
-        feature_shape=_parse_shape(args.feature_shape),
-        input_scale=args.input_scale,
-        eps_norm=args.eps_norm,
-        unsafe_no_norm=args.unsafe_no_norm,
-    )
-    report = run_toytrain(cfg)
-    print(report.to_json())
+    # the parser leaves unset flags out, so ToyTrainConfig's defaults apply
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "handler")}
+    if "feature_shape" in flags:
+        flags["feature_shape"] = _parse_shape(flags["feature_shape"])
+    print(run_toytrain(ToyTrainConfig(**flags)).to_json())
     return 0
 
 
@@ -236,16 +223,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_geometry_flags(p, kernel_default="global")
     p.set_defaults(handler=_cmd_bench)
 
-    p = sub.add_parser("toytrain", help="seeded training-stability experiment")
+    p = sub.add_parser("toytrain", help="seeded training-stability experiment",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--steps", type=int, default=500)
-    p.add_argument("--lr", type=float, default=5e-4)
-    p.add_argument("--n", type=int, default=4)
-    p.add_argument("--norm", choices=NORM_KINDS, default="layer")
-    p.add_argument("--batch", type=int, default=8)
-    p.add_argument("--feature-shape", default="4,16,16")
-    p.add_argument("--input-scale", type=float, default=10.0)
-    p.add_argument("--eps-norm", type=float, default=1e-5)
+    p.add_argument("--steps", type=int)
+    p.add_argument("--lr", type=float)
+    p.add_argument("--n", type=int)
+    p.add_argument("--norm", choices=NORM_KINDS)
+    p.add_argument("--batch", type=int)
+    p.add_argument("--feature-shape")
+    p.add_argument("--input-scale", type=float)
+    p.add_argument("--eps-norm", type=float)
     p.add_argument("--unsafe-no-norm", action="store_true")
     p.set_defaults(handler=_cmd_toytrain)
 

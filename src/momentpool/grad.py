@@ -21,9 +21,9 @@ from typing import Callable
 
 import numpy as np
 
-from .smp import MomentSpec, smp_backward
+from .smp import MomentSpec, output_shape, smp_backward
 from .tensor import Tensor
-from .windows import PoolSpec, output_dims
+from .windows import PoolSpec
 
 
 @dataclass(frozen=True)
@@ -63,6 +63,9 @@ def finite_diff_check(forward: Callable[[Tensor], Tensor],
         raise ValueError("upstream size does not match forward output")
 
     analytic = backward(x, upstream).data
+    if analytic.size != x.size:
+        raise ValueError(f"backward returned {analytic.size} gradient values "
+                         f"for an input of {x.size}")
     base = x.data.copy()
     numeric = np.empty_like(analytic)
     for j in range(base.size):
@@ -89,8 +92,7 @@ def finite_diff_check(forward: Callable[[Tensor], Tensor],
 
 
 def gradient_magnitude_profile(x: Tensor, pool: PoolSpec, n_max: int,
-                               norm: str = "none", eps_norm: float = 1e-5,
-                               norm_axis: str = "order") -> list[float]:
+                               norm: str = "none") -> list[float]:
     """Largest input-gradient magnitude driven by each moment order.
 
     Order i's entry feeds an all-ones upstream into the order-i channels
@@ -99,14 +101,12 @@ def gradient_magnitude_profile(x: Tensor, pool: PoolSpec, n_max: int,
     raw high-order channels blow up under training; with layer norm the
     profile is scale-stable.
     """
-    spec = MomentSpec(n=n_max, norm=norm, eps_norm=eps_norm,
-                      norm_axis=norm_axis, unsafe_no_norm=True)
-    x4 = x.nchw
-    n_samples, channels, h, w = x4.shape
-    h_out, w_out = output_dims(h, w, pool)
+    spec = MomentSpec(n=n_max, norm=norm, unsafe_no_norm=True)
+    shape = output_shape(x.shape, pool, spec)
+    channels = shape[1] // n_max
     profile = []
     for i in range(n_max):
-        up = np.zeros((n_samples, n_max * channels, h_out, w_out))
+        up = np.zeros(shape)
         up[:, i * channels : (i + 1) * channels] = 1.0
         g = smp_backward(x, pool, spec, Tensor(up.shape, up))
         profile.append(float(np.abs(g.data).max()))

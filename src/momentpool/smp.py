@@ -1,11 +1,11 @@
 """Moment pooling: windowed mean plus central moments, channel-concatenated.
 
 For an input of shape (N, C, H, W) and moment order n, each pooling window
-is reduced to its mean and its central moments of orders 2..n. Output shape
-is (N, n*C, H', W') with moment-major channel layout: channels [0, C) hold
-the means of input channels 0..C-1, channels [C, 2C) the second central
-moments, and so on. Order 1 with no normalization is exactly average
-pooling, bit for bit.
+is reduced to its mean and its central moments of orders 2..n. The output
+shape is `output_shape(shape, pool, spec)`, (N, n*C, H', W'), with a
+moment-major channel layout: channels [0, C) hold the means of input
+channels 0..C-1, channels [C, 2C) the second central moments, and so on.
+Order 1 with no normalization is exactly average pooling, bit for bit.
 
 Padding is exclusive: padded cells never enter a window's statistics, and
 each window divides by its true in-bounds count. Zero-padding would bias
@@ -113,6 +113,18 @@ class OpCostReport:
     extra_vs_sap: int
 
 
+def output_shape(shape, pool: PoolSpec,
+                 spec: MomentSpec) -> tuple[int, int, int, int]:
+    """(N, n*C, H', W'): `smp_forward`'s output shape for an input of `shape`."""
+    n_samples, channels, h, w = nchw_shape(shape)
+    return (n_samples, spec.n * channels) + output_dims(h, w, pool)
+
+
+def _by_order(a: np.ndarray, channels: int) -> np.ndarray:
+    """Moment-major (N, k*C, H', W') channels as an (N, k, C, H', W') view."""
+    return a.reshape(a.shape[0], -1, channels, *a.shape[2:])
+
+
 def _cell_sum(a: np.ndarray) -> np.ndarray:
     """Sum over a block's kernel axes; a one-cell block has none."""
     return a if a.ndim == 3 else a.sum(axis=(3, 4))
@@ -144,10 +156,14 @@ def _window_stats(x4: np.ndarray, pool: PoolSpec, n: int):
     return steps, counts, [m.reshape(x4.shape[:2] + counts.shape) for m in stats]
 
 
-def _standardize_denoms(m2: np.ndarray, eps: float):
-    """(sigma^3 + eps, sigma^4 + eps) denominators for pre-norm scaling."""
-    sigma = np.sqrt(m2)
-    return sigma * m2 + eps, m2 * m2 + eps
+def _standardize_terms(m2: np.ndarray, spec: MomentSpec):
+    """(p / 2, sigma^(p-2), sigma^p + eps) for each order p = 3..n.
+
+    Order p's pre-norm channel is m_p / (sigma^p + eps), whose derivative
+    in m2 is -m_p * (p / 2) * sigma^(p-2) / (sigma^p + eps)^2.
+    """
+    for p, root in zip(range(3, spec.n + 1), (np.sqrt(m2), m2)):
+        yield p / 2, root, root * m2 + spec.eps_norm
 
 
 def _pre_norm_block(stats, spec: MomentSpec) -> np.ndarray:
@@ -158,11 +174,9 @@ def _pre_norm_block(stats, spec: MomentSpec) -> np.ndarray:
     """
     block = np.concatenate(stats[2:], axis=1)
     if spec.standardize_pre_norm:
-        channels = stats[0].shape[1]
-        d3, d4 = _standardize_denoms(stats[1], spec.eps_norm)
-        block[:, :channels] /= d3
-        if spec.n >= 4:
-            block[:, channels:] /= d4
+        orders = _by_order(block, stats[0].shape[1])
+        for i, (_, _, denom) in enumerate(_standardize_terms(stats[1], spec)):
+            orders[:, i] /= denom
     return block
 
 
@@ -197,9 +211,9 @@ def _normalize(block: np.ndarray, spec: MomentSpec,
 
 def _normalize_vjp(block: np.ndarray, upstream: np.ndarray, spec: MomentSpec,
                    bn_state: BatchNormState | None, training: bool) -> np.ndarray:
-    """VJP of `_normalize` at `block` for upstream weights of the same shape."""
+    """VJP of `_normalize` at `block` for upstream weights of its size."""
     x, axis = _grouped(block, spec)
-    u, _ = _grouped(upstream, spec)
+    u, _ = _grouped(upstream.reshape(block.shape), spec)
     return normalize.norm_backward(spec.norm, x, u, spec.eps_norm, axis,
                                    bn_state, training).reshape(upstream.shape)
 
@@ -232,46 +246,35 @@ def smp_backward(t: Tensor, pool: PoolSpec, spec: MomentSpec, upstream: Tensor,
                  bn_state: BatchNormState | None = None,
                  training: bool = True) -> Tensor:
     """Input gradients of `smp_forward` for the given upstream weights."""
-    x4 = t.nchw
-    n_samples, channels, h, w = x4.shape
-    h_out, w_out = output_dims(h, w, pool)
-    expected = (n_samples, spec.n * channels, h_out, w_out)
-    u4 = upstream.nchw
-    if u4.shape != expected:
-        raise ValueError(f"upstream shape {u4.shape} does not match forward "
-                         f"output {expected}")
+    expected = output_shape(t.shape, pool, spec)
+    if upstream.nchw.shape != expected:
+        raise ValueError(f"upstream shape {upstream.nchw.shape} does not match "
+                         f"forward output {expected}")
 
+    x4 = t.nchw
     steps, counts, stats = _window_stats(x4, pool, spec.n)
-    u = u4.astype(np.float64, copy=True)
+    u = upstream.nchw.astype(np.float64, copy=True)
+    coef = _by_order(u, x4.shape[1])  # coef[:, k - 1] holds order k's weights
 
     if spec.norm != "none" and spec.n >= 3:
         # the pre-norm block is rebuilt here and dropped once the VJP returns,
         # before the per-window gradient allocates its window-sized buffers
-        u[:, 2 * channels :] = _normalize_vjp(
-            _pre_norm_block(stats, spec), u[:, 2 * channels :], spec,
-            bn_state, training)
+        coef[:, 2:] = _normalize_vjp(_pre_norm_block(stats, spec), coef[:, 2:],
+                                     spec, bn_state, training)
 
     if spec.standardize_pre_norm and spec.n >= 3:
-        m2 = stats[1]
-        d3, d4 = _standardize_denoms(m2, spec.eps_norm)
-        u3 = u[:, 2 * channels : 3 * channels]
-        # d(m3 / d3)/d m2 = -m3 * 1.5*sqrt(m2) / d3^2, and likewise for m4
-        u[:, channels : 2 * channels] += u3 * (
-            -stats[2] * 1.5 * np.sqrt(m2) / (d3 * d3))
-        u3 /= d3
-        if spec.n >= 4:
-            u4o = u[:, 3 * channels : 4 * channels]
-            u[:, channels : 2 * channels] += u4o * (
-                -stats[3] * 2.0 * m2 / (d4 * d4))
-            u4o /= d4
+        for i, (half_p, root, denom) in enumerate(
+                _standardize_terms(stats[1], spec), start=2):
+            u_p = coef[:, i]  # order p = i + 1, through m_p / denom
+            coef[:, 1] += u_p * (-stats[i] * half_p * root / (denom * denom))
+            u_p /= denom
 
     # coef[:, k - 1] = k * u_k / window count, order k's cell-gradient weight
-    coef = u.reshape(n_samples, spec.n, channels, h_out, w_out)
     coef *= (np.arange(1.0, spec.n + 1)[:, None, None] * (1.0 / counts))[:, None]
     # sum_k coef_k * (dev**(k-1) - m_(k-1)), m_0 = m_1 = 0, as a polynomial
     # in the cell's deviation dev from the window mean
-    poly = [coef[:, k].reshape(-1, h_out, w_out) for k in range(spec.n)]
-    m = [s.reshape(-1, h_out, w_out) for s in stats]  # per plane, as the steps
+    poly = [coef[:, k].reshape((-1,) + counts.shape) for k in range(spec.n)]
+    m = [s.reshape((-1,) + counts.shape) for s in stats]  # per plane, as the steps
     for k in range(2, spec.n):
         poly[0] -= poly[k] * m[k - 1]
 
@@ -324,14 +327,11 @@ def sap_forward(t: Tensor, pool: PoolSpec) -> Tensor:
 
 def op_cost(shape, pool: PoolSpec, spec: MomentSpec) -> OpCostReport:
     """MAC count for one forward pass; formula in the module docstring."""
-    n_samples, channels, h, w = nchw_shape(shape)
-    h_out, w_out = output_dims(h, w, pool)
-    cells = h_out * w_out
+    per_order = math.prod(output_shape(shape, pool, spec)) // spec.n  # NCH'W'
     m = pool.window_size
 
-    sap = n_samples * channels * cells * (m + 1)
-    extra = n_samples * channels * cells * (spec.n - 1) * (2 * m + 1)
+    sap = per_order * (m + 1)
+    extra = per_order * (spec.n - 1) * (2 * m + 1)
     if spec.norm != "none" and spec.n >= 3:
-        norm_elems = n_samples * (spec.n - 2) * channels * cells
-        extra += norm_elems * _NORM_MACS_PER_ELEM[spec.norm]
+        extra += per_order * (spec.n - 2) * _NORM_MACS_PER_ELEM[spec.norm]
     return OpCostReport(mul_add_count=sap + extra, extra_vs_sap=extra)

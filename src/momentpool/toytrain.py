@@ -27,9 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import Xoshiro256pp
 from .smp import MomentSpec, smp_forward
-from .tensor import Tensor
+from .synth import uniform_noise
 from .windows import PoolSpec
 
 _FEATURE_STREAM = 0
@@ -99,18 +98,16 @@ def run_toytrain(cfg: ToyTrainConfig) -> ToyTrainReport:
     c, h, w = cfg.feature_shape
     pool = PoolSpec(kernel_h=h, kernel_w=w)
 
-    count = cfg.batch * c * h * w
-    feats = Xoshiro256pp(cfg.seed, _FEATURE_STREAM).fill_uniform(
-        count, 0.0, cfg.input_scale)
-    features = Tensor((cfg.batch, c, h, w), feats)
+    features = uniform_noise((cfg.batch, c, h, w), 0.0, cfg.input_scale,
+                             cfg.seed, _FEATURE_STREAM)
 
     # targets: fixed linear functional of the true moments, plus small noise
     true_spec = MomentSpec(n=_TARGET_ORDER, norm="none", unsafe_no_norm=True)
     true_m = smp_forward(features, pool, true_spec).data.reshape(cfg.batch, -1)
-    w_star = Xoshiro256pp(cfg.seed, _TARGET_WEIGHT_STREAM).fill_uniform(
-        true_m.shape[1], -1.0, 1.0)
-    noise = Xoshiro256pp(cfg.seed, _TARGET_NOISE_STREAM).fill_uniform(
-        cfg.batch, -1.0, 1.0)
+    w_star = uniform_noise(true_m.shape[1:], -1.0, 1.0, cfg.seed,
+                           _TARGET_WEIGHT_STREAM).data
+    noise = uniform_noise((cfg.batch,), -1.0, 1.0, cfg.seed,
+                          _TARGET_NOISE_STREAM).data
     targets = true_m @ w_star + _TARGET_NOISE_SCALE * noise
 
     phi = smp_forward(features, pool, spec).data.reshape(cfg.batch, -1)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from momentpool.cli import main
-from momentpool.synth import checkerboard, ramp
+from momentpool.synth import PATTERNS, checkerboard, make_pattern, ramp
 from momentpool.tensor import tensor_read, tensor_write
 from momentpool.toytrain import ToyTrainConfig, run_toytrain
 
@@ -62,6 +62,11 @@ class TestGenerate:
         assert rc == 0
         vals = tensor_read(out).data
         assert vals.min() >= -3 and vals.max() < 5
+
+    def test_unknown_pattern_names_the_choices(self):
+        with pytest.raises(ValueError, match="bogus") as exc:
+            make_pattern("bogus", (1, 1, 2, 2))
+        assert all(name in str(exc.value) for name in PATTERNS)
 
     def test_bad_shape_is_usage_error(self, tmp_path, capsys):
         rc, _, err = run_cli(capsys, "generate", "--pattern", "solid",
@@ -283,6 +288,22 @@ class TestToytrainCommand:
     def test_non_finite_numeric_flag_is_usage_error(self, capsys, args, name):
         rc, out, err = run_cli(capsys, *args)
         assert rc == 2 and f"{name} must be finite" in err and out == ""
+
+
+@pytest.mark.parametrize("args, flag", [
+    (("bench", "--shape", "1,1,4,4", "--repeats", "0"), "--repeats"),
+    (("bench", "--shape", "1,1,4,4", "--repeats", "-3"), "--repeats"),
+    (("pool", "--input", "{src}", "--out", "{dst}", "--kernel", "3x3x3"),
+     "--kernel"),
+    (("gradcheck", "--shape", "a,b"), "shape"),
+])
+def test_usage_errors_name_the_flag(tmp_path, capsys, args, flag):
+    """Bad flag values exit 2 before any output and name the flag."""
+    src = tmp_path / "in.tensor"
+    tensor_write(checkerboard((1, 1, 4, 4)), src)
+    argv = [a.format(src=src, dst=tmp_path / "out.tensor") for a in args]
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2 and out == "" and flag in err
 
 
 class TestDeterminism:

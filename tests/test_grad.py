@@ -187,6 +187,19 @@ def test_constant_operator_passes():
                                Tensor((2,), [1.0, 1.0]))
     assert report.passed
     assert report.max_abs_error == 0.0
+    with pytest.raises(ValueError, match="upstream size"):
+        finite_diff_check(const_forward, const_backward, x,
+                          Tensor((3,), [1.0, 1.0, 1.0]))
+
+
+@pytest.mark.parametrize("n_grad", [2, 5])
+def test_gradient_of_wrong_size_rejected(n_grad):
+    """A backward must return one value per input element, no more, no fewer."""
+    x = Tensor((3,), [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match=f"{n_grad} gradient values .* of 3"):
+        finite_diff_check(lambda t: Tensor((1,), [t.data.sum()]),
+                          lambda t, u: Tensor((n_grad,), np.zeros(n_grad)),
+                          x, Tensor((1,), [1.0]))
 
 
 def test_nondeterministic_forward_detected():

@@ -3,6 +3,7 @@
 import itertools
 
 import numpy as np
+import pytest
 
 from momentpool.rng import Xoshiro256pp, _splitmix64_stream
 
@@ -56,6 +57,8 @@ def test_streams_are_splitmix_offsets():
     for stream in range(3):
         g = Xoshiro256pp(99, stream=stream)
         assert g._s == words[4 * stream : 4 * stream + 4]
+    with pytest.raises(ValueError, match="stream"):
+        Xoshiro256pp(1, stream=-1)
 
 
 def test_distinct_seeds_and_streams_differ():

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from momentpool.smp import MomentSpec, op_cost, sap_forward, smp_forward
+from momentpool.smp import (MomentSpec, op_cost, output_shape, sap_forward,
+                            smp_forward)
 from momentpool.synth import checkerboard, solid
 from momentpool.tensor import Tensor
 from momentpool.windows import GeometryError, PoolSpec, output_dims
@@ -123,6 +124,7 @@ class TestShapeAndLayout:
                 n_s, c_s = x.nchw.shape[:2]
                 h_out, w_out = output_dims(x.nchw.shape[2], x.nchw.shape[3], spec)
                 assert out.shape == (n_s, n * c_s, h_out, w_out)
+                assert output_shape(x.shape, spec, ms) == out.nchw.shape
 
     def test_moment_major_channel_order(self):
         # distinct per-channel solids: means identify the input channel,

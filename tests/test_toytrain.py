@@ -52,6 +52,8 @@ def test_config_validation():
         ToyTrainConfig(seed=1, steps=0)
     with pytest.raises(ValueError):
         ToyTrainConfig(seed=1, lr=0.0)
+    with pytest.raises(ValueError, match="batch"):
+        ToyTrainConfig(seed=1, batch=0)
     with pytest.raises(ValueError):
         ToyTrainConfig(seed=1, input_scale=-1.0)
     for bad in (float("nan"), float("inf")):
