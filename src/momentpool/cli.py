@@ -23,11 +23,11 @@ from .toytrain import ToyTrainConfig, run_toytrain
 from .windows import GeometryError, PoolSpec
 
 
-def _parse_shape(text: str) -> tuple[int, ...]:
+def _parse_shape(text: str, what: str) -> tuple[int, ...]:
     try:
         dims = tuple(int(p) for p in text.split(","))
     except ValueError:
-        raise ValueError(f"shape must be comma-separated integers, got {text!r}")
+        raise ValueError(f"{what} must be comma-separated integers, got {text!r}")
     nchw_shape(dims)  # raises unless dims follow the tensor shape rule
     return dims
 
@@ -87,7 +87,7 @@ def _fmt_shape(shape) -> str:
 
 
 def _cmd_generate(args) -> int:
-    shape = _parse_shape(args.shape)
+    shape = _parse_shape(args.shape, "--shape")
     t = make_pattern(args.pattern, shape, a=args.a, b=args.b, seed=args.seed)
     tensor_write(t, args.out)
     print(f"wrote {args.pattern} tensor {_fmt_shape(shape)} to {args.out}")
@@ -108,7 +108,7 @@ def _cmd_pool(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    shape = _parse_shape(args.shape)
+    shape = _parse_shape(args.shape, "--shape")
     spec = _moment_spec(args)
     pool = _pool_spec(args, nchw_shape(shape)[2:])
     x = uniform_noise(shape, -1.0, 1.0, args.seed, stream=0)
@@ -134,7 +134,7 @@ def _cmd_gradcheck(args) -> int:
 def _cmd_bench(args) -> int:
     if args.repeats < 1:
         raise ValueError(f"--repeats must be >= 1, got {args.repeats}")
-    shape = _parse_shape(args.shape)
+    shape = _parse_shape(args.shape, "--shape")
     pool = _pool_spec(args, nchw_shape(shape)[2:])
     x = uniform_noise(shape, -1.0, 1.0, args.seed)
 
@@ -176,7 +176,8 @@ def _cmd_toytrain(args) -> int:
     # the parser leaves unset flags out, so ToyTrainConfig's defaults apply
     flags = {k: v for k, v in vars(args).items() if k not in ("command", "handler")}
     if "feature_shape" in flags:
-        flags["feature_shape"] = _parse_shape(flags["feature_shape"])
+        flags["feature_shape"] = _parse_shape(flags["feature_shape"],
+                                               "--feature-shape")
     print(run_toytrain(ToyTrainConfig(**flags)).to_json())
     return 0
 

@@ -28,6 +28,12 @@ adjoint and scatter-adds per-window values back onto the input grid,
 discarding contributions that fall on padding. Both are plain per-window
 index loops that share no code with the package's `window_steps`, so the
 forward and the backward can be checked against them.
+
+Seeded uniforms
+---------------
+`scalar_fill_uniform` draws one xoshiro256++ word at a time through
+`next_u64`, the draw-by-draw definition that the lane-parallel
+`Xoshiro256pp.fill_uniform` must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -182,3 +188,12 @@ def col2im_accumulate(grads, spec: PoolSpec, h: int, w: int) -> Tensor:
                 if 0 <= y < h and 0 <= x < w:
                     out[ch, y, x] += m[r, k]
     return Tensor(out.shape, out)
+
+
+def scalar_fill_uniform(gen, count: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
+    """``count`` uniform draws in [lo, hi) from `gen`, one `next_u64` each."""
+    span = hi - lo
+    out = np.empty(count, dtype=np.float64)
+    for i in range(count):
+        out[i] = lo + span * ((gen.next_u64() >> 11) * 2.0 ** -53)
+    return out

@@ -295,7 +295,8 @@ class TestToytrainCommand:
     (("bench", "--shape", "1,1,4,4", "--repeats", "-3"), "--repeats"),
     (("pool", "--input", "{src}", "--out", "{dst}", "--kernel", "3x3x3"),
      "--kernel"),
-    (("gradcheck", "--shape", "a,b"), "shape"),
+    (("gradcheck", "--shape", "a,b"), "--shape"),
+    (("toytrain", "--seed", "1", "--feature-shape", "a,b"), "--feature-shape"),
 ])
 def test_usage_errors_name_the_flag(tmp_path, capsys, args, flag):
     """Bad flag values exit 2 before any output and name the flag."""
@@ -303,7 +304,7 @@ def test_usage_errors_name_the_flag(tmp_path, capsys, args, flag):
     tensor_write(checkerboard((1, 1, 4, 4)), src)
     argv = [a.format(src=src, dst=tmp_path / "out.tensor") for a in args]
     rc, out, err = run_cli(capsys, *argv)
-    assert rc == 2 and out == "" and flag in err
+    assert rc == 2 and out == "" and err.startswith(f"error: {flag} ")
 
 
 class TestDeterminism:

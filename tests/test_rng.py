@@ -1,11 +1,13 @@
 """Pinned generator: reproducibility, stream splitting, frozen sequences."""
 
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
 from momentpool.rng import Xoshiro256pp, _splitmix64_stream
+from oracle import scalar_fill_uniform
 
 # splitmix64(0) reference prefix; 0xe220a8397b1dcdaf is the widely used
 # first-output check value for the published mixer
@@ -28,6 +30,13 @@ XOSHIRO_SEED42_DOUBLES = [
     0.3188210400616611,
     0.9838941681774888,
 ]
+# sha256 of Xoshiro256pp(0).fill_uniform(196608, -1.0, 1.0).tobytes(), taken
+# from the draw-by-draw loop before fills were drawn in lanes; 196608 draws
+# are 384 lanes of 512 steps
+XOSHIRO_SEED0_FILL_SHA256 = (
+    "4e89489948dd6261a10350f90deb52e0011e87f1979e0cfd5ab49b6bdba3be7e")
+
+_GOLDEN = 0x9E3779B97F4A7C15
 
 
 def test_splitmix64_reference_prefix():
@@ -81,3 +90,85 @@ def test_fill_matches_scalar_draws():
     g = Xoshiro256pp(11)
     b = np.array([g.random() for _ in range(10)])
     assert np.array_equal(a, b)
+
+
+def test_frozen_fill_digest():
+    xs = Xoshiro256pp(0).fill_uniform(196608, -1.0, 1.0)
+    assert hashlib.sha256(xs.tobytes()).hexdigest() == XOSHIRO_SEED0_FILL_SHA256
+
+
+def test_huge_stream_index_seeds_at_once():
+    stream = 10**12
+    state = (7 + 4 * stream * _GOLDEN) & ((1 << 64) - 1)
+    want = list(itertools.islice(_splitmix64_stream(state), 4))
+    assert Xoshiro256pp(7, stream=stream)._s == want
+
+
+@pytest.mark.parametrize("seed", [1.5, "3", True, None])
+def test_non_int_seed_is_rejected(seed):
+    with pytest.raises(ValueError, match="seed must be an int"):
+        Xoshiro256pp(seed)
+
+
+@pytest.mark.parametrize("stream", [1.5, "3", False, -1])
+def test_bad_stream_is_rejected(stream):
+    with pytest.raises(ValueError, match="stream must be an int >= 0"):
+        Xoshiro256pp(1, stream=stream)
+
+
+def test_numpy_int_arguments_equal_python_ints():
+    a = Xoshiro256pp(np.int64(5), stream=np.uint8(2))
+    b = Xoshiro256pp(5, stream=2)
+    assert a._s == b._s
+    assert np.array_equal(a.fill_uniform(np.int32(9)), b.fill_uniform(9))
+
+
+@pytest.mark.parametrize("count", [-1, 2.0, "3", True, None])
+def test_bad_count_is_rejected(count):
+    g = Xoshiro256pp(1)
+    with pytest.raises(ValueError, match="count must be an int >= 0"):
+        g.fill_uniform(count)
+    assert g._s == Xoshiro256pp(1)._s
+
+
+def test_zero_count_is_empty_and_draws_nothing():
+    g = Xoshiro256pp(4)
+    xs = g.fill_uniform(0)
+    assert xs.shape == (0,) and xs.dtype == np.float64
+    assert g._s == Xoshiro256pp(4)._s
+
+
+# A fill of `count` draws steps L = ceil(count / B) lanes B = 2**k times,
+# with k = count.bit_length() // 2. 0..65 covers every lane shape for
+# B = 1, 2, 4 and 8: whole lanes (L*B), one draw into a new lane (L*B + 1)
+# and one short of a whole lane (L*B - 1). 255, 256 and 257 do the same at
+# B = 16, 1021 is a prime, and 196608 = 384 * 512 is the generate workload.
+LANE_COUNTS = [*range(66), 255, 256, 257, 1021, 196608]
+
+
+@pytest.mark.parametrize("lo, hi", [(-2.0, 3.0), (0.0, 1e-300)])
+def test_fill_matches_scalar_oracle_bitwise(lo, hi):
+    for count in LANE_COUNTS:
+        got = Xoshiro256pp(13, stream=2).fill_uniform(count, lo, hi)
+        want = scalar_fill_uniform(Xoshiro256pp(13, stream=2), count, lo, hi)
+        assert got.tobytes() == want.tobytes(), count
+
+
+def test_fill_leaves_generator_count_draws_ahead():
+    for count in LANE_COUNTS[:-1]:
+        ref = Xoshiro256pp(21)
+        for _ in range(count):
+            ref.next_u64()
+        g = Xoshiro256pp(21)
+        g.fill_uniform(count, -1.0, 1.0)
+        assert g._s == ref._s, count
+        assert g.next_u64() == ref.next_u64(), count
+
+
+def test_chained_fills_equal_one_fill():
+    for a, b in [(0, 7), (1, 1), (17, 64), (255, 257), (1021, 2)]:
+        g = Xoshiro256pp(8)
+        chained = np.concatenate([g.fill_uniform(a, -2.0, 3.0),
+                                  g.fill_uniform(b, -2.0, 3.0)])
+        whole = Xoshiro256pp(8).fill_uniform(a + b, -2.0, 3.0)
+        assert chained.tobytes() == whole.tobytes(), (a, b)
