@@ -9,6 +9,22 @@ element error |analytic - numeric| is divided by
 max(max|analytic|, max|numeric|, 1e-12), which keeps elements whose true
 derivative happens to vanish from drowning the report in 0/0 noise.
 
+Probes run in stacked chunks. Input elements are taken in order, a chunk
+at a time; for each element of a chunk the x + h and x - h copies of the
+input are stacked on the sample axis, and one call of the forward's
+`stacked` attribute evaluates them all. A chunk holds as many elements as
+keep its probe inputs plus outputs within `_CHUNK_BYTES` (256 KiB), so the
+check's memory stays small whatever the input size. A forward without
+`stacked` gets a default that calls it once per probe, which is the only
+correct choice for a forward that couples samples (training-mode batch
+norm). `smp.check_forward` states which of its forwards carry `stacked`.
+
+Only the nonzero product differences reach `math.fsum`. Most of them are
+exact zeros (outputs of the other samples and of windows the probe does
+not touch cancel bitwise), and because `fsum` is exactly rounded, and so
+independent of term order, dropping terms that add nothing leaves every
+numeric derivative bit-identical; an all-zero row gives 0.0 either way.
+
 `gradient_magnitude_profile` measures how strongly each moment order drives
 the input gradient of `smp.smp_backward`.
 """
@@ -16,7 +32,7 @@ the input gradient of `smp.smp_backward`.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from math import fsum, isfinite
+from math import fsum, isfinite, prod
 from typing import Callable
 
 import numpy as np
@@ -24,6 +40,8 @@ import numpy as np
 from .smp import MomentSpec, output_shape, smp_backward
 from .tensor import Tensor
 from .windows import PoolSpec
+
+_CHUNK_BYTES = 256 * 1024  # probe inputs plus outputs of one stacked call
 
 
 @dataclass(frozen=True)
@@ -40,11 +58,56 @@ class GradCheckReport:
         return asdict(self)
 
 
+def _one_by_one(forward: Callable[[Tensor], Tensor],
+                shape) -> Callable[[Tensor], Tensor]:
+    """Default `stacked`: `forward` once per probe of `shape`, outputs joined."""
+    size = prod(shape)
+
+    def stacked(probes: Tensor) -> Tensor:
+        outs = [forward(Tensor._adopt(shape, p)).data
+                for p in probes.data.reshape(-1, size)]
+        out = np.concatenate(outs)
+        return Tensor._adopt(out.shape, out)
+
+    return stacked
+
+
+def numeric_gradient(forward: Callable[[Tensor], Tensor], x: Tensor,
+                     upstream: Tensor, h: float = 1e-6) -> np.ndarray:
+    """Central differences of <forward(x), upstream> for every element of x.
+
+    If `forward` has a `stacked` attribute, that is called instead with K
+    probes of x stacked on the sample axis, shape (K*N, C, H, W) for x's
+    rank-4 (N, C, H, W), and must return the K outputs in probe order.
+    Chunking and summation per the module docstring.
+    """
+    stacked = getattr(forward, "stacked", None) or _one_by_one(forward, x.shape)
+    base, u = x.data, upstream.data
+    n_samples, *cell = x.nchw.shape
+    per_chunk = max(1, _CHUNK_BYTES // (16 * (base.size + u.size)))
+    numeric = np.empty(base.size)
+    for start in range(0, base.size, per_chunk):
+        cols = np.arange(start, min(start + per_chunk, base.size))
+        rows = 2 * np.arange(cols.size)  # x + h at rows, x - h at rows + 1
+        probes = np.tile(base, (2 * cols.size, 1))
+        probes[rows, cols] = base[cols] + h
+        probes[rows + 1, cols] = base[cols] - h
+        out = stacked(Tensor._adopt((2 * cols.size * n_samples, *cell), probes))
+        out = out.data.reshape(2 * cols.size, u.size)
+        terms = out[0::2] * u - out[1::2] * u
+        nonzero = terms != 0
+        kept = terms[nonzero].tolist()
+        ends = np.cumsum(nonzero.sum(axis=1)).tolist()
+        for j, lo, hi in zip(cols.tolist(), [0] + ends, ends):
+            numeric[j] = fsum(kept[lo:hi]) / (2.0 * h)
+    return numeric
+
+
 def finite_diff_check(forward: Callable[[Tensor], Tensor],
                       backward: Callable[[Tensor, Tensor], Tensor],
                       x: Tensor, upstream: Tensor,
                       h: float = 1e-6, tol: float = 1e-6) -> GradCheckReport:
-    """Sweep every input element with central differences of step `h`.
+    """Compare `backward` with `numeric_gradient` on every input element.
 
     `h` and `tol` must be finite and positive. The forward must be
     deterministic (it is called twice up front and the outputs compared
@@ -58,24 +121,14 @@ def finite_diff_check(forward: Callable[[Tensor], Tensor],
     again = forward(x)
     if ref.data.tobytes() != again.data.tobytes():
         raise ValueError("forward is not deterministic: repeated calls disagree")
-    u = upstream.data
-    if ref.size != u.size:
+    if ref.size != upstream.size:
         raise ValueError("upstream size does not match forward output")
 
     analytic = backward(x, upstream).data
     if analytic.size != x.size:
         raise ValueError(f"backward returned {analytic.size} gradient values "
                          f"for an input of {x.size}")
-    base = x.data.copy()
-    numeric = np.empty_like(analytic)
-    for j in range(base.size):
-        saved = base[j]
-        base[j] = saved + h
-        fp = forward(Tensor(x.shape, base)).data
-        base[j] = saved - h
-        fm = forward(Tensor(x.shape, base)).data
-        base[j] = saved
-        numeric[j] = fsum(fp * u - fm * u) / (2.0 * h)
+    numeric = numeric_gradient(forward, x, upstream, h)
 
     abs_err = np.abs(analytic - numeric)
     scale = max(np.abs(analytic).max(), np.abs(numeric).max(), 1e-12)
@@ -86,7 +139,7 @@ def finite_diff_check(forward: Callable[[Tensor], Tensor],
         max_rel_error=max_rel,
         max_abs_error=max_abs,
         worst_index=worst,
-        n_checked=int(base.size),
+        n_checked=int(x.size),
         passed=bool(max_rel < tol),
     )
 

@@ -225,8 +225,7 @@ def _pooled(x4: np.ndarray, pool: PoolSpec, spec: MomentSpec, norm) -> Tensor:
         stats[2:] = [_pre_norm_block(stats, spec)]  # frees m3, m4 before norm
         stats[2] = norm(stats[2])
     out = np.concatenate(stats, axis=1)
-    del stats  # before the Tensor copy, so only `out` is held twice
-    return Tensor(out.shape, out)
+    return Tensor._adopt(out.shape, out)
 
 
 def smp_forward(t: Tensor, pool: PoolSpec, spec: MomentSpec,
@@ -288,7 +287,7 @@ def smp_backward(t: Tensor, pool: PoolSpec, spec: MomentSpec, upstream: Tensor,
         g += poly[0][st.win]
         dst = st.block(grad)
         dst += g
-    return Tensor(t.shape, grad.reshape(t.shape))
+    return Tensor._adopt(t.shape, grad)
 
 
 def check_forward(x: Tensor, pool: PoolSpec, spec: MomentSpec,
@@ -303,21 +302,39 @@ def check_forward(x: Tensor, pool: PoolSpec, spec: MomentSpec,
     configuration returns the true forward. Training-mode outputs never
     read `bn_state`, so only eval-mode probes get it: a check must not fold
     its perturbed batches into the running statistics.
+
+    Every configuration except training-mode batch norm is separable by
+    sample: no norm, layer and max norm in all three `norm_axis` groupings,
+    with or without `standardize_pre_norm`, and eval-mode batch norm. Its
+    forward takes any whole number of copies of x's batch stacked on the
+    sample axis (fixed-peak max norm repeats its peaks once per copy) and
+    carries itself as `stacked`, so `grad.finite_diff_check` evaluates a
+    chunk of probes in one call. Training-mode batch statistics couple the
+    samples, so that forward has no `stacked` and is called once per probe.
     """
+    if spec.norm == "batch" and training:
+        return lambda t: smp_forward(t, pool, spec, training=True)
+
     if spec.norm != "max" or spec.n < 3:
-        state = None if training else bn_state
-        return lambda t: smp_forward(t, pool, spec, bn_state=state,
-                                     training=training)
+        def forward(t: Tensor) -> Tensor:
+            return smp_forward(t, pool, spec, bn_state=bn_state,
+                               training=training)
+    else:
+        base = _pre_norm_block(_window_stats(x.nchw, pool, spec.n)[2], spec)
+        grouped, axis = _grouped(base, spec)
+        peaks = normalize._peak_divisor(grouped, spec.eps_norm, axis)
 
-    base = _pre_norm_block(_window_stats(x.nchw, pool, spec.n)[2], spec)
-    grouped, axis = _grouped(base, spec)
-    peaks = normalize._peak_divisor(grouped, spec.eps_norm, axis)
+        def forward(t: Tensor) -> Tensor:
+            tiled = np.concatenate([peaks] * (t.nchw.shape[0] // len(peaks)))
 
-    def fixed_peak(block: np.ndarray) -> np.ndarray:
-        g, _ = _grouped(block, spec)
-        return (g / peaks).reshape(block.shape)
+            def fixed_peak(block: np.ndarray) -> np.ndarray:
+                g, _ = _grouped(block, spec)
+                return (g / tiled).reshape(block.shape)
 
-    return lambda t: _pooled(t.nchw, pool, spec, fixed_peak)
+            return _pooled(t.nchw, pool, spec, fixed_peak)
+
+    forward.stacked = forward
+    return forward
 
 
 def sap_forward(t: Tensor, pool: PoolSpec) -> Tensor:

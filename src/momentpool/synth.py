@@ -38,7 +38,7 @@ def ramp(shape) -> Tensor:
 def uniform_noise(shape, a: float, b: float, seed: int,
                   stream: int = 0) -> Tensor:
     gen = Xoshiro256pp(seed, stream=stream)
-    return Tensor(shape, gen.fill_uniform(int(np.prod(shape)), a, b))
+    return Tensor._adopt(shape, gen.fill_uniform(int(np.prod(shape)), a, b))
 
 
 def make_pattern(name: str, shape, a: float = 1.0, b: float = 0.0,

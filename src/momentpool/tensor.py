@@ -52,9 +52,26 @@ class Tensor:
     __slots__ = ("shape", "data")
 
     def __init__(self, shape, data):
+        self._hold(shape, np.array(data, dtype=np.float64, copy=True))
+
+    @classmethod
+    def _adopt(cls, shape, arr: np.ndarray) -> "Tensor":
+        """Wrap an array the caller has just allocated, without copying it.
+
+        Only a non-float64 or non-contiguous array is converted. The array
+        is marked read-only, so the caller's own reference cannot write
+        into the tensor either.
+        """
+        arr = np.ascontiguousarray(arr, dtype=np.float64)
+        arr.setflags(write=False)
+        t = cls.__new__(cls)
+        t._hold(shape, arr)
+        return t
+
+    def _hold(self, shape, arr: np.ndarray) -> None:
         full = nchw_shape(shape)
         shape = full[4 - len(shape):]
-        arr = np.array(data, dtype=np.float64, copy=True).reshape(-1)
+        arr = arr.reshape(-1)
         size = math.prod(full)
         if arr.size != size:
             raise ValueError(
@@ -106,7 +123,7 @@ def header_bytes(shape) -> bytes:
 
 def tensor_write(t: Tensor, path: str | os.PathLike) -> None:
     """Write `t` so that `tensor_read` recovers it bit-exactly."""
-    payload = t.data.astype("<f8", copy=False).tobytes()
+    payload = t.data.astype("<f8", copy=False)  # written from its buffer
     with open(path, "wb") as fh:
         fh.write(header_bytes(t.shape))
         fh.write(payload)
@@ -134,10 +151,10 @@ def tensor_read(path: str | os.PathLike) -> Tensor:
     except ValueError as exc:
         raise TensorFileError(f"invalid shape in header: {shape!r}") from exc
     size = math.prod(shape)
-    payload = raw[newline + 1 :]
+    payload = memoryview(raw)[newline + 1 :]  # no copy of the payload bytes
     if len(payload) != 8 * size:
         raise TensorFileError(
             f"payload length mismatch: expected {8 * size} bytes, got {len(payload)}"
         )
-    data = np.frombuffer(payload, dtype="<f8")
-    return Tensor(shape, data)
+    # `raw` is immutable and owned here, so the tensor can rest on it
+    return Tensor._adopt(shape, np.frombuffer(payload, dtype="<f8"))

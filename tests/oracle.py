@@ -29,6 +29,14 @@ discarding contributions that fall on padding. Both are plain per-window
 index loops that share no code with the package's `window_steps`, so the
 forward and the backward can be checked against them.
 
+Finite differences
+------------------
+`scalar_finite_diff` runs the per-element loop of `gradutil.fd_gradient`
+on a Tensor forward: two forwards per input element, each on a fresh
+`Tensor`, and every product difference of the probe <forward(x), upstream>
+summed with math.fsum. The package's `grad.numeric_gradient` evaluates the
+same probes in stacked chunks and must reproduce this loop bit for bit.
+
 Seeded uniforms
 ---------------
 `scalar_fill_uniform` draws one xoshiro256++ word at a time through
@@ -45,6 +53,8 @@ import numpy as np
 
 from momentpool.tensor import Tensor
 from momentpool.windows import PoolSpec, output_dims
+
+from gradutil import fd_gradient
 
 MAX_ORDER = 4
 
@@ -197,3 +207,10 @@ def scalar_fill_uniform(gen, count: int, lo: float = 0.0, hi: float = 1.0) -> np
     for i in range(count):
         out[i] = lo + span * ((gen.next_u64() >> 11) * 2.0 ** -53)
     return out
+
+
+def scalar_finite_diff(forward, x: Tensor, upstream: Tensor,
+                       h: float = 1e-6) -> np.ndarray:
+    """Central-difference gradient of <forward(x), upstream>, one element at a time."""
+    return fd_gradient(lambda v: forward(Tensor(x.shape, v)).data,
+                       x.data, upstream.data, h)

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,6 +169,21 @@ class TestGradcheckCommand:
                                  "layer", "--norm-axis", axis, "--shape",
                                  "1,3,6,6", "--seed", "6")
             assert rc == 0 and json.loads(out)["passed"] is True
+
+    def test_traced_peak_stays_small(self, capsys):
+        """The stacked probes are bounded by bytes: a warm in-process
+        gradcheck of the benchmark's spec peaks at no more than 1.5 MiB."""
+        argv = ("gradcheck", "--shape", "2,3,8,8", "--n", "4", "--norm", "layer")
+        assert run_cli(capsys, *argv)[0] == 0  # warm: caches and imports
+        tracemalloc.start()
+        try:
+            rc = main(list(argv))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert rc == 0
+        assert peak <= 1.5 * 2 ** 20
 
     def test_batch_norm_needs_batch(self, capsys):
         rc, _, err = run_cli(capsys, "gradcheck", "--n", "4", "--norm", "batch",

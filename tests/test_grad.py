@@ -5,11 +5,44 @@ import warnings
 import numpy as np
 import pytest
 
-from momentpool.grad import finite_diff_check, gradient_magnitude_profile
+from momentpool import grad
+from momentpool.grad import (finite_diff_check, gradient_magnitude_profile,
+                             numeric_gradient)
+from momentpool.normalize import BatchNormState
 from momentpool.smp import MomentSpec, check_forward, smp_backward, smp_forward
 from momentpool.synth import solid
 from momentpool.tensor import Tensor
 from momentpool.windows import PoolSpec
+
+from gradutil import rel_gap
+from oracle import scalar_finite_diff
+
+
+SPECS = [
+    MomentSpec(n=2, norm="none"),
+    MomentSpec(n=3, norm="none", unsafe_no_norm=True),
+    MomentSpec(n=4, norm="none", unsafe_no_norm=True),
+    MomentSpec(n=4, norm="layer"),
+    MomentSpec(n=4, norm="max"),
+    MomentSpec(n=4, norm="batch"),
+    MomentSpec(n=3, norm="layer", standardize_pre_norm=True),
+    MomentSpec(n=4, norm="layer", standardize_pre_norm=True),
+    MomentSpec(n=4, norm="none", unsafe_no_norm=True,
+               standardize_pre_norm=True),
+    MomentSpec(n=4, norm="layer", norm_axis="joint"),
+    MomentSpec(n=4, norm="max", norm_axis="location"),
+    MomentSpec(n=4, norm="batch", standardize_pre_norm=True),
+    MomentSpec(n=3, norm="batch"),
+    MomentSpec(n=3, norm="max"),
+    MomentSpec(n=4, norm="layer", norm_axis="location"),
+    MomentSpec(n=4, norm="max", norm_axis="joint"),
+    MomentSpec(n=4, norm="max", standardize_pre_norm=True),
+]
+
+
+def spec_id(s):
+    return (f"n{s.n}-{s.norm}-{s.norm_axis}"
+            + ("-std" if s.standardize_pre_norm else ""))
 
 
 def make_case(seed, shape, pool, spec):
@@ -61,27 +94,7 @@ def test_upstream_shape_mismatch_rejected():
                      Tensor((1, 1, 2, 2), np.ones(4)))
 
 
-@pytest.mark.parametrize("spec", [
-    MomentSpec(n=2, norm="none"),
-    MomentSpec(n=3, norm="none", unsafe_no_norm=True),
-    MomentSpec(n=4, norm="none", unsafe_no_norm=True),
-    MomentSpec(n=4, norm="layer"),
-    MomentSpec(n=4, norm="max"),
-    MomentSpec(n=4, norm="batch"),
-    MomentSpec(n=3, norm="layer", standardize_pre_norm=True),
-    MomentSpec(n=4, norm="layer", standardize_pre_norm=True),
-    MomentSpec(n=4, norm="none", unsafe_no_norm=True,
-               standardize_pre_norm=True),
-    MomentSpec(n=4, norm="layer", norm_axis="joint"),
-    MomentSpec(n=4, norm="max", norm_axis="location"),
-    MomentSpec(n=4, norm="batch", standardize_pre_norm=True),
-    MomentSpec(n=3, norm="batch"),
-    MomentSpec(n=3, norm="max"),
-    MomentSpec(n=4, norm="layer", norm_axis="location"),
-    MomentSpec(n=4, norm="max", norm_axis="joint"),
-    MomentSpec(n=4, norm="max", standardize_pre_norm=True),
-], ids=lambda s: f"n{s.n}-{s.norm}-{s.norm_axis}"
-       + ("-std" if s.standardize_pre_norm else ""))
+@pytest.mark.parametrize("spec", SPECS, ids=spec_id)
 def test_backward_matches_finite_differences(spec):
     pool = PoolSpec.square(3, stride=2, pad=1)
     x, up = make_case(1000 + spec.n, (4, 2, 6, 6), pool, spec)
@@ -95,7 +108,6 @@ def test_backward_matches_finite_differences(spec):
 
 def test_eval_mode_batch_norm_backward():
     """Eval mode normalizes by running state; gradient is a fixed rescale."""
-    from momentpool.normalize import BatchNormState
     pool = PoolSpec.square(3, stride=3)
     spec = MomentSpec(n=4, norm="batch")
     rng = np.random.default_rng(67)
@@ -115,7 +127,6 @@ def test_eval_mode_batch_norm_backward():
 
 def test_gradient_check_leaves_batch_norm_state_untouched():
     """Training-mode probes must not fold perturbed batches into the state."""
-    from momentpool.normalize import BatchNormState
     pool = PoolSpec.square(3, stride=2, pad=1)
     spec = MomentSpec(n=4, norm="batch")
     x, up = make_case(73, (4, 2, 6, 6), pool, spec)
@@ -126,6 +137,106 @@ def test_gradient_check_leaves_batch_norm_state_untouched():
         lambda t, u: smp_backward(t, pool, spec, u, bn_state=state),
         x, up)
     assert report.passed, report
+    assert state.mean.tobytes() == mean
+    assert state.var.tobytes() == var
+
+
+def _assert_bits_match_oracle(forward, x, up):
+    """Stacked and one-probe-per-call numeric gradients equal the scalar loop."""
+    want = scalar_finite_diff(forward, x, up).tobytes()
+    assert numeric_gradient(forward, x, up).tobytes() == want
+    # a plain lambda has no `stacked`, so every probe is its own call
+    assert numeric_gradient(lambda t: forward(t), x, up).tobytes() == want
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=spec_id)
+def test_stacked_probes_match_scalar_loop(spec):
+    pool = PoolSpec.square(3, stride=2, pad=1)
+    x, up = make_case(1000 + spec.n, (4, 2, 6, 6), pool, spec)
+    forward = check_forward(x, pool, spec)
+    assert hasattr(forward, "stacked") == (spec.norm != "batch")
+    _assert_bits_match_oracle(forward, x, up)
+
+
+@pytest.mark.parametrize("spec", [
+    MomentSpec(n=4, norm="layer"),
+    MomentSpec(n=4, norm="max", norm_axis="location"),
+    MomentSpec(n=3, norm="max", norm_axis="joint", standardize_pre_norm=True),
+], ids=spec_id)
+def test_stacked_probes_match_scalar_loop_dilated(spec):
+    pool = PoolSpec(2, 3, 2, 1, 0, 0, 2, 1)
+    x, up = make_case(71, (2, 2, 7, 7), pool, spec)
+    _assert_bits_match_oracle(check_forward(x, pool, spec), x, up)
+
+
+def test_stacked_probes_match_scalar_loop_eval_batch_norm():
+    pool = PoolSpec.square(3, stride=3)
+    spec = MomentSpec(n=4, norm="batch")
+    rng = np.random.default_rng(67)
+    state = BatchNormState(mean=rng.standard_normal(4),
+                           var=rng.uniform(0.5, 2.0, 4))
+    x, up = make_case(68, (2, 2, 6, 6), pool, spec)
+    forward = check_forward(x, pool, spec, bn_state=state, training=False)
+    assert hasattr(forward, "stacked")
+    _assert_bits_match_oracle(forward, x, up)
+
+
+@pytest.mark.parametrize("pairs", [None, 5], ids=["default-budget", "5-per-chunk"])
+def test_chunks_cover_every_element_once_in_order(monkeypatch, pairs):
+    """One stacked call per chunk, the last one short, and the same bits."""
+    pool = PoolSpec.square(3, stride=2, pad=1)
+    spec = MomentSpec(n=4, norm="layer")
+    x, up = make_case(101, (4, 2, 6, 6), pool, spec)
+    probe_bytes = 16 * (x.size + up.size)  # one element's two probes
+    if pairs is not None:
+        monkeypatch.setattr(grad, "_CHUNK_BYTES", pairs * probe_bytes)
+    per_chunk = grad._CHUNK_BYTES // probe_bytes
+    assert per_chunk < x.size and x.size % per_chunk != 0
+
+    forward = check_forward(x, pool, spec)
+    firsts = []  # first probe of each call, as (element, +h or -h)
+
+    def stacked(probes):
+        rows = probes.data.reshape(-1, x.size) - x.data
+        j = int(np.flatnonzero(rows[0])[0])
+        firsts.append((j, len(rows) // 2, rows[0, j] > 0, rows[1, j] < 0))
+        return forward.stacked(probes)
+
+    counted = lambda t: forward(t)  # noqa: E731
+    counted.stacked = stacked
+    got = numeric_gradient(counted, x, up)
+    full, rest = divmod(x.size, per_chunk)
+    starts = range(0, x.size, per_chunk)
+    assert firsts == [(j, per_chunk, True, True) for j in starts[:full]] \
+        + [(full * per_chunk, rest, True, True)]
+    assert got.tobytes() == scalar_finite_diff(forward, x, up).tobytes()
+
+
+def test_training_batch_norm_probes_one_forward_each():
+    """Batch statistics couple samples: each probe is a separate forward call
+    of x's own batch size, the report is the scalar loop's, the state stays."""
+    pool = PoolSpec.square(3, stride=2, pad=1)
+    spec = MomentSpec(n=4, norm="batch")
+    x, up = make_case(73, (4, 2, 6, 6), pool, spec)
+    state = BatchNormState.fresh(4)
+    mean, var = state.mean.tobytes(), state.var.tobytes()
+    forward = check_forward(x, pool, spec, bn_state=state)
+    assert not hasattr(forward, "stacked")
+    batches = []
+
+    def counted(t):
+        batches.append(t.nchw.shape[0])
+        return forward(t)
+
+    report = finite_diff_check(
+        counted, lambda t, u: smp_backward(t, pool, spec, u, bn_state=state),
+        x, up)
+    assert batches == [4] * (2 + 2 * x.size)
+    analytic = smp_backward(x, pool, spec, up, bn_state=state).data
+    numeric = scalar_finite_diff(forward, x, up)
+    assert report.passed
+    assert report.max_rel_error == rel_gap(analytic, numeric)
+    assert report.worst_index == int(np.abs(analytic - numeric).argmax())
     assert state.mean.tobytes() == mean
     assert state.var.tobytes() == var
 

@@ -145,3 +145,50 @@ def test_header_shape_preserved_as_given(tmp_path):
     header = json.loads(p.read_bytes().split(b"\n", 1)[0])
     assert header["shape"] == [3, 2]
     assert tensor_read(p).shape == (3, 2)
+
+
+def test_public_constructor_copies_its_input():
+    arr = np.arange(4.0)
+    t = Tensor((4,), arr)
+    arr[0] = 9.0
+    assert t.data.tolist() == [0.0, 1.0, 2.0, 3.0]
+    assert not np.shares_memory(t.data, arr)
+    assert not t.data.flags.writeable
+
+
+def test_adopt_takes_the_array_without_a_copy_and_freezes_it():
+    arr = np.zeros(6)
+    t = Tensor._adopt((2, 3), arr)
+    assert t.shape == (2, 3) and np.shares_memory(t.data, arr)
+    with pytest.raises(ValueError):
+        arr[0] = 1.0  # the caller's own reference is read-only too
+    ints = np.arange(6)
+    converted = Tensor._adopt((6,), ints)  # not float64: converted, unshared
+    ints[0] = 9
+    assert converted.data[0] == 0.0 and not np.shares_memory(converted.data, ints)
+    with pytest.raises(ValueError, match="implies 5 elements"):
+        Tensor._adopt((5,), np.zeros(6))
+
+
+def test_adopted_outputs_are_read_only_and_unaliased(tmp_path):
+    """Every adopting site hands out frozen arrays that share no memory."""
+    from momentpool.smp import MomentSpec, smp_backward, smp_forward
+    from momentpool.synth import uniform_noise
+    from momentpool.windows import PoolSpec
+
+    pool = PoolSpec.square(3, stride=2, pad=1)
+    spec = MomentSpec(n=4, norm="layer")
+    x = uniform_noise((2, 3, 5, 5), -1.0, 1.0, seed=4)
+    y = smp_forward(x, pool, spec)
+    g = smp_backward(x, pool, spec, y)
+    p = tmp_path / "x.tensor"
+    tensor_write(x, p)
+    back, again = tensor_read(p), tensor_read(p)
+    assert back == x and again == x
+    tensors = [x, y, g, back, again]
+    for i, t in enumerate(tensors):
+        assert not t.data.flags.writeable
+        for other in tensors[i + 1:]:
+            assert not np.shares_memory(t.data, other.data)
+    with pytest.raises(ValueError):
+        back.data.setflags(write=True)  # rests on the immutable file bytes
