@@ -26,7 +26,8 @@ independent of term order, dropping terms that add nothing leaves every
 numeric derivative bit-identical; an all-zero row gives 0.0 either way.
 
 `gradient_magnitude_profile` measures how strongly each moment order drives
-the input gradient of `smp.smp_backward`.
+the input gradient of `smp.smp_backward`. Its backwards share one input, so
+the window statistics are computed by the first and reused by the rest.
 """
 
 from __future__ import annotations
@@ -134,7 +135,7 @@ def finite_diff_check(forward: Callable[[Tensor], Tensor],
     scale = max(np.abs(analytic).max(), np.abs(numeric).max(), 1e-12)
     worst = int(abs_err.argmax())
     max_abs = float(abs_err[worst])
-    max_rel = max_abs / scale
+    max_rel = float(max_abs / scale)
     return GradCheckReport(
         max_rel_error=max_rel,
         max_abs_error=max_abs,
@@ -161,6 +162,6 @@ def gradient_magnitude_profile(x: Tensor, pool: PoolSpec, n_max: int,
     for i in range(n_max):
         up = np.zeros(shape)
         up[:, i * channels : (i + 1) * channels] = 1.0
-        g = smp_backward(x, pool, spec, Tensor(up.shape, up))
+        g = smp_backward(x, pool, spec, Tensor._adopt(up.shape, up))
         profile.append(float(np.abs(g.data).max()))
     return profile

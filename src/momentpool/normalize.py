@@ -10,6 +10,10 @@ batch:  the layer standardization per channel, over batch and spatial
         axes, with running state updated at momentum 0.1 during training;
         eval mode standardizes by the running state instead
 
+All three forwards run through one kernel, `_normalized(kind, ...)`. The
+public `layer_norm`, `max_norm` and `batch_norm` return fresh arrays; `smp`
+passes an output buffer and normalizes its moment channels in place.
+
 `norm_backward(kind, ...)` is the one vector-Jacobian product for all
 three kinds. Layer norm and training-mode batch norm share the full
 three-term Jacobian (the upstream, minus its group mean, minus the
@@ -49,8 +53,11 @@ def _group_stats(x: np.ndarray, axis):
     return x.mean(axis=axis, keepdims=True), x.var(axis=axis, keepdims=True)
 
 
-def _standardize(x: np.ndarray, mean, var, eps: float) -> np.ndarray:
-    return (x - mean) / np.sqrt(var + eps)
+def _standardize(x: np.ndarray, mean, var, eps: float, out=None) -> np.ndarray:
+    """(x - mean) / sqrt(var + eps), written into `out` when given."""
+    out = np.subtract(x, mean, out=out)
+    out /= np.sqrt(var + eps)
+    return out
 
 
 def _peak_divisor(x: np.ndarray, eps: float, axis) -> np.ndarray:
@@ -79,16 +86,39 @@ def _running_stats(state: BatchNormState | None, x: np.ndarray):
     return state.mean.reshape(shape), state.var.reshape(shape)
 
 
+def _normalized(kind: str, x: np.ndarray, eps: float, axis=None,
+                state: BatchNormState | None = None, training: bool = True,
+                out=None) -> np.ndarray:
+    """The `kind` normalization of float64 `x`, written into `out` when given.
+
+    `out` may be `x` itself: every group statistic is read before the first
+    write.
+    """
+    if kind == "max":
+        return np.divide(x, _peak_divisor(x, eps, axis), out=out)
+    if kind == "layer":
+        return _standardize(x, *_group_stats(x, axis), eps, out)
+    if kind != "batch":
+        raise ValueError(f"unknown normalization kind {kind!r}")
+    if not training:
+        return _standardize(x, *_running_stats(state, x), eps, out)
+    mean, var = _group_stats(x, _batch_axes(x))
+    if state is not None:
+        old_mean, old_var = _running_stats(state, x)
+        m = state.momentum
+        state.mean = ((1.0 - m) * old_mean + m * mean).reshape(-1)
+        state.var = ((1.0 - m) * old_var + m * var).reshape(-1)
+    return _standardize(x, mean, var, eps, out)
+
+
 def layer_norm(x: np.ndarray, eps: float = DEFAULT_EPS, axis=None) -> np.ndarray:
     """Standardize over the group axes (all elements when axis is None)."""
-    x = np.asarray(x, dtype=np.float64)
-    return _standardize(x, *_group_stats(x, axis), eps)
+    return _normalized("layer", np.asarray(x, dtype=np.float64), eps, axis)
 
 
 def max_norm(x: np.ndarray, eps: float = DEFAULT_EPS, axis=None) -> np.ndarray:
     """Scale the group by its peak magnitude; outputs lie in [-1, 1]."""
-    x = np.asarray(x, dtype=np.float64)
-    return x / _peak_divisor(x, eps, axis)
+    return _normalized("max", np.asarray(x, dtype=np.float64), eps, axis)
 
 
 def batch_norm(x: np.ndarray, state: BatchNormState | None = None,
@@ -100,16 +130,8 @@ def batch_norm(x: np.ndarray, state: BatchNormState | None = None,
     the batch statistics into the running estimates. Eval mode normalizes by
     the running state and requires one.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if not training:
-        return _standardize(x, *_running_stats(state, x), eps)
-    mean, var = _group_stats(x, _batch_axes(x))
-    if state is not None:
-        old_mean, old_var = _running_stats(state, x)
-        m = state.momentum
-        state.mean = ((1.0 - m) * old_mean + m * mean).reshape(-1)
-        state.var = ((1.0 - m) * old_var + m * var).reshape(-1)
-    return _standardize(x, mean, var, eps)
+    return _normalized("batch", np.asarray(x, dtype=np.float64), eps,
+                       state=state, training=training)
 
 
 def norm_backward(kind: str, x: np.ndarray, upstream: np.ndarray,

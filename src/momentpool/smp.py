@@ -24,13 +24,26 @@ upstream weights u it satisfies
 
     <smp_backward(u), dx>  ==  d/de <smp_forward(x + e*dx), u> at e = 0.
 
-It recomputes the window statistics along the forward's walk, then chains
-the normalization VJP (orders >= 3), the pre-norm standardization VJP when
-enabled, and the per-window moment derivatives, evaluated per cell as a
-polynomial in its deviation from the window mean and added back onto the
-input grid block by block. `check_forward` is the matching
+It takes the window statistics of its input from a one-entry cache, then
+chains the normalization VJP (orders >= 3), the pre-norm standardization
+VJP when enabled, and the per-window moment derivatives, evaluated per cell
+as a polynomial in its deviation from the window mean and added back onto
+the input grid block by block. `check_forward` is the matching
 finite-difference target: the true forward, except that max norm holds its
 peak divisor fixed, as the backward does.
+
+Statistics cache
+----------------
+The entry is keyed on the identity of the input `Tensor`, held through a
+weakref, plus `pool` and `spec.n`; never on the tensor's bytes. Tensors
+are immutable, so identity implies equal data. It holds the walk, the
+per-axis counts and the maps m1..mn, all read-only. `smp_forward` always
+computes and then stores, with m1 and m2 as views of its own output and
+m3, m4 raw. `smp_backward` and `check_forward`'s max-norm path read the
+entry and store on a miss, so a forward and backward pair, or several
+backwards of one input, compute the statistics once. The entry goes when
+its input dies or the next input is pooled; until then it keeps the
+output's buffer and the raw m3, m4 alive.
 
 Operation-count model
 ---------------------
@@ -53,6 +66,7 @@ plus divide). The total is strictly monotone in n.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -131,17 +145,16 @@ def _cell_sum(a: np.ndarray) -> np.ndarray:
 
 
 def _window_stats(x4: np.ndarray, pool: PoolSpec, n: int):
-    """Window steps, in-bounds counts (H', W') and (N, C, H', W') maps m1..mn.
+    """Window steps, per-axis in-bounds counts and (N, C, H', W') maps m1..mn.
 
     The mean, then the centered power sums, accumulate over the steps in
     their fixed order, so results are bit-identical run to run.
     """
-    steps, (count_h, count_w) = window_steps(x4.shape, pool)
-    counts = np.multiply.outer(count_h, count_w)
-    mu = np.zeros((x4.shape[0] * x4.shape[1],) + counts.shape)  # one per plane
+    steps, counts = window_steps(x4.shape, pool)
+    inv = 1.0 / np.multiply.outer(*counts)
+    mu = np.zeros((x4.shape[0] * x4.shape[1],) + inv.shape)  # one per plane
     for st in steps:
         mu[st.out] += _cell_sum(st.block(x4))
-    inv = 1.0 / counts
     mu *= inv
     sums = [np.zeros_like(mu) for _ in range(n - 1)]
     for st in steps if sums else ():
@@ -153,7 +166,39 @@ def _window_stats(x4: np.ndarray, pool: PoolSpec, n: int):
         if n >= 4:
             sums[2][st.out] += _cell_sum(np.multiply(d2, d2, out=d2))
     stats = [mu] + [np.multiply(s, inv, out=s) for s in sums]
-    return steps, counts, [m.reshape(x4.shape[:2] + counts.shape) for m in stats]
+    return steps, counts, [m.reshape(x4.shape[:2] + inv.shape) for m in stats]
+
+
+# The last window statistics computed, for the backward of the same input:
+# (weakref to the input Tensor, pool, n, (steps, counts, stats)) or None.
+# `smp_forward` stores; `smp_backward` and `check_forward` read through
+# `_stats_of`. Tensors are immutable, so the input's identity pins its bytes.
+_cached = None
+
+
+def _forget(ref) -> None:
+    """Weakref callback: drop the entry when its input Tensor dies."""
+    global _cached
+    if _cached is not None and _cached[0] is ref:
+        _cached = None
+
+
+def _remember(t: Tensor, pool: PoolSpec, n: int, entry) -> None:
+    """Make `entry`, a `_window_stats` result for `t`, the cached one."""
+    global _cached
+    for m in entry[2]:
+        m.setflags(write=False)
+    _cached = (weakref.ref(t, _forget), pool, n, entry)
+
+
+def _stats_of(t: Tensor, pool: PoolSpec, n: int):
+    """`_window_stats` of `t`, from the cache when it holds this input."""
+    hit = _cached
+    if hit is not None and hit[0]() is t and hit[1] == pool and hit[2] == n:
+        return hit[3]
+    entry = _window_stats(t.nchw, pool, n)
+    _remember(t, pool, n, entry)
+    return entry
 
 
 def _standardize_terms(m2: np.ndarray, spec: MomentSpec):
@@ -166,25 +211,31 @@ def _standardize_terms(m2: np.ndarray, spec: MomentSpec):
         yield p / 2, root, root * m2 + spec.eps_norm
 
 
-def _pre_norm_block(stats, spec: MomentSpec) -> np.ndarray:
-    """Orders >= 3 of the window statistics as one (N, (n-2)*C, H', W') block.
-
-    This is the normalization input: m3 and m4, divided by sigma^3 + eps and
-    sigma^4 + eps when `spec.standardize_pre_norm` is set.
-    """
-    block = np.concatenate(stats[2:], axis=1)
+def _standardize_block(block: np.ndarray, m2: np.ndarray,
+                       spec: MomentSpec) -> np.ndarray:
+    """Divide raw m3, m4 in `block` by sigma^3 + eps, sigma^4 + eps, in place,
+    when `spec.standardize_pre_norm` is set. The result is the pre-norm block,
+    the normalization input."""
     if spec.standardize_pre_norm:
-        orders = _by_order(block, stats[0].shape[1])
-        for i, (_, _, denom) in enumerate(_standardize_terms(stats[1], spec)):
+        orders = _by_order(block, m2.shape[1])
+        for i, (_, _, denom) in enumerate(_standardize_terms(m2, spec)):
             orders[:, i] /= denom
     return block
+
+
+def _pre_norm_block(stats, spec: MomentSpec) -> np.ndarray:
+    """Orders >= 3 of the window statistics as one (N, (n-2)*C, H', W') block."""
+    return _standardize_block(np.concatenate(stats[2:], axis=1), stats[1], spec)
 
 
 def _grouped(block: np.ndarray, spec: MomentSpec):
     """Reshape a pre-norm block so one reduction axis spans each norm group.
 
     Batch norm groups per channel over batch and spatial axes, which is the
-    block's own layout, so it comes back unchanged and with no axis.
+    block's own layout, so it comes back unchanged and with no axis. For a
+    contiguous block, or the orders >= 3 of a contiguous output, each
+    reshape below only splits or merges axes whose cells are contiguous
+    within a sample, so it is a view and writes to it land in the block.
     """
     if spec.norm == "batch":
         return block, None
@@ -197,16 +248,12 @@ def _grouped(block: np.ndarray, spec: MomentSpec):
 
 
 def _normalize(block: np.ndarray, spec: MomentSpec,
-               bn_state: BatchNormState | None, training: bool) -> np.ndarray:
-    """`spec.norm` applied to a pre-norm block in its `spec.norm_axis` groups."""
-    if spec.norm == "none":
-        return block
-    if spec.norm == "batch":
-        return normalize.batch_norm(block, state=bn_state, training=training,
-                                    eps=spec.eps_norm)
-    x, axis = _grouped(block, spec)
-    fn = normalize.layer_norm if spec.norm == "layer" else normalize.max_norm
-    return fn(x, eps=spec.eps_norm, axis=axis).reshape(block.shape)
+               bn_state: BatchNormState | None, training: bool) -> None:
+    """`spec.norm` applied in place to a pre-norm block in its groups."""
+    if spec.norm != "none":
+        x, axis = _grouped(block, spec)
+        normalize._normalized(spec.norm, x, spec.eps_norm, axis, bn_state,
+                              training, out=x)
 
 
 def _normalize_vjp(block: np.ndarray, upstream: np.ndarray, spec: MomentSpec,
@@ -218,13 +265,22 @@ def _normalize_vjp(block: np.ndarray, upstream: np.ndarray, spec: MomentSpec,
                                    bn_state, training).reshape(upstream.shape)
 
 
-def _pooled(x4: np.ndarray, pool: PoolSpec, spec: MomentSpec, norm) -> Tensor:
-    """Moment channels m1, m2 and `norm` of the pre-norm block, concatenated."""
-    stats = _window_stats(x4, pool, spec.n)[2]
-    if spec.n >= 3:
-        stats[2:] = [_pre_norm_block(stats, spec)]  # frees m3, m4 before norm
-        stats[2] = norm(stats[2])
+def _pooled(t: Tensor, pool: PoolSpec, spec: MomentSpec, norm) -> Tensor:
+    """Moment channels m1, m2 and the pre-norm block after `norm`, which
+    rescales it in place, concatenated; the statistics are cached for `t`.
+
+    The cache keeps m1 and m2 as read-only views of the output and raw m3,
+    m4 as their own arrays, so the output and the cache together hold no
+    map twice.
+    """
+    steps, counts, stats = _window_stats(t.nchw, pool, spec.n)
+    channels = stats[0].shape[1]
     out = np.concatenate(stats, axis=1)
+    orders = _by_order(out, channels)
+    stats[:2] = [orders[:, i] for i in range(min(spec.n, 2))]  # frees m1, m2
+    if spec.n >= 3:
+        norm(_standardize_block(out[:, 2 * channels:], stats[1], spec))
+    _remember(t, pool, spec.n, (steps, counts, stats))
     return Tensor._adopt(out.shape, out)
 
 
@@ -237,7 +293,7 @@ def smp_forward(t: Tensor, pool: PoolSpec, spec: MomentSpec,
     batch norm reads/updates `bn_state` (a fresh transient state is used
     when none is given in training mode).
     """
-    return _pooled(t.nchw, pool, spec,
+    return _pooled(t, pool, spec,
                    lambda block: _normalize(block, spec, bn_state, training))
 
 
@@ -251,7 +307,7 @@ def smp_backward(t: Tensor, pool: PoolSpec, spec: MomentSpec, upstream: Tensor,
                          f"forward output {expected}")
 
     x4 = t.nchw
-    steps, counts, stats = _window_stats(x4, pool, spec.n)
+    steps, counts, stats = _stats_of(t, pool, spec.n)
     u = upstream.nchw.astype(np.float64, copy=True)
     coef = _by_order(u, x4.shape[1])  # coef[:, k - 1] holds order k's weights
 
@@ -269,11 +325,12 @@ def smp_backward(t: Tensor, pool: PoolSpec, spec: MomentSpec, upstream: Tensor,
             u_p /= denom
 
     # coef[:, k - 1] = k * u_k / window count, order k's cell-gradient weight
-    coef *= (np.arange(1.0, spec.n + 1)[:, None, None] * (1.0 / counts))[:, None]
+    inv = 1.0 / np.multiply.outer(*counts)
+    coef *= (np.arange(1.0, spec.n + 1)[:, None, None] * inv)[:, None]
     # sum_k coef_k * (dev**(k-1) - m_(k-1)), m_0 = m_1 = 0, as a polynomial
     # in the cell's deviation dev from the window mean
-    poly = [coef[:, k].reshape((-1,) + counts.shape) for k in range(spec.n)]
-    m = [s.reshape((-1,) + counts.shape) for s in stats]  # per plane, as the steps
+    poly = [coef[:, k].reshape((-1,) + inv.shape) for k in range(spec.n)]
+    m = [s.reshape((-1,) + inv.shape) for s in stats]  # per plane, as the steps
     for k in range(2, spec.n):
         poly[0] -= poly[k] * m[k - 1]
 
@@ -320,18 +377,18 @@ def check_forward(x: Tensor, pool: PoolSpec, spec: MomentSpec,
             return smp_forward(t, pool, spec, bn_state=bn_state,
                                training=training)
     else:
-        base = _pre_norm_block(_window_stats(x.nchw, pool, spec.n)[2], spec)
+        base = _pre_norm_block(_stats_of(x, pool, spec.n)[2], spec)
         grouped, axis = _grouped(base, spec)
         peaks = normalize._peak_divisor(grouped, spec.eps_norm, axis)
 
         def forward(t: Tensor) -> Tensor:
             tiled = np.concatenate([peaks] * (t.nchw.shape[0] // len(peaks)))
 
-            def fixed_peak(block: np.ndarray) -> np.ndarray:
+            def fixed_peak(block: np.ndarray) -> None:
                 g, _ = _grouped(block, spec)
-                return (g / tiled).reshape(block.shape)
+                g /= tiled
 
-            return _pooled(t.nchw, pool, spec, fixed_peak)
+            return _pooled(t, pool, spec, fixed_peak)
 
     forward.stacked = forward
     return forward

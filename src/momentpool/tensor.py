@@ -49,7 +49,7 @@ def nchw_shape(shape) -> tuple[int, int, int, int]:
 class Tensor:
     """Immutable dense float64 array with explicit shape bookkeeping."""
 
-    __slots__ = ("shape", "data")
+    __slots__ = ("shape", "data", "__weakref__")
 
     def __init__(self, shape, data):
         self._hold(shape, np.array(data, dtype=np.float64, copy=True))

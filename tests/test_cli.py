@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from momentpool.cli import main
+from momentpool.smp import MomentSpec, smp_forward
 from momentpool.synth import PATTERNS, checkerboard, make_pattern, ramp
-from momentpool.tensor import tensor_read, tensor_write
+from momentpool.tensor import Tensor, tensor_read, tensor_write
+from momentpool.windows import PoolSpec
 from momentpool.toytrain import ToyTrainConfig, run_toytrain
 
 from childenv import child_env
@@ -76,6 +78,23 @@ class TestGenerate:
 
 
 class TestPool:
+    def test_forward_traced_peak_stays_small(self):
+        """smp_forward on the benchmark's `pool` spec (1x3x256x256, 3x3 s2 p1,
+        n=4 layer) peaks at eight (1, 3, 128, 128) maps, 3.0 MiB: the four
+        statistics and the output. A map the statistics cache held on top
+        of those would push it past the bound."""
+        rng = np.random.default_rng(0)
+        x = Tensor((1, 3, 256, 256), rng.uniform(-1, 1, 3 * 256 * 256))
+        pool, spec = PoolSpec.square(3, 2, 1), MomentSpec(n=4, norm="layer")
+        smp_forward(x, pool, spec)  # warm: the walk is cached per geometry
+        tracemalloc.start()
+        try:
+            smp_forward(x, pool, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.1 * 2 ** 20
+
     def _checker_file(self, tmp_path, capsys):
         src = tmp_path / "cb.tensor"
         run_cli(capsys, "generate", "--pattern", "checkerboard",

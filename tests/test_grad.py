@@ -1,11 +1,12 @@
 """Backward pass correctness, VJP algebra, and gradient scaling laws."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from momentpool import grad
+from momentpool import grad, smp
 from momentpool.grad import (finite_diff_check, gradient_magnitude_profile,
                              numeric_gradient)
 from momentpool.normalize import BatchNormState
@@ -139,6 +140,57 @@ def test_gradient_check_leaves_batch_norm_state_untouched():
     assert report.passed, report
     assert state.mean.tobytes() == mean
     assert state.var.tobytes() == var
+
+
+def _count_stats():
+    return mock.patch.object(smp, "_window_stats", wraps=smp._window_stats)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=spec_id)
+def test_cache_hit_gradients_are_bit_identical(spec):
+    """A backward reading the forward's cached statistics returns the same
+    bits as one that computes them for an equal-bytes twin input."""
+    pool = PoolSpec.square(3, stride=2, pad=1)
+    x, up = make_case(1000 + spec.n, (4, 2, 6, 6), pool, spec)
+    with _count_stats() as stats:
+        hit = smp_backward(x, pool, spec, up)
+        assert stats.call_count == 0
+        cold = smp_backward(Tensor(x.shape, x.data), pool, spec, up)
+        assert stats.call_count == 1
+    assert hit.data.tobytes() == cold.data.tobytes()
+
+
+def test_cache_hit_gradients_are_bit_identical_eval_batch_norm():
+    pool = PoolSpec.square(3, stride=3)
+    spec = MomentSpec(n=4, norm="batch")
+    rng = np.random.default_rng(67)
+    state = BatchNormState(mean=rng.standard_normal(4),
+                           var=rng.uniform(0.5, 2.0, 4))
+    x, up = make_case(68, (2, 2, 6, 6), pool, spec)
+    smp_forward(x, pool, spec, bn_state=state, training=False)
+    with _count_stats() as stats:
+        hit = smp_backward(x, pool, spec, up, bn_state=state, training=False)
+        assert stats.call_count == 0
+        cold = smp_backward(Tensor(x.shape, x.data), pool, spec, up,
+                            bn_state=state, training=False)
+    assert hit.data.tobytes() == cold.data.tobytes()
+
+
+@pytest.mark.parametrize("axis", ["order", "joint", "location"])
+def test_frozen_peak_forward_same_with_and_without_a_hit(axis):
+    """check_forward's max-norm peaks come from the cache when it holds x."""
+    pool = PoolSpec.square(3, stride=2, pad=1)
+    spec = MomentSpec(n=4, norm="max", norm_axis=axis)
+    x, up = make_case(89, (2, 2, 6, 6), pool, spec)
+    twin = Tensor(x.shape, x.data)
+    with _count_stats() as stats:
+        hit = check_forward(x, pool, spec)
+        assert stats.call_count == 0
+        cold = check_forward(twin, pool, spec)
+        assert stats.call_count == 1
+    probes = Tensor((4, 2, 6, 6), np.concatenate([x.nchw, 2.0 * x.nchw]))
+    assert hit(x) == cold(x)
+    assert hit.stacked(probes) == cold.stacked(probes)
 
 
 def _assert_bits_match_oracle(forward, x, up):
@@ -349,6 +401,21 @@ def test_report_invariants():
     assert report.n_checked == x.size
 
 
+@pytest.mark.parametrize("scale", [1.0, 1.001], ids=["passing", "failing"])
+def test_report_errors_are_plain_floats(scale):
+    pool = PoolSpec.square(2, stride=2)
+    spec = MomentSpec(n=2, norm="none")
+    x, up = make_case(83, (1, 1, 4, 4), pool, spec)
+    report = finite_diff_check(
+        check_forward(x, pool, spec),
+        lambda t, u: Tensor(t.shape, smp_backward(t, pool, spec, u).data * scale),
+        x, up)
+    assert report.passed == (scale == 1.0)
+    assert type(report.max_rel_error) is float
+    assert type(report.max_abs_error) is float
+    assert "np.float64" not in repr(report)
+
+
 def test_backward_matches_per_window_gradient_scatter():
     """Independent route: per-window moment_gradients scattered by col2im.
 
@@ -413,6 +480,12 @@ class TestMagnitudeProfile:
         scaled = gradient_magnitude_profile(self._input(10.0), self.POOL, 4,
                                             norm="layer")
         assert scaled[3] / base[3] < 2.0
+
+    def test_statistics_computed_once(self):
+        with _count_stats() as stats:
+            gradient_magnitude_profile(self._input(1.0), self.POOL, 4,
+                                       norm="layer")
+        assert stats.call_count == 1
 
     def test_solid_input_has_zero_high_order_profile(self):
         profile = gradient_magnitude_profile(solid((1, 2, 8, 8), 4.0),

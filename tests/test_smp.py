@@ -1,10 +1,15 @@
 """Forward moment pooling: oracle equivalence, layout, costs, guards."""
 
+import weakref
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from momentpool import normalize, smp
+from momentpool.normalize import BatchNormState
 from momentpool.smp import (MomentSpec, op_cost, output_shape, sap_forward,
-                            smp_forward)
+                            smp_backward, smp_forward)
 from momentpool.synth import checkerboard, solid
 from momentpool.tensor import Tensor
 from momentpool.windows import GeometryError, PoolSpec, output_dims
@@ -255,6 +260,135 @@ class TestNormalizationWiring:
         assert state.mean.any()  # running stats moved off the init
         eval_out = smp_forward(x, pool, spec, bn_state=state, training=False)
         assert eval_out.shape == train_out.shape
+
+
+class TestInPlaceNormalization:
+    """`smp._normalize` rescales the orders >= 3 of an output in place; on
+    that strided view it must equal the public functions bit for bit."""
+
+    N, C = 3, 2
+
+    def _out(self, seed):
+        rng = np.random.default_rng(seed)
+        return rng.uniform(-1, 1, (self.N, 4 * self.C, 5, 6))
+
+    def _check(self, spec, public, **kw):
+        out = self._out(43)
+        before = out.copy()
+        block = out[:, 2 * self.C:]
+        assert not block.flags.c_contiguous
+        want, axis = smp._grouped(np.ascontiguousarray(block), spec)
+        want = public(want, axis).reshape(block.shape)
+        smp._normalize(block, spec, **kw)
+        assert out[:, 2 * self.C:].tobytes() == want.tobytes()
+        assert out[:, :2 * self.C].tobytes() == before[:, :2 * self.C].tobytes()
+
+    @pytest.mark.parametrize("axis", ["order", "joint", "location"])
+    def test_layer_norm(self, axis):
+        spec = MomentSpec(n=4, norm="layer", norm_axis=axis)
+        self._check(spec, lambda g, a: normalize.layer_norm(g, spec.eps_norm, a),
+                    bn_state=None, training=True)
+
+    @pytest.mark.parametrize("axis", ["order", "joint", "location"])
+    def test_max_norm(self, axis):
+        spec = MomentSpec(n=4, norm="max", norm_axis=axis)
+        self._check(spec, lambda g, a: normalize.max_norm(g, spec.eps_norm, a),
+                    bn_state=None, training=True)
+
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    def test_batch_norm(self, training):
+        spec = MomentSpec(n=4, norm="batch")
+        rng = np.random.default_rng(47)
+        mean, var = rng.standard_normal(2 * self.C), rng.uniform(0.5, 2, 2 * self.C)
+        mine = BatchNormState(mean=mean.copy(), var=var.copy())
+        theirs = BatchNormState(mean=mean.copy(), var=var.copy())
+        self._check(spec, lambda g, a: normalize.batch_norm(
+                        g, theirs, training, spec.eps_norm),
+                    bn_state=mine, training=training)
+        assert mine.mean.tobytes() == theirs.mean.tobytes()
+        assert mine.var.tobytes() == theirs.var.tobytes()
+
+
+class TestStatsCache:
+    """The one-entry window-statistics cache behind smp_backward."""
+
+    POOL = PoolSpec.square(3, stride=2, pad=1)
+    SPEC = MomentSpec(n=4, norm="layer")
+
+    @staticmethod
+    def _input(seed=41, shape=(2, 3, 7, 7)):
+        rng = np.random.default_rng(seed)
+        return Tensor(shape, rng.uniform(-1, 1, int(np.prod(shape))))
+
+    @staticmethod
+    def _upstream(x, pool, spec):
+        shape = output_shape(x.shape, pool, spec)
+        return Tensor(shape, np.random.default_rng(5).uniform(-1, 1, shape))
+
+    @staticmethod
+    def _counting():
+        return mock.patch.object(smp, "_window_stats", wraps=smp._window_stats)
+
+    def test_forward_backward_pair_computes_statistics_once(self):
+        x = self._input()
+        with self._counting() as stats:
+            smp_forward(x, self.POOL, self.SPEC)
+            smp_backward(x, self.POOL, self.SPEC,
+                         self._upstream(x, self.POOL, self.SPEC))
+        assert stats.call_count == 1
+
+    def test_every_forward_computes(self):
+        x = self._input()
+        with self._counting() as stats:
+            first = smp_forward(x, self.POOL, self.SPEC)
+            again = smp_forward(x, self.POOL, self.SPEC)
+        assert stats.call_count == 2
+        assert first == again
+
+    def test_other_input_pool_or_order_misses(self):
+        x = self._input()
+        twin = Tensor(x.shape, x.data)
+        assert twin == x and twin is not x
+        n3 = MomentSpec(n=3, norm="layer")
+        for t, pool, spec in ((twin, self.POOL, self.SPEC),
+                              (x, PoolSpec.square(3, stride=1, pad=1), self.SPEC),
+                              (x, self.POOL, n3)):
+            smp_forward(x, self.POOL, self.SPEC)
+            with self._counting() as stats:
+                smp_backward(t, pool, spec, self._upstream(t, pool, spec))
+            assert stats.call_count == 1
+
+    def test_entry_dies_with_its_input(self):
+        x = self._input()
+        y = smp_forward(x, self.POOL, self.SPEC)
+        assert smp._cached[0]() is x
+        ref = weakref.ref(x)
+        del x
+        assert ref() is None
+        assert smp._cached is None
+        assert y == smp_forward(self._input(), self.POOL, self.SPEC)
+
+    def test_cached_arrays_are_read_only_and_match_a_fresh_pass(self):
+        x = self._input()
+        y = smp_forward(x, self.POOL, self.SPEC)
+        stored_by_forward = smp._cached[3]
+        x2 = self._input(seed=3)
+        smp_backward(x2, self.POOL, self.SPEC,
+                     self._upstream(x2, self.POOL, self.SPEC))
+        stored_by_backward = smp._cached[3]
+        for t, (steps, counts, stats) in ((x, stored_by_forward),
+                                          (x2, stored_by_backward)):
+            fresh = smp._window_stats(t.nchw, self.POOL, self.SPEC.n)[2]
+            assert isinstance(steps, tuple)
+            assert len(counts) == 2 and len(stats) == self.SPEC.n
+            for a in (*counts, *stats):
+                assert not a.flags.writeable
+            for a, b in zip(stats, fresh):
+                assert a.tobytes() == b.tobytes()
+        # the forward's m1 and m2 are views of its output, not copies
+        stats = stored_by_forward[2]
+        assert all(np.shares_memory(m, y.data) for m in stats[:2])
+        assert not any(np.shares_memory(m, y.data) for m in stats[2:])
 
 
 class TestOpCost:
