@@ -26,8 +26,7 @@ independent of term order, dropping terms that add nothing leaves every
 numeric derivative bit-identical; an all-zero row gives 0.0 either way.
 
 `gradient_magnitude_profile` measures how strongly each moment order drives
-the input gradient of `smp.smp_backward`. Its backwards share one input, so
-the window statistics are computed by the first and reused by the rest.
+the input gradient of `smp.smp_backward`.
 """
 
 from __future__ import annotations
@@ -153,7 +152,8 @@ def gradient_magnitude_profile(x: Tensor, pool: PoolSpec, n_max: int,
     only and reports max|gradient|. Without normalization the order-i entry
     grows like s**(i-1) when the input is scaled by s, which is the reason
     raw high-order channels blow up under training; with layer norm the
-    profile is scale-stable.
+    profile is scale-stable. The n_max backwards share one input, so the
+    first runs the forward and the rest read what it saved.
     """
     spec = MomentSpec(n=n_max, norm=norm, unsafe_no_norm=True)
     shape = output_shape(x.shape, pool, spec)

@@ -10,16 +10,16 @@ batch:  the layer standardization per channel, over batch and spatial
         axes, with running state updated at momentum 0.1 during training;
         eval mode standardizes by the running state instead
 
-All three forwards run through one kernel, `_normalized(kind, ...)`. The
-public `layer_norm`, `max_norm` and `batch_norm` return fresh arrays; `smp`
-passes an output buffer and normalizes its moment channels in place.
+All three forwards run through one kernel, `_normalized(kind, ...)`, which
+returns the output y and its per-group divisor (peak + eps for max norm,
+sqrt(var + eps) otherwise). `smp` normalizes its output in place and saves
+both for its backward; the public functions return fresh arrays.
 
-`norm_backward(kind, ...)` is the one vector-Jacobian product for all
-three kinds. Layer norm and training-mode batch norm share the full
-three-term Jacobian (the upstream, minus its group mean, minus the
-normalized input times the group mean of upstream * normalized input, all
-over sqrt(var + eps)); eval-mode batch norm is a fixed per-channel rescale.
-Max norm deliberately treats the divisor as a constant: the true
+`_normalized_vjp` is the one vector-Jacobian product, taken from y and the
+divisor alone (Ioffe & Szegedy 2015): u / divisor for max norm and eval-mode
+batch norm, and (u - mean(u) - y * mean(u * y)) / divisor per group for
+layer norm and training-mode batch norm. `norm_backward` is the kernel then
+the VJP. Max norm deliberately treats the divisor as a constant: the true
 derivative is discontinuous at the argmax, so the gradient flows through
 the numerator only (straight-through subgradient), and that surrogate is
 what the gradient checks verify.
@@ -53,17 +53,6 @@ def _group_stats(x: np.ndarray, axis):
     return x.mean(axis=axis, keepdims=True), x.var(axis=axis, keepdims=True)
 
 
-def _standardize(x: np.ndarray, mean, var, eps: float, out=None) -> np.ndarray:
-    """(x - mean) / sqrt(var + eps), written into `out` when given."""
-    out = np.subtract(x, mean, out=out)
-    out /= np.sqrt(var + eps)
-    return out
-
-
-def _peak_divisor(x: np.ndarray, eps: float, axis) -> np.ndarray:
-    return np.abs(x).max(axis=axis, keepdims=True) + eps
-
-
 def _batch_axes(x: np.ndarray) -> tuple[int, ...]:
     """Batch and spatial axes of a (N, C, ...) block, for training mode."""
     if x.shape[0] < 2:
@@ -88,37 +77,55 @@ def _running_stats(state: BatchNormState | None, x: np.ndarray):
 
 def _normalized(kind: str, x: np.ndarray, eps: float, axis=None,
                 state: BatchNormState | None = None, training: bool = True,
-                out=None) -> np.ndarray:
-    """The `kind` normalization of float64 `x`, written into `out` when given.
+                out=None):
+    """(y, divisor): the `kind` normalization of float64 `x`, written into
+    `out` when given, and the per-group divisor, broadcastable against x.
 
     `out` may be `x` itself: every group statistic is read before the first
     write.
     """
     if kind == "max":
-        return np.divide(x, _peak_divisor(x, eps, axis), out=out)
+        divisor = np.abs(x).max(axis=axis, keepdims=True) + eps
+        return np.divide(x, divisor, out=out), divisor
     if kind == "layer":
-        return _standardize(x, *_group_stats(x, axis), eps, out)
-    if kind != "batch":
+        mean, var = _group_stats(x, axis)
+    elif kind != "batch":
         raise ValueError(f"unknown normalization kind {kind!r}")
-    if not training:
-        return _standardize(x, *_running_stats(state, x), eps, out)
-    mean, var = _group_stats(x, _batch_axes(x))
-    if state is not None:
-        old_mean, old_var = _running_stats(state, x)
-        m = state.momentum
-        state.mean = ((1.0 - m) * old_mean + m * mean).reshape(-1)
-        state.var = ((1.0 - m) * old_var + m * var).reshape(-1)
-    return _standardize(x, mean, var, eps, out)
+    elif not training:
+        mean, var = _running_stats(state, x)
+    else:
+        mean, var = _group_stats(x, _batch_axes(x))
+        if state is not None:
+            old_mean, old_var = _running_stats(state, x)
+            m = state.momentum
+            state.mean = ((1.0 - m) * old_mean + m * mean).reshape(-1)
+            state.var = ((1.0 - m) * old_var + m * var).reshape(-1)
+    divisor = np.sqrt(var + eps)
+    out = np.subtract(x, mean, out=out)
+    out /= divisor
+    return out, divisor
+
+
+def _normalized_vjp(kind: str, y: np.ndarray, divisor, upstream: np.ndarray,
+                    axis=None, training: bool = True) -> np.ndarray:
+    """VJP of `_normalized` at the point whose output is `y` and divisor
+    `divisor`, for upstream weights of y's shape."""
+    if kind == "max" or (kind == "batch" and not training):
+        return upstream / divisor
+    if kind == "batch":
+        axis = _batch_axes(y)
+    return (upstream - upstream.mean(axis, keepdims=True)
+            - y * (upstream * y).mean(axis, keepdims=True)) / divisor
 
 
 def layer_norm(x: np.ndarray, eps: float = DEFAULT_EPS, axis=None) -> np.ndarray:
     """Standardize over the group axes (all elements when axis is None)."""
-    return _normalized("layer", np.asarray(x, dtype=np.float64), eps, axis)
+    return _normalized("layer", np.asarray(x, dtype=np.float64), eps, axis)[0]
 
 
 def max_norm(x: np.ndarray, eps: float = DEFAULT_EPS, axis=None) -> np.ndarray:
     """Scale the group by its peak magnitude; outputs lie in [-1, 1]."""
-    return _normalized("max", np.asarray(x, dtype=np.float64), eps, axis)
+    return _normalized("max", np.asarray(x, dtype=np.float64), eps, axis)[0]
 
 
 def batch_norm(x: np.ndarray, state: BatchNormState | None = None,
@@ -131,7 +138,7 @@ def batch_norm(x: np.ndarray, state: BatchNormState | None = None,
     the running state and requires one.
     """
     return _normalized("batch", np.asarray(x, dtype=np.float64), eps,
-                       state=state, training=training)
+                       state=state, training=training)[0]
 
 
 def norm_backward(kind: str, x: np.ndarray, upstream: np.ndarray,
@@ -143,19 +150,7 @@ def norm_backward(kind: str, x: np.ndarray, upstream: np.ndarray,
     `axis` selects the groups of layer and max norm; batch norm always
     reduces over the batch and spatial axes, and in eval mode reads `state`.
     """
-    x = np.asarray(x, dtype=np.float64)
-    u = np.asarray(upstream, dtype=np.float64)
-    if kind == "max":
-        # straight-through on the divisor; see module docstring
-        return u / _peak_divisor(x, eps, axis)
-    if kind == "batch":
-        if not training:
-            return u / np.sqrt(_running_stats(state, x)[1] + eps)
-        axis = _batch_axes(x)
-    elif kind != "layer":
-        raise ValueError(f"unknown normalization kind {kind!r}")
-    mean, var = _group_stats(x, axis)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mean) * inv
-    return (u - u.mean(axis=axis, keepdims=True)
-            - xhat * (u * xhat).mean(axis=axis, keepdims=True)) * inv
+    y, divisor = _normalized(kind, np.asarray(x, dtype=np.float64), eps, axis,
+                             None if training else state, training)
+    return _normalized_vjp(kind, y, divisor,
+                           np.asarray(upstream, dtype=np.float64), axis, training)

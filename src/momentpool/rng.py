@@ -35,8 +35,8 @@ The xoshiro256++ state update is linear over GF(2): one step is a fixed
 bit 64w + b). `fill_uniform(count)` uses this to draw in parallel without
 changing a single output:
 
-- it picks B = 2**k steps per lane, about sqrt(count), and L = ceil(count/B)
-  lanes;
+- it picks B = 2**k steps per lane, about sqrt(count) but at most 64, and
+  L = ceil(count/B) lanes;
 - lane l starts at T**(l*B) applied to the current state, i.e. exactly
   l*B draws ahead. The lane states come from doubling: lanes m..2m-1 are
   T**(m*B) applied to lanes 0..m-1, with T**(2**i) taken from a ladder of
@@ -192,7 +192,7 @@ class Xoshiro256pp:
         count = int(count)
         if count == 0:
             return np.empty(0, dtype=np.float64)
-        k = count.bit_length() // 2
+        k = min(6, count.bit_length() // 2)
         steps = 1 << k
         lanes = -(-count // steps)
         starts = np.empty((lanes, 4), dtype=np.uint64)

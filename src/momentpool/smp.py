@@ -24,26 +24,27 @@ upstream weights u it satisfies
 
     <smp_backward(u), dx>  ==  d/de <smp_forward(x + e*dx), u> at e = 0.
 
-It takes the window statistics of its input from a one-entry cache, then
-chains the normalization VJP (orders >= 3), the pre-norm standardization
-VJP when enabled, and the per-window moment derivatives, evaluated per cell
-as a polynomial in its deviation from the window mean and added back onto
-the input grid block by block. `check_forward` is the matching
+It reads what the forward of its input saved, then chains the
+normalization VJP (orders >= 3), the pre-norm standardization VJP when
+enabled, and the per-window moment derivatives, evaluated per cell as a
+polynomial in its deviation from the window mean and added back onto the
+input grid block by block. `check_forward` is the matching
 finite-difference target: the true forward, except that max norm holds its
 peak divisor fixed, as the backward does.
 
-Statistics cache
-----------------
-The entry is keyed on the identity of the input `Tensor`, held through a
-weakref, plus `pool` and `spec.n`; never on the tensor's bytes. Tensors
-are immutable, so identity implies equal data. It holds the walk, the
-per-axis counts and the maps m1..mn, all read-only. `smp_forward` always
-computes and then stores, with m1 and m2 as views of its own output and
-m3, m4 raw. `smp_backward` and `check_forward`'s max-norm path read the
-entry and store on a miss, so a forward and backward pair, or several
-backwards of one input, compute the statistics once. The entry goes when
-its input dies or the next input is pooled; until then it keeps the
-output's buffer and the raw m3, m4 alive.
+Saved forward
+-------------
+Each `smp_forward` saves, read-only in a one-entry cache, what the
+backward needs: the walk, the per-axis counts, m1..mn (m1 and m2 as views
+of the output, m3 and m4 raw), and the normalized orders >= 3 (a view of
+the output) with their per-group divisor, so no pre-norm block is rebuilt.
+The key is the input `Tensor`'s identity through a weakref (tensors are
+immutable), `pool`, the whole `spec` and `training`, since the divisor
+depends on every normalization field. On a miss the backward runs the
+forward itself, without the running state in training mode, so a hit and
+a miss share one formula. Eval-mode batch norm divides by the backward's
+own running state. The entry goes when its input dies or the next input
+is pooled.
 
 Operation-count model
 ---------------------
@@ -169,10 +170,10 @@ def _window_stats(x4: np.ndarray, pool: PoolSpec, n: int):
     return steps, counts, [m.reshape(x4.shape[:2] + inv.shape) for m in stats]
 
 
-# The last window statistics computed, for the backward of the same input:
-# (weakref to the input Tensor, pool, n, (steps, counts, stats)) or None.
-# `smp_forward` stores; `smp_backward` and `check_forward` read through
-# `_stats_of`. Tensors are immutable, so the input's identity pins its bytes.
+# What the last forward saved, for the backward of the same input:
+# (weakref to the input Tensor, pool, spec, training, entry) or None, with
+# entry = (steps, counts, stats, normalized orders >= 3, divisor). Tensors
+# are immutable, so the input's identity pins its bytes.
 _cached = None
 
 
@@ -183,22 +184,13 @@ def _forget(ref) -> None:
         _cached = None
 
 
-def _remember(t: Tensor, pool: PoolSpec, n: int, entry) -> None:
-    """Make `entry`, a `_window_stats` result for `t`, the cached one."""
-    global _cached
-    for m in entry[2]:
-        m.setflags(write=False)
-    _cached = (weakref.ref(t, _forget), pool, n, entry)
-
-
-def _stats_of(t: Tensor, pool: PoolSpec, n: int):
-    """`_window_stats` of `t`, from the cache when it holds this input."""
+def _saved(t: Tensor, pool: PoolSpec, spec: MomentSpec,
+           bn_state: BatchNormState | None, training: bool):
+    """The entry `smp_forward` saved for `t`, running it on a miss."""
     hit = _cached
-    if hit is not None and hit[0]() is t and hit[1] == pool and hit[2] == n:
-        return hit[3]
-    entry = _window_stats(t.nchw, pool, n)
-    _remember(t, pool, n, entry)
-    return entry
+    if hit is None or hit[0]() is not t or hit[1:4] != (pool, spec, training):
+        smp_forward(t, pool, spec, None if training else bn_state, training)
+    return _cached[4]
 
 
 def _standardize_terms(m2: np.ndarray, spec: MomentSpec):
@@ -223,17 +215,12 @@ def _standardize_block(block: np.ndarray, m2: np.ndarray,
     return block
 
 
-def _pre_norm_block(stats, spec: MomentSpec) -> np.ndarray:
-    """Orders >= 3 of the window statistics as one (N, (n-2)*C, H', W') block."""
-    return _standardize_block(np.concatenate(stats[2:], axis=1), stats[1], spec)
-
-
 def _grouped(block: np.ndarray, spec: MomentSpec):
-    """Reshape a pre-norm block so one reduction axis spans each norm group.
+    """Reshape an orders >= 3 block so one axis spans each norm group.
 
     Batch norm groups per channel over batch and spatial axes, which is the
     block's own layout, so it comes back unchanged and with no axis. For a
-    contiguous block, or the orders >= 3 of a contiguous output, each
+    contiguous block, or the orders >= 3 of a contiguous array, each
     reshape below only splits or merges axes whose cells are contiguous
     within a sample, so it is a view and writes to it land in the block.
     """
@@ -248,40 +235,38 @@ def _grouped(block: np.ndarray, spec: MomentSpec):
 
 
 def _normalize(block: np.ndarray, spec: MomentSpec,
-               bn_state: BatchNormState | None, training: bool) -> None:
-    """`spec.norm` applied in place to a pre-norm block in its groups."""
-    if spec.norm != "none":
-        x, axis = _grouped(block, spec)
-        normalize._normalized(spec.norm, x, spec.eps_norm, axis, bn_state,
-                              training, out=x)
-
-
-def _normalize_vjp(block: np.ndarray, upstream: np.ndarray, spec: MomentSpec,
-                   bn_state: BatchNormState | None, training: bool) -> np.ndarray:
-    """VJP of `_normalize` at `block` for upstream weights of its size."""
+               bn_state: BatchNormState | None, training: bool):
+    """`spec.norm` applied in place to a pre-norm block in its groups;
+    returns the per-group divisor, or None without normalization."""
+    if spec.norm == "none":
+        return None
     x, axis = _grouped(block, spec)
-    u, _ = _grouped(upstream.reshape(block.shape), spec)
-    return normalize.norm_backward(spec.norm, x, u, spec.eps_norm, axis,
-                                   bn_state, training).reshape(upstream.shape)
+    return normalize._normalized(spec.norm, x, spec.eps_norm, axis, bn_state,
+                                 training, out=x)[1]
 
 
-def _pooled(t: Tensor, pool: PoolSpec, spec: MomentSpec, norm) -> Tensor:
-    """Moment channels m1, m2 and the pre-norm block after `norm`, which
-    rescales it in place, concatenated; the statistics are cached for `t`.
+def _pooled(t: Tensor, pool: PoolSpec, spec: MomentSpec, norm):
+    """(output, entry): moment channels m1, m2 and the pre-norm block after
+    `norm`, which rescales it in place and returns its divisor, concatenated;
+    the read-only entry is what `_saved` returns for `t`.
 
-    The cache keeps m1 and m2 as read-only views of the output and raw m3,
-    m4 as their own arrays, so the output and the cache together hold no
-    map twice.
+    The entry keeps m1, m2 and the normalized block as views of the output
+    and raw m3, m4 as their own arrays, so the two together hold no map
+    twice.
     """
     steps, counts, stats = _window_stats(t.nchw, pool, spec.n)
     channels = stats[0].shape[1]
     out = np.concatenate(stats, axis=1)
     orders = _by_order(out, channels)
     stats[:2] = [orders[:, i] for i in range(min(spec.n, 2))]  # frees m1, m2
+    block = divisor = None
     if spec.n >= 3:
-        norm(_standardize_block(out[:, 2 * channels:], stats[1], spec))
-    _remember(t, pool, spec.n, (steps, counts, stats))
-    return Tensor._adopt(out.shape, out)
+        block = _standardize_block(out[:, 2 * channels:], stats[1], spec)
+        divisor = norm(block)
+    for a in (*stats, block, divisor):
+        if a is not None:
+            a.setflags(write=False)
+    return out, (steps, counts, stats, block, divisor)
 
 
 def smp_forward(t: Tensor, pool: PoolSpec, spec: MomentSpec,
@@ -293,8 +278,11 @@ def smp_forward(t: Tensor, pool: PoolSpec, spec: MomentSpec,
     batch norm reads/updates `bn_state` (a fresh transient state is used
     when none is given in training mode).
     """
-    return _pooled(t, pool, spec,
-                   lambda block: _normalize(block, spec, bn_state, training))
+    global _cached
+    out, entry = _pooled(t, pool, spec,
+                         lambda block: _normalize(block, spec, bn_state, training))
+    _cached = (weakref.ref(t, _forget), pool, spec, training, entry)
+    return Tensor._adopt(out.shape, out)
 
 
 def smp_backward(t: Tensor, pool: PoolSpec, spec: MomentSpec, upstream: Tensor,
@@ -307,15 +295,18 @@ def smp_backward(t: Tensor, pool: PoolSpec, spec: MomentSpec, upstream: Tensor,
                          f"forward output {expected}")
 
     x4 = t.nchw
-    steps, counts, stats = _stats_of(t, pool, spec.n)
+    steps, counts, stats, y, divisor = _saved(t, pool, spec, bn_state, training)
     u = upstream.nchw.astype(np.float64, copy=True)
     coef = _by_order(u, x4.shape[1])  # coef[:, k - 1] holds order k's weights
 
     if spec.norm != "none" and spec.n >= 3:
-        # the pre-norm block is rebuilt here and dropped once the VJP returns,
-        # before the per-window gradient allocates its window-sized buffers
-        coef[:, 2:] = _normalize_vjp(_pre_norm_block(stats, spec), coef[:, 2:],
-                                     spec, bn_state, training)
+        y, axis = _grouped(y, spec)
+        u_norm, _ = _grouped(u[:, 2 * x4.shape[1]:], spec)  # a view into u
+        if spec.norm == "batch" and not training:  # this call's running state
+            divisor = np.sqrt(normalize._running_stats(bn_state, y)[1]
+                              + spec.eps_norm)
+        u_norm[...] = normalize._normalized_vjp(spec.norm, y, divisor, u_norm,
+                                                axis, training)
 
     if spec.standardize_pre_norm and spec.n >= 3:
         for i, (half_p, root, denom) in enumerate(
@@ -377,9 +368,7 @@ def check_forward(x: Tensor, pool: PoolSpec, spec: MomentSpec,
             return smp_forward(t, pool, spec, bn_state=bn_state,
                                training=training)
     else:
-        base = _pre_norm_block(_stats_of(x, pool, spec.n)[2], spec)
-        grouped, axis = _grouped(base, spec)
-        peaks = normalize._peak_divisor(grouped, spec.eps_norm, axis)
+        peaks = _saved(x, pool, spec, bn_state, training)[4]
 
         def forward(t: Tensor) -> Tensor:
             tiled = np.concatenate([peaks] * (t.nchw.shape[0] // len(peaks)))
@@ -388,7 +377,8 @@ def check_forward(x: Tensor, pool: PoolSpec, spec: MomentSpec,
                 g, _ = _grouped(block, spec)
                 g /= tiled
 
-            return _pooled(t, pool, spec, fixed_peak)
+            out, _ = _pooled(t, pool, spec, fixed_peak)
+            return Tensor._adopt(out.shape, out)
 
     forward.stacked = forward
     return forward

@@ -84,6 +84,10 @@ class Tensor:
     def __setattr__(self, name, value):
         raise AttributeError("Tensor is immutable")
 
+    def __reduce__(self):
+        """Copy and pickle through the public constructor, not slot state."""
+        return Tensor, (self.shape, self.data)
+
     @property
     def size(self) -> int:
         return self.data.size

@@ -29,6 +29,7 @@ import numpy as np
 
 from .smp import MomentSpec, smp_forward
 from .synth import uniform_noise
+from .tensor import _is_int, nchw_shape
 from .windows import PoolSpec
 
 _FEATURE_STREAM = 0
@@ -52,17 +53,18 @@ class ToyTrainConfig:
     unsafe_no_norm: bool = False
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+        if not (_is_int(self.steps) and self.steps >= 1):
+            raise ValueError(f"steps must be an int >= 1, got {self.steps!r}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be finite and positive, got {self.lr!r}")
-        if self.batch < 1:
-            raise ValueError("batch must be >= 1")
+        if not (_is_int(self.batch) and self.batch >= 1):
+            raise ValueError(f"batch must be an int >= 1, got {self.batch!r}")
         if not (math.isfinite(self.input_scale) and self.input_scale > 0):
             raise ValueError(
                 f"input_scale must be finite and positive, got {self.input_scale!r}")
         if len(self.feature_shape) != 3:
             raise ValueError("feature_shape must be (C, H, W)")
+        nchw_shape(self.feature_shape)  # int extents >= 1
         self.moment_spec()  # surface order/norm guard violations eagerly
 
     def moment_spec(self) -> MomentSpec:

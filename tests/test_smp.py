@@ -349,14 +349,41 @@ class TestStatsCache:
         x = self._input()
         twin = Tensor(x.shape, x.data)
         assert twin == x and twin is not x
-        n3 = MomentSpec(n=3, norm="layer")
-        for t, pool, spec in ((twin, self.POOL, self.SPEC),
-                              (x, PoolSpec.square(3, stride=1, pad=1), self.SPEC),
-                              (x, self.POOL, n3)):
+        dense = PoolSpec.square(3, stride=1, pad=1)
+        specs = (MomentSpec(n=3, norm="layer"),
+                 MomentSpec(n=4, norm="layer", eps_norm=1e-3),
+                 MomentSpec(n=4, norm="layer", norm_axis="joint"),
+                 MomentSpec(n=4, norm="layer", standardize_pre_norm=True))
+        cases = [(twin, self.POOL, self.SPEC, True),
+                 (x, dense, self.SPEC, True),
+                 (x, self.POOL, self.SPEC, False)]
+        cases += [(x, self.POOL, spec, True) for spec in specs]
+        for t, pool, spec, training in cases:
             smp_forward(x, self.POOL, self.SPEC)
             with self._counting() as stats:
-                smp_backward(t, pool, spec, self._upstream(t, pool, spec))
+                smp_backward(t, pool, spec, self._upstream(t, pool, spec),
+                             training=training)
             assert stats.call_count == 1
+
+    def test_eval_batch_norm_backward_reads_its_own_state(self):
+        """A backward depends only on its arguments: forward with running
+        state A, then backward with state B, equals a cold backward with B."""
+        spec = MomentSpec(n=4, norm="batch")
+        x = self._input()
+        up = self._upstream(x, self.POOL, spec)
+        rng = np.random.default_rng(59)
+        a, b = (BatchNormState(mean=rng.standard_normal(6),
+                               var=rng.uniform(0.5, 2.0, 6)) for _ in range(2))
+        smp_forward(x, self.POOL, spec, bn_state=a, training=False)
+        with self._counting() as stats:
+            after_a = smp_backward(x, self.POOL, spec, up, bn_state=b,
+                                   training=False)
+            assert stats.call_count == 0
+        cold = smp_backward(Tensor(x.shape, x.data), self.POOL, spec, up,
+                            bn_state=b, training=False)
+        assert after_a.data.tobytes() == cold.data.tobytes()
+        assert after_a != smp_backward(x, self.POOL, spec, up, bn_state=a,
+                                       training=False)
 
     def test_entry_dies_with_its_input(self):
         x = self._input()
@@ -371,24 +398,26 @@ class TestStatsCache:
     def test_cached_arrays_are_read_only_and_match_a_fresh_pass(self):
         x = self._input()
         y = smp_forward(x, self.POOL, self.SPEC)
-        stored_by_forward = smp._cached[3]
+        stored_by_forward = smp._cached[4]
         x2 = self._input(seed=3)
         smp_backward(x2, self.POOL, self.SPEC,
                      self._upstream(x2, self.POOL, self.SPEC))
-        stored_by_backward = smp._cached[3]
-        for t, (steps, counts, stats) in ((x, stored_by_forward),
-                                          (x2, stored_by_backward)):
+        stored_by_backward = smp._cached[4]
+        for t, (steps, counts, stats, block, divisor) in (
+                (x, stored_by_forward), (x2, stored_by_backward)):
             fresh = smp._window_stats(t.nchw, self.POOL, self.SPEC.n)[2]
             assert isinstance(steps, tuple)
             assert len(counts) == 2 and len(stats) == self.SPEC.n
-            for a in (*counts, *stats):
+            for a in (*counts, *stats, block, divisor):
                 assert not a.flags.writeable
             for a, b in zip(stats, fresh):
                 assert a.tobytes() == b.tobytes()
-        # the forward's m1 and m2 are views of its output, not copies
-        stats = stored_by_forward[2]
-        assert all(np.shares_memory(m, y.data) for m in stats[:2])
+        # m1, m2 and the normalized block are views of the output, not
+        # copies; raw m3 and m4 are not in the output at all
+        _, _, stats, block, _ = stored_by_forward
+        assert all(np.shares_memory(m, y.data) for m in (*stats[:2], block))
         assert not any(np.shares_memory(m, y.data) for m in stats[2:])
+        assert block.tobytes() == y.nchw[:, 2 * x.nchw.shape[1]:].tobytes()
 
 
 class TestOpCost:

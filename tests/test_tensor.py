@@ -1,11 +1,16 @@
 """Tensor construction, queries and the bit-exact file format."""
 
+import copy
 import json
 import math
+import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from momentpool import smp
+from momentpool.smp import MomentSpec, smp_backward, smp_forward
 from momentpool.tensor import (
     Tensor,
     TensorFileError,
@@ -14,6 +19,7 @@ from momentpool.tensor import (
     tensor_read,
     tensor_write,
 )
+from momentpool.windows import PoolSpec
 
 
 def test_minimal_wellformed_file(tmp_path):
@@ -192,3 +198,39 @@ def test_adopted_outputs_are_read_only_and_unaliased(tmp_path):
             assert not np.shares_memory(t.data, other.data)
     with pytest.raises(ValueError):
         back.data.setflags(write=True)  # rests on the immutable file bytes
+
+
+_SPECIAL = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.5, -7.25])
+_COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda t: pickle.loads(pickle.dumps(t)),
+}
+
+
+@pytest.mark.parametrize("how", list(_COPIES))
+def test_copy_and_pickle_keep_every_payload_bit(how):
+    quiet_nan_with_payload = np.uint64(0x7FF8_0000_DEAD_BEEF).view(np.float64)
+    payload = np.append(_SPECIAL, quiet_nan_with_payload)
+    t = Tensor((2, 1, 4), payload)
+    assert t.data.view(np.uint64)[-1] == 0x7FF8_0000_DEAD_BEEF
+    c = _COPIES[how](t)
+    assert type(c) is Tensor and c.shape == (2, 1, 4)
+    assert c.data.tobytes() == t.data.tobytes()
+    assert not c.data.flags.writeable
+    with pytest.raises(AttributeError, match="immutable"):
+        c.shape = (8,)
+
+
+@pytest.mark.parametrize("how", list(_COPIES))
+def test_a_copy_is_a_new_input_to_the_statistics_cache(how):
+    pool, spec = PoolSpec.square(2, stride=2), MomentSpec(n=4, norm="layer")
+    t = Tensor((1, 2, 4, 4), np.random.default_rng(3).uniform(-1, 1, 32))
+    out = smp_forward(t, pool, spec)
+    c = _COPIES[how](t)
+    assert c == t and c is not t
+    up = Tensor(out.shape, np.ones(out.size))
+    with mock.patch.object(smp, "_window_stats",
+                           wraps=smp._window_stats) as stats:
+        smp_backward(c, pool, spec, up)
+    assert stats.call_count == 1

@@ -61,7 +61,15 @@ def test_config_validation():
             ToyTrainConfig(seed=1, lr=bad)
         with pytest.raises(ValueError, match="input_scale must be finite"):
             ToyTrainConfig(seed=1, input_scale=bad)
+    for bad in (2.5, True, 0):
+        with pytest.raises(ValueError, match="steps must be an int"):
+            ToyTrainConfig(seed=1, steps=bad)
+        with pytest.raises(ValueError, match="batch must be an int"):
+            ToyTrainConfig(seed=1, batch=bad)
     with pytest.raises(ValueError):
         ToyTrainConfig(seed=1, feature_shape=(2, 2))
+    for bad in ((2, 0, 8), (2, 8.0, 8), (2, 8, True), (-1, 8, 8)):
+        with pytest.raises(ValueError, match="extents must be ints"):
+            ToyTrainConfig(seed=1, feature_shape=bad)
     with pytest.raises(ValueError):
         ToyTrainConfig(seed=1, n=4, norm="none")  # guard reaches the config
