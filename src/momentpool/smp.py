@@ -32,6 +32,25 @@ input grid block by block. `check_forward` is the matching
 finite-difference target: the true forward, except that max norm holds its
 peak divisor fixed, as the backward does.
 
+Window walks
+------------
+The statistics and the cell gradients run over the walk that
+`windows.window_walk` picks from the geometry alone: the strided walk, or
+the flat walk for overlapping stride-1 windows on planes that fit the
+step budget with at most a quarter of junk outputs; `windows` gives the
+rule and the measurements behind it. On
+the flat walk the forward writes each chunk's m1..mn straight into the
+output's moment-major channels, and the backward copies each chunk's mean
+and coefficient maps into the scratch's row layout with 0 at junk outputs.
+Every invalid (output, cell) pair, junk or padding, adds an exact +0.0:
+its deviation is zeroed before it is raised, so it never overflows either.
+Each output thus adds the same terms in the same raster order, the mean is
+still the sum times 1 / count and the Horner order is unchanged, so both
+walks give the same bits. Neither walk copies the upstream or a per-plane
+map of the output: the cell-gradient coefficients are built straight into
+fresh arrays, and the steps and chunks read the output's channels per
+sample.
+
 Saved forward
 -------------
 Each `smp_forward` saves, read-only in a one-entry cache, what the
@@ -76,7 +95,7 @@ import numpy as np
 from . import normalize
 from .normalize import BatchNormState
 from .tensor import Tensor, _is_int, nchw_shape
-from .windows import PoolSpec, output_dims, window_steps
+from .windows import FlatWalk, PoolSpec, output_dims, window_walk
 
 NORM_KINDS = ("none", "layer", "max", "batch")
 NORM_AXES = ("order", "joint", "location")
@@ -145,15 +164,18 @@ def _cell_sum(a: np.ndarray) -> np.ndarray:
     return a if a.ndim == 3 else a.sum(axis=(3, 4))
 
 
-def _window_stats(x4: np.ndarray, pool: PoolSpec, n: int):
-    """Window steps, per-axis in-bounds counts and (N, C, H', W') maps m1..mn.
+def _sample_index(planes: slice, channels: int) -> tuple:
+    """A range of flat planes, inside one sample or of whole samples, as the
+    (samples, channels) index of an (N, C, ...) array; the range's planes
+    split into the first two axes of what it indexes."""
+    b, c = divmod(planes.start, channels)
+    k = -(-(planes.stop - planes.start) // channels)
+    return slice(b, b + k), slice(c, c + (planes.stop - planes.start) // k)
 
-    The mean, then the centered power sums, accumulate over the steps in
-    their fixed order, so results are bit-identical run to run.
-    """
-    steps, counts = window_steps(x4.shape, pool)
-    inv = 1.0 / np.multiply.outer(*counts)
-    mu = np.zeros((x4.shape[0] * x4.shape[1],) + inv.shape)  # one per plane
+
+def _strided_stats(x4: np.ndarray, steps, inv: np.ndarray, n: int):
+    """m1..mn as (planes, H', W') maps, over the strided steps."""
+    mu = np.zeros((x4.shape[0] * x4.shape[1],) + inv.shape)
     for st in steps:
         mu[st.out] += _cell_sum(st.block(x4))
     mu *= inv
@@ -166,13 +188,148 @@ def _window_stats(x4: np.ndarray, pool: PoolSpec, n: int):
             sums[1][st.out] += _cell_sum(np.multiply(d2, dev, out=dev))
         if n >= 4:
             sums[2][st.out] += _cell_sum(np.multiply(d2, d2, out=d2))
-    stats = [mu] + [np.multiply(s, inv, out=s) for s in sums]
-    return steps, counts, [m.reshape(x4.shape[:2] + inv.shape) for m in stats]
+    return [mu] + [np.multiply(s, inv, out=s) for s in sums]
+
+
+def _flat_stats(x4: np.ndarray, walk: FlatWalk, n: int, orders: np.ndarray):
+    """m1..mn over the flat walk, written chunk by chunk into the
+    (N, n, C, H', W') `orders`; returns m3..mn again as (planes, H', W')
+    maps.
+
+    A padding cell reads the scratch's zero, so the mean adds it as an exact
+    +0.0; the power sums zero the deviation of every invalid pair before
+    raising it, which adds +0.0 again and never overflows.
+    """
+    (ph, pw), (hp, wp), (h_out, w_out) = walk.pad, walk.padded, walk.out
+    h, w = x4.shape[2:]
+    planes = x4.reshape(-1, h, w)
+    scratch = np.zeros((walk.per, hp, wp))
+    sums = np.empty((n, walk.per, hp, wp))
+    dev, d2 = np.empty((2, walk.inv.size))
+    raw = np.empty((max(n - 2, 0), len(planes), h_out, w_out))
+    xf, flat = scratch.reshape(-1), sums.reshape(n, -1)
+    by_order = orders.swapaxes(0, 1)
+    for chunk, size in walk.chunks:
+        q = chunk.stop - chunk.start
+        scratch[:q, ph:ph + h, pw:pw + w] = planes[chunk]
+        acc, inv = flat[:, :size], walk.inv[:size]
+        acc.fill(0.0)
+        for off in walk.offsets:
+            acc[0] += xf[off:off + size]
+        acc[0] *= inv
+        e, e2 = dev[:size], d2[:size]
+        for off, bad in zip(walk.offsets, walk.invalid) if n >= 2 else ():
+            np.subtract(xf[off:off + size], acc[0], out=e)
+            np.copyto(e, 0.0, where=bad[:size])
+            acc[1] += np.multiply(e, e, out=e2)
+            if n >= 3:
+                acc[2] += np.multiply(e2, e, out=e)
+            if n >= 4:
+                acc[3] += np.multiply(e2, e2, out=e2)
+        acc[1:] *= inv
+        maps = sums[:, :q, :h_out, :w_out]
+        dst = by_order[(slice(None),) + _sample_index(chunk, orders.shape[2])]
+        dst[...] = maps.reshape(dst.shape)
+        raw[:, chunk] = maps[2:]
+    return raw
+
+
+def _walk_stats(x4: np.ndarray, walk, counts, n: int):
+    """(maps, output): the (N, C, H', W') maps m1..mn over `walk`, and an
+    array of `output_shape` holding them in its moment-major channels; m1
+    and m2 are views of the output, m3..mn their own arrays.
+
+    Where every strided step is one kernel cell, as at stride 1 with
+    H', W' >= 2, each output adds its in-bounds cells one at a time in
+    raster order onto +0.0, and so do the powers of their deviations, before
+    one scaling by 1 / cell count. The flat walk does the same with an exact
+    +0.0 for every other cell, so there the two walks agree bit for bit.
+    """
+    shape = x4.shape[:1] + (n, x4.shape[1], counts[0].size, counts[1].size)
+    if isinstance(walk, FlatWalk):
+        orders = np.empty(shape)
+        raw = _flat_stats(x4, walk, n, orders)
+    else:  # the output comes after the walk's block temporaries are gone
+        raw = _strided_stats(x4, walk, 1.0 / np.multiply.outer(*counts), n)
+        orders = np.empty(shape)
+        for k, m in enumerate(raw):
+            orders[:, k] = m.reshape(orders[:, k].shape)
+        raw = raw[2:]
+    maps = [orders[:, k] for k in range(min(n, 2))]
+    maps += [m.reshape(orders[:, 0].shape) for m in raw]
+    return maps, orders.reshape(shape[0], -1, *shape[3:])
+
+
+def _window_stats(x4: np.ndarray, pool: PoolSpec, n: int):
+    """(walk, counts, maps, output): the walk for x4's shape, its per-axis
+    in-bounds counts and `_walk_stats` over it."""
+    walk, counts = window_walk(x4.shape, pool)
+    return (walk, counts) + _walk_stats(x4, walk, counts, n)
+
+
+def _strided_grad(x4: np.ndarray, steps, m1: np.ndarray, poly: np.ndarray):
+    """Cell gradients over the strided steps, added onto the input grid."""
+    grad = np.zeros(x4.shape)  # no cell repeats within a block: += is safe
+    for st in steps:
+        win = _sample_index(st.out[0], m1.shape[1]) + st.win[1:]
+        mean = m1[win]  # its planes split (samples, channels), and so do the blocks'
+        xb, gb = (st.block(a).reshape(mean.shape[:2] + st.shape[1:])
+                  for a in (x4, grad))
+        g = poly[-1][win]
+        if len(poly) > 1:  # Horner, highest order first
+            dev = xb - mean
+            g = g * dev
+            for c in poly[-2:0:-1]:
+                g += c[win]
+                g *= dev
+            g += poly[0][win]
+        gb += g
+    return grad
+
+
+def _flat_grad(x4: np.ndarray, walk: FlatWalk, m1: np.ndarray, poly: np.ndarray):
+    """Cell gradients over the flat walk, added onto a padded grid per chunk.
+
+    The mean and coefficient maps sit in the scratch's row layout with 0 at
+    junk outputs, and every invalid pair's deviation is zeroed, so a junk
+    pair adds an exact +0.0 wherever it lands and no pair overflows; a
+    padding pair lands in the padding, which is dropped.
+    """
+    (ph, pw), (hp, wp), (h_out, w_out) = walk.pad, walk.padded, walk.out
+    n = len(poly)
+    h, w = x4.shape[2:]
+    grad = np.empty(x4.shape)
+    planes, grad_planes = x4.reshape(-1, h, w), grad.reshape(-1, h, w)
+    scratch = np.zeros((2 + n, walk.per, hp, wp))  # input, mean, coefficients
+    padded = np.empty((walk.per, hp, wp))
+    dev, g = np.empty((2, walk.inv.size))
+    xf, muf = scratch[0].reshape(-1), scratch[1].reshape(-1)
+    cf, gf = scratch[2:].reshape(n, -1), padded.reshape(-1)
+    for chunk, size in walk.chunks:
+        q = chunk.stop - chunk.start
+        scratch[0, :q, ph:ph + h, pw:pw + w] = planes[chunk]
+        index = _sample_index(chunk, m1.shape[1])
+        maps = scratch[1:, :q, :h_out, :w_out].reshape((n + 1,) + m1[index].shape)
+        maps[0], maps[1:] = m1[index], poly[(slice(None),) + index]
+        padded.fill(0.0)
+        c, e, t = cf[:, :size], dev[:size], g[:size]
+        for off, bad in zip(walk.offsets, walk.invalid):
+            if n > 1:  # Horner, highest order first
+                np.subtract(xf[off:off + size], muf[:size], out=e)
+                np.copyto(e, 0.0, where=bad[:size])
+                np.multiply(c[-1], e, out=t)
+                for ck in c[-2:0:-1]:
+                    t += ck
+                    t *= e
+                t += c[0]
+            gf[off:off + size] += t if n > 1 else c[0]
+        grad_planes[chunk] = padded[:q, ph:ph + h, pw:pw + w]
+    return grad
 
 
 # What the last forward saved, for the backward of the same input:
 # (weakref to the input Tensor, pool, spec, training, entry) or None, with
-# entry = (steps, counts, stats, normalized orders >= 3, divisor). Tensors
+# entry = (walk, counts, stats, normalized orders >= 3, divisor). Tensors
 # are immutable, so the input's identity pins its bytes.
 _cached = None
 
@@ -254,11 +411,8 @@ def _pooled(t: Tensor, pool: PoolSpec, spec: MomentSpec, norm):
     and raw m3, m4 as their own arrays, so the two together hold no map
     twice.
     """
-    steps, counts, stats = _window_stats(t.nchw, pool, spec.n)
+    walk, counts, stats, out = _window_stats(t.nchw, pool, spec.n)
     channels = stats[0].shape[1]
-    out = np.concatenate(stats, axis=1)
-    orders = _by_order(out, channels)
-    stats[:2] = [orders[:, i] for i in range(min(spec.n, 2))]  # frees m1, m2
     block = divisor = None
     if spec.n >= 3:
         block = _standardize_block(out[:, 2 * channels:], stats[1], spec)
@@ -266,7 +420,7 @@ def _pooled(t: Tensor, pool: PoolSpec, spec: MomentSpec, norm):
     for a in (*stats, block, divisor):
         if a is not None:
             a.setflags(write=False)
-    return out, (steps, counts, stats, block, divisor)
+    return out, (walk, counts, stats, block, divisor)
 
 
 def smp_forward(t: Tensor, pool: PoolSpec, spec: MomentSpec,
@@ -295,46 +449,37 @@ def smp_backward(t: Tensor, pool: PoolSpec, spec: MomentSpec, upstream: Tensor,
                          f"forward output {expected}")
 
     x4 = t.nchw
-    steps, counts, stats, y, divisor = _saved(t, pool, spec, bn_state, training)
-    u = upstream.nchw.astype(np.float64, copy=True)
-    coef = _by_order(u, x4.shape[1])  # coef[:, k - 1] holds order k's weights
+    walk, counts, stats, y, divisor = _saved(t, pool, spec, bn_state, training)
+    channels = x4.shape[1]
+    w = list(_by_order(upstream.nchw, channels).swapaxes(0, 1))  # order k + 1 at w[k]
 
     if spec.norm != "none" and spec.n >= 3:
         y, axis = _grouped(y, spec)
-        u_norm, _ = _grouped(u[:, 2 * x4.shape[1]:], spec)  # a view into u
+        u_norm, _ = _grouped(upstream.nchw[:, 2 * channels:], spec)
         if spec.norm == "batch" and not training:  # this call's running state
             divisor = np.sqrt(normalize._running_stats(bn_state, y)[1]
                               + spec.eps_norm)
-        u_norm[...] = normalize._normalized_vjp(spec.norm, y, divisor, u_norm,
-                                                axis, training)
+        v = normalize._normalized_vjp(spec.norm, y, divisor, u_norm, axis, training)
+        w[2:] = v.reshape((len(v), spec.n - 2) + stats[0].shape[1:]).swapaxes(0, 1)
 
     if spec.standardize_pre_norm and spec.n >= 3:
         for i, (half_p, root, denom) in enumerate(
                 _standardize_terms(stats[1], spec), start=2):
-            u_p = coef[:, i]  # order p = i + 1, through m_p / denom
-            coef[:, 1] += u_p * (-stats[i] * half_p * root / (denom * denom))
-            u_p /= denom
+            # order p = i + 1, through m_p / denom
+            w[1] = w[1] + w[i] * (-stats[i] * half_p * root / (denom * denom))
+            w[i] = w[i] / denom
 
-    # coef[:, k - 1] = k * u_k / window count, order k's cell-gradient weight
+    # order k adds k * w_k / window count * (dev**(k-1) - m_(k-1)) to a cell,
+    # m_0 = m_1 = 0, for the cell's deviation dev from the window mean;
+    # poly[j] is the coefficient of dev**j in the sum over k
     inv = 1.0 / np.multiply.outer(*counts)
-    coef *= (np.arange(1.0, spec.n + 1)[:, None, None] * inv)[:, None]
-    # sum_k coef_k * (dev**(k-1) - m_(k-1)), m_0 = m_1 = 0, as a polynomial
-    # in the cell's deviation dev from the window mean
-    poly = [coef[:, k].reshape((-1,) + inv.shape) for k in range(spec.n)]
-    m = [s.reshape((-1,) + inv.shape) for s in stats]  # per plane, as the steps
+    poly = np.empty((spec.n,) + stats[0].shape)
+    for k in range(spec.n):
+        np.multiply(w[k], (k + 1.0) * inv, out=poly[k])
     for k in range(2, spec.n):
-        poly[0] -= poly[k] * m[k - 1]
-
-    grad = np.zeros(x4.shape)  # no cell repeats within a block: += is safe
-    for st in steps:
-        dev = st.block(x4) - m[0][st.win]
-        g = np.zeros(dev.shape)
-        for c in reversed(poly[1:]):  # Horner, highest order first
-            g += c[st.win]
-            g *= dev
-        g += poly[0][st.win]
-        dst = st.block(grad)
-        dst += g
+        poly[0] -= poly[k] * stats[k - 1]
+    cell_grads = _flat_grad if isinstance(walk, FlatWalk) else _strided_grad
+    grad = cell_grads(x4, walk, stats[0], poly)
     return Tensor._adopt(t.shape, grad)
 
 

@@ -62,8 +62,10 @@ class ToyTrainConfig:
         if not (math.isfinite(self.input_scale) and self.input_scale > 0):
             raise ValueError(
                 f"input_scale must be finite and positive, got {self.input_scale!r}")
-        if len(self.feature_shape) != 3:
-            raise ValueError("feature_shape must be (C, H, W)")
+        shape = self.feature_shape
+        if (isinstance(shape, (str, bytes)) or not hasattr(shape, "__len__")
+                or len(shape) != 3):
+            raise ValueError(f"feature_shape must be (C, H, W), got {shape!r}")
         nchw_shape(self.feature_shape)  # int extents >= 1
         self.moment_spec()  # surface order/norm guard violations eagerly
 

@@ -3,6 +3,7 @@ stability comparison lives in the acceptance suite."""
 
 import json
 
+import numpy as np
 import pytest
 
 from momentpool.toytrain import ToyTrainConfig, ToyTrainReport, run_toytrain
@@ -66,8 +67,11 @@ def test_config_validation():
             ToyTrainConfig(seed=1, steps=bad)
         with pytest.raises(ValueError, match="batch must be an int"):
             ToyTrainConfig(seed=1, batch=bad)
-    with pytest.raises(ValueError):
-        ToyTrainConfig(seed=1, feature_shape=(2, 2))
+    for bad in ((2, 2), 5, None, "abc"):
+        with pytest.raises(ValueError, match="feature_shape must be"):
+            ToyTrainConfig(seed=1, feature_shape=bad)
+    for good in ([2, 8, 8], np.array([2, 8, 8])):  # any length-3 sequence
+        assert ToyTrainConfig(seed=1, feature_shape=good).feature_shape is good
     for bad in ((2, 0, 8), (2, 8.0, 8), (2, 8, True), (-1, 8, 8)):
         with pytest.raises(ValueError, match="extents must be ints"):
             ToyTrainConfig(seed=1, feature_shape=bad)

@@ -1,0 +1,262 @@
+"""The two window walks: the choice between them, their coverage and their bits.
+
+The flat walk (`windows.flat_walk`) must reproduce the strided walk
+(`windows.window_steps`) bit for bit wherever it is taken, so these tests
+call both through the private builders on the same geometry, pin the bytes
+of both public entry points to digests taken before the flat walk existed,
+and check that the junk and padding pairs the flat walk computes add
+nothing and never overflow.
+"""
+
+import hashlib
+import tracemalloc
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
+
+from momentpool import smp
+from momentpool.smp import MomentSpec, smp_backward, smp_forward
+from momentpool.tensor import Tensor
+from momentpool.windows import (FlatWalk, PoolSpec, flat_walk, output_dims,
+                                window_steps, window_walk)
+
+UNSAFE4 = MomentSpec(n=4, norm="none", unsafe_no_norm=True)
+
+
+def uniform(shape, seed):
+    return np.random.default_rng(seed).uniform(-1.0, 1.0, shape)
+
+
+class TestChoice:
+    @pytest.mark.parametrize("shape, pool, flat", [
+        ((8, 16, 64, 64), PoolSpec.square(3, 1, 1), True),      # 6% junk
+        ((1, 3, 126, 254), PoolSpec.square(3, 1, 1), True),     # 128x256 padded
+        ((1, 3, 127, 254), PoolSpec.square(3, 1, 1), False),    # one row more
+        ((1, 3, 256, 256), PoolSpec.square(3, 1, 1), False),    # 2%, 520 KiB
+        ((1, 3, 1080, 1920), PoolSpec.square(3, 1, 1), False),  # 0.3%, 16 MiB
+        ((2, 16, 128, 128), PoolSpec.square(5, 1, 2), True),    # 11%
+        ((52, 3, 8, 8), PoolSpec.square(3, 1, 0), False),       # 44%
+        ((2, 3, 8, 8), PoolSpec.square(3, 1, 1), False),        # 36%
+        ((1, 3, 256, 256), PoolSpec.square(3, 2, 1), False),    # stride 2
+        ((8, 4, 16, 16), PoolSpec(16, 16), False),              # global
+        ((8, 16, 64, 64), PoolSpec.square(8, 8), False),        # 8x8 s8
+        ((1, 1, 9, 9), PoolSpec(3, 3, 1, 2), False),            # stride 1 x 2
+    ])
+    def test_flat_walk_at_stride_one_on_budget_planes_with_little_junk(
+            self, shape, pool, flat):
+        walk, counts = window_walk(shape, pool)
+        assert isinstance(walk, FlatWalk) == flat
+        builder = flat_walk if flat else window_steps
+        assert builder(shape, pool)[0] is walk
+
+    def test_flat_chunks_split_no_sample_and_respect_the_budget(self):
+        walk, _ = flat_walk((8, 16, 64, 64), PoolSpec.square(3, 1, 1))
+        sizes = [ch.stop - ch.start for ch, _ in walk.chunks]
+        assert sum(sizes) == 8 * 16 and max(sizes) == walk.per
+        assert all(ch.start // 16 == (ch.stop - 1) // 16 for ch, _ in walk.chunks)
+        assert walk.per * 66 * 66 * 8 <= 1 << 18
+        walk, _ = flat_walk((6, 2, 16, 16), PoolSpec.square(3, 1, 1))
+        assert [(ch.start, ch.stop) for ch, _ in walk.chunks] == [(0, 12)]
+
+
+# sha256 of smp_forward and smp_backward bytes for UNSAFE4 on uniform(-1, 1)
+# inputs and upstreams from default_rng(1234), recorded from the strided walk
+# alone; "none" normalization keeps the arithmetic elementwise, so the
+# digests hold on any IEEE-754 platform
+FROZEN = {
+    "dense padded": (
+        (2, 3, 16, 15), PoolSpec.square(3, 1, 1), True,
+        "b615d8a926d021f6f339eacaed8ef3fb1f81d40d260c6a9f8a60f62d8cf168e0",
+        "9d177a9475c6d76db70b2147fa1700ea6ddf6c0ffdec98b5fe110195690f9384"),
+    "rectangular dilated": (
+        (1, 2, 30, 26), PoolSpec(3, 2, 1, 1, 1, 2, 2, 3), True,
+        "6cc71bb20647918b982850a2a20da8dd91ed15f7bdaf8779fd28d391bb47e491",
+        "c5928ce20a319a78478b754671b8553ada5442b144742ebae33e2beb327caacb"),
+    "dense unpadded 8x8": (
+        (2, 3, 8, 8), PoolSpec.square(3, 1, 0), False,
+        "900245ea7c0aa780fec1824cf64048eed863d516f251e17b4aa47c93d3d6d559",
+        "52277cf7c68bc74c7189e765995c8bbd705350aa0829462a006296f0ca995064"),
+    "stride 2 padded": (
+        (2, 3, 9, 9), PoolSpec.square(3, 2, 1), False,
+        "bf1d086a3b3d6722452f642e82be0de1990be78758de20a2b23c0e09757455ee",
+        "d4ef27bf1f09b10e35d580500f55c5971295210602763951292762a065cc0fd8"),
+    "non-overlapping 4x4": (
+        (2, 3, 16, 16), PoolSpec.square(4, 4), False,
+        "26a057ff7751be3c6a77119d9af740baf98716f905082dfcb615716eaee39856",
+        "93a875c61847f444727adb72538ba9988e1785e485f48f290e60fead4b54422b"),
+}
+
+
+@pytest.mark.parametrize("name", list(FROZEN))
+def test_forward_and_backward_bytes_are_frozen(name):
+    shape, pool, flat, y_digest, g_digest = FROZEN[name]
+    assert isinstance(window_walk(shape, pool)[0], FlatWalk) == flat
+    rng = np.random.default_rng(1234)
+    x = Tensor(shape, rng.uniform(-1.0, 1.0, shape))
+    y = smp_forward(x, pool, UNSAFE4)
+    up = Tensor(y.shape, rng.uniform(-1.0, 1.0, y.shape))
+    for t in (x, Tensor(shape, x.data)):  # cache hit, then miss
+        g = smp_backward(t, pool, UNSAFE4, up)
+        assert hashlib.sha256(y.data.tobytes()).hexdigest() == y_digest
+        assert hashlib.sha256(g.data.tobytes()).hexdigest() == g_digest
+
+
+@st.composite
+def stride_one_cases(draw):
+    """Stride-1 geometry with H', W' >= 2, where every strided step is one
+    kernel cell, a shape that fits it, n and a seed."""
+    kh, kw = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    dh, dw = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    pool = PoolSpec(kh, kw, 1, 1, draw(st.integers(0, dh * (kh - 1))),
+                    draw(st.integers(0, dw * (kw - 1))), dh, dw)
+    h = draw(st.integers(max(1, pool.eff_kernel_h + 1 - 2 * pool.pad_h), 12))
+    w = draw(st.integers(max(1, pool.eff_kernel_w + 1 - 2 * pool.pad_w), 12))
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 4)), h, w)
+    if not all(count.all() for count in window_steps(shape, pool)[1]):
+        reject()  # a dilated window that misses the input has no statistics
+    return shape, pool, draw(st.integers(1, 4)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(stride_one_cases())
+def test_flat_walk_matches_the_strided_walk_bit_for_bit(case):
+    """Statistics, output bytes and cell gradients from the flat walk equal
+    the strided walk's on any stride-1 geometry, taken or not, with inputs
+    of both signs and a few exact zeros; the coefficients carry a -0.0."""
+    shape, pool, n, seed = case
+    steps, counts = window_steps(shape, pool)
+    assert all(len(step.shape) == 3 for step in steps)
+    flat, flat_counts = flat_walk(shape, pool)
+    assert all(np.array_equal(a, b) for a, b in zip(counts, flat_counts))
+    x4 = uniform(shape, seed)
+    x4[x4 > 0.8] = 0.0
+    maps, out = smp._walk_stats(x4, steps, counts, n)
+    flat_maps, flat_out = smp._walk_stats(x4, flat, counts, n)
+    assert out.tobytes() == flat_out.tobytes()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(maps, flat_maps))
+    poly = uniform((n,) + maps[0].shape, seed + 1)
+    poly.reshape(-1)[::7] = -0.0
+    g = smp._strided_grad(x4, steps, maps[0], poly)
+    assert g.tobytes() == smp._flat_grad(x4, flat, maps[0], poly).tobytes()
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(stride_one_cases())
+def test_flat_walk_makes_each_inbounds_pair_valid_once(case):
+    """Every in-bounds (window, cell) pair is valid in exactly one chunk at
+    the cell's offset, reading its own cell; every other (output, cell) pair
+    is marked invalid, and `inv` is 1 / cell count at real outputs and 0 at
+    junk."""
+    shape, pool, _, _ = case
+    n_s, c_s, h, w = shape
+    h_out, w_out = output_dims(h, w, pool)
+    walk, counts = flat_walk(shape, pool)
+    (ph, pw), (hp, wp) = walk.pad, walk.padded
+    visits = np.zeros((n_s * c_s, h_out, w_out, pool.kernel_h, pool.kernel_w), int)
+    cells = [(i, j) for i in range(pool.kernel_h) for j in range(pool.kernel_w)]
+    for chunk, size in walk.chunks:
+        plane, rest = np.divmod(np.arange(size), hp * wp)
+        row, col = np.divmod(rest, wp)
+        real = (row < h_out) & (col < w_out)
+        assert np.array_equal(walk.inv[:size][~real], np.zeros((~real).sum()))
+        np.testing.assert_array_equal(
+            walk.inv[:size][real], np.tile(1.0 / np.multiply.outer(*counts).ravel(),
+                                           chunk.stop - chunk.start))
+        for (i, j), off, bad in zip(cells, walk.offsets, walk.invalid):
+            valid = ~bad[:size]
+            src_plane, src = np.divmod(np.arange(size) + off, hp * wp)
+            y, x = np.divmod(src, wp)
+            y, x = y - ph, x - pw
+            assert real[valid].all() and (src_plane[valid] == plane[valid]).all()
+            assert np.array_equal(y[valid], row[valid] + i * pool.dilation_h - ph)
+            assert np.array_equal(x[valid], col[valid] + j * pool.dilation_w - pw)
+            inside = real & (0 <= y) & (y < h) & (0 <= x) & (x < w)
+            assert np.array_equal(valid, inside)
+            at = (chunk.start + plane[valid], row[valid], col[valid], i, j)
+            np.add.at(visits, at, 1)
+    rows = (np.arange(h_out)[:, None] + np.arange(pool.kernel_h) * pool.dilation_h
+            - pool.pad_h)
+    cols = (np.arange(w_out)[:, None] + np.arange(pool.kernel_w) * pool.dilation_w
+            - pool.pad_w)
+    inbounds = (((0 <= rows) & (rows < h))[:, None, :, None]
+                & ((0 <= cols) & (cols < w))[None, :, None, :])
+    assert np.array_equal(visits, np.broadcast_to(inbounds, visits.shape))
+
+
+@pytest.mark.parametrize("shape, pool", [
+    ((1, 1, 4, 4), PoolSpec.square(3, 1, 1)),
+    ((2, 2, 16, 16), PoolSpec.square(3, 1, 1)),
+], ids=["strided", "flat"])
+def test_huge_constant_pools_and_differentiates_without_warnings(shape, pool):
+    """At a constant 1e110 an in-bounds deviation is the rounding of an
+    inexact mean, at most about 1e94, while a padding or junk cell's would be
+    about 1e110: cubed, only the latter would overflow. Neither walk warns,
+    through n=3 statistics and n=4 cell gradients, and both agree."""
+    spec = MomentSpec(n=3, norm="none", unsafe_no_norm=True)
+    x = Tensor(shape, np.full(shape, 1e110))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = smp_forward(x, pool, spec)
+        up = Tensor(y.shape, np.linspace(-1.0, 1.0, y.size))
+        g = smp_backward(x, pool, spec, up)
+        grads = []
+        for builder in (window_steps, flat_walk):
+            walk, counts = builder(shape, pool)
+            maps, _ = smp._walk_stats(x.nchw, walk, counts, 3)
+            poly = uniform((4,) + maps[0].shape, 0)
+            cell_grads = smp._flat_grad if builder is flat_walk else smp._strided_grad
+            grads.append(cell_grads(x.nchw, walk, maps[0], poly))
+    assert np.isfinite(y.data).all() and np.isfinite(g.data).all()
+    assert grads[0].tobytes() == grads[1].tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_cells_spread_alike_on_both_walks(bad):
+    """A non-finite cell on a plane's edge reaches exactly the windows that
+    hold it on both walks: the junk and padding pairs next to it add their
+    exact zeros, so statistics and gradients keep the same bytes."""
+    shape, pool = (2, 2, 16, 16), PoolSpec.square(3, 1, 1)
+    x4 = uniform(shape, 8)
+    x4[0, 1, 0, 15] = x4[1, 0, 15, 0] = bad
+    results = []
+    with np.errstate(all="ignore"):
+        for builder in (window_steps, flat_walk):
+            walk, counts = builder(shape, pool)
+            maps, out = smp._walk_stats(x4, walk, counts, 4)
+            poly = uniform((4,) + maps[0].shape, 9)
+            cell_grads = smp._flat_grad if builder is flat_walk else smp._strided_grad
+            results.append((out.tobytes(), cell_grads(x4, walk, maps[0], poly).tobytes()))
+    assert results[0] == results[1]
+    assert np.isfinite(np.frombuffer(results[0][0])).mean() > 0.9
+
+
+@pytest.mark.parametrize("shape, pool", [
+    ((4, 8, 64, 64), PoolSpec.square(3, 2, 1)),
+    ((4, 8, 32, 32), PoolSpec.square(3, 1, 1)),
+], ids=["strided", "flat"])
+def test_cached_backward_copies_no_upstream_and_no_mean_map(shape, pool):
+    """A cached n=2 backward holds its gradient, the two coefficient maps
+    and the walk's working buffers, with room for numpy's own; a copy of the
+    upstream or of the mean map, strided in the output for N > 1, would
+    push it past the bound."""
+    spec = MomentSpec(n=2)
+    x = Tensor(shape, uniform(shape, 3))
+    y = smp_forward(x, pool, spec)
+    up = Tensor(y.shape, uniform(y.shape, 4))
+    smp_backward(x, pool, spec, up)  # warm: the walk is cached per geometry
+    walk, _ = window_walk(shape, pool)
+    if isinstance(walk, FlatWalk):  # input, mean, coefficients, padded grad, dev, g
+        work = 8 * (5 * walk.per * np.prod(walk.padded) + 2 * walk.inv.size)
+    else:  # the deviation and the cell gradient of the largest step
+        work = 2 * 8 * max(np.prod(step.shape) for step in walk)
+    bound = x.data.nbytes + y.data.nbytes + work
+    tracemalloc.start()
+    try:
+        smp_backward(x, pool, spec, up)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound + y.data.nbytes // 4

@@ -1,0 +1,119 @@
+"""Interleaved wall time and traced peak of smp_forward and smp_backward on
+the three named geometries, for one or more source trees.
+
+    python3 tools/bench_geometries.py --tree parent=DIR --tree change=DIR \
+        > BENCH_<tag>.json
+
+Each of ROUNDS rounds runs every tree once per geometry, each in a fresh
+process with one BLAS thread, in alternating order; a run times REPEATS
+warm calls.
+Reported per tree and geometry: the median over all timed calls of the
+forward and of forward plus backward (on the forward's cache), and the
+tracemalloc peak of one forward and of one fresh forward plus backward.
+Inputs are uniform(-1, 1) from numpy's default_rng(0); the layer is n=4
+with layer norm.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+
+GEOMETRIES = {
+    "global 1x3x1080x1920": ((1, 3, 1080, 1920), "global"),
+    "dense 8x16x64x64 3x3 s1 p1": ((8, 16, 64, 64), (3, 1, 1)),
+    "8x16x64x64 8x8 s8": ((8, 16, 64, 64), (8, 8, 0)),
+}
+REPEATS, ROUNDS = 9, 7
+
+CHILD = r"""
+import json, sys, time, tracemalloc
+import numpy as np
+import momentpool as mp
+shape, geom, repeats = json.loads(sys.argv[1])
+pool = (mp.PoolSpec(shape[2], shape[3]) if geom == "global"
+        else mp.PoolSpec.square(geom[0], geom[1], geom[2]))
+spec = mp.MomentSpec(n=4, norm="layer")
+rng = np.random.default_rng(0)
+x = mp.Tensor(tuple(shape), rng.uniform(-1.0, 1.0, tuple(shape)))
+y = mp.smp_forward(x, pool, spec)
+up = mp.Tensor(y.shape, rng.uniform(-1.0, 1.0, y.shape))
+mp.smp_backward(x, pool, spec, up)
+
+def fwd():
+    return mp.smp_forward(x, pool, spec)
+
+def fwd_bwd():
+    fwd()
+    mp.smp_backward(x, pool, spec, up)
+
+out = {}
+for name, f in (("fwd", fwd), ("fwd_bwd", fwd_bwd)):
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        f()
+        times.append((time.perf_counter() - t0) * 1e3)
+    tracemalloc.start()
+    f()
+    out[name] = {"ms": times, "peak_mib": tracemalloc.get_traced_memory()[1] / 2**20}
+    tracemalloc.stop()
+print(json.dumps(out))
+"""
+
+
+def _cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo") as f:
+            return next(line.split(":", 1)[1].strip() for line in f
+                        if line.startswith("model name"))
+    except (OSError, StopIteration):
+        return platform.machine()
+
+
+def run(src: str, shape, geom) -> dict:
+    env = dict(os.environ, PYTHONPATH=os.path.join(src, "src"), OMP_NUM_THREADS="1",
+               OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    args = [sys.executable, "-c", CHILD, json.dumps([shape, geom, REPEATS])]
+    done = subprocess.run(args, env=env, check=True, capture_output=True, text=True)
+    return json.loads(done.stdout)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--tree", action="append", required=True, metavar="NAME=DIR")
+    args = ap.parse_args(argv)
+    trees = [t.split("=", 1) for t in args.tree]
+    runs = {name: {g: [] for g in GEOMETRIES} for name, _ in trees}
+    for r in range(ROUNDS):
+        for g, (shape, geom) in GEOMETRIES.items():
+            for name, src in (trees if r % 2 == 0 else trees[::-1]):
+                runs[name][g].append(run(src, shape, geom))
+    summary = {name: {} for name in runs}
+    for name, per in runs.items():
+        for g, rs in per.items():
+            row = summary[name][g] = {}
+            for k in ("fwd", "fwd_bwd"):
+                times = [t for one in rs for t in one[k]["ms"]]
+                row[f"{k}_median_ms"] = statistics.median(times)
+                row[f"{k}_peak_mib"] = max(one[k]["peak_mib"] for one in rs)
+    result = {
+        "command": " ".join(["python3", "tools/bench_geometries.py"]
+                            + [f"--tree {name}=<{name} checkout>" for name, _ in trees]),
+        "repeats": REPEATS,
+        "rounds": ROUNDS,
+        "machine": f"{_cpu_model()}, {os.cpu_count()} CPUs, {platform.system()}, "
+                   f"Python {platform.python_version()}",
+        "results": summary,
+    }
+    print(json.dumps(result, indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
