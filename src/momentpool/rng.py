@@ -51,7 +51,8 @@ Each ladder matrix is kept as a byte table (the "method of Four Russians"):
 for each of the state's 32 bytes, the images of all 256 values that byte
 can take. Applying the matrix to a state XORs 32 table entries, so the
 jumps are exact integer arithmetic that no BLAS or thread count can touch.
-The sequence is the same, draw for draw, as calling `next_u64` in a loop.
+The sequence is the same, draw for draw, as applying the scalar update
+rule once per draw.
 """
 
 from __future__ import annotations
@@ -81,15 +82,11 @@ def _splitmix64_stream(seed: int):
         yield z ^ (z >> 31)
 
 
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK64
-
-
 def _step_lanes(s: np.ndarray, word: np.ndarray, tmp: np.ndarray) -> None:
     """One xoshiro256++ step of every lane of ``s`` (4, L) uint64, in place.
 
     The lanes' output words go to ``word``; ``tmp`` is scratch. uint64 array
-    arithmetic wraps modulo 2**64 like the masked scalar rule in `next_u64`.
+    arithmetic wraps modulo 2**64, as the update rule above requires.
     """
     s0, s1, s2, s3 = s
     np.add(s0, s3, out=tmp)
@@ -163,23 +160,6 @@ class Xoshiro256pp:
         if not any(self._s):
             # the all-zero state is the one fixed point xoshiro cannot leave
             self._s[0] = 1
-
-    def next_u64(self) -> int:
-        s0, s1, s2, s3 = self._s
-        result = (_rotl((s0 + s3) & _MASK64, 23) + s0) & _MASK64
-        t = (s1 << 17) & _MASK64
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = _rotl(s3, 45)
-        self._s = [s0, s1, s2, s3]
-        return result
-
-    def random(self) -> float:
-        """Uniform double in [0, 1), 53-bit resolution."""
-        return (self.next_u64() >> 11) * _DOUBLE_SCALE
 
     def fill_uniform(self, count: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
         """Flat float64 array of the next ``count`` uniform draws in [lo, hi).

@@ -34,22 +34,11 @@ peak divisor fixed, as the backward does.
 
 Window walks
 ------------
-The statistics and the cell gradients run over the walk that
-`windows.window_walk` picks from the geometry alone: the strided walk, or
-the flat walk for overlapping stride-1 windows on planes that fit the
-step budget with at most a quarter of junk outputs; `windows` gives the
-rule and the measurements behind it. On
-the flat walk the forward writes each chunk's m1..mn straight into the
-output's moment-major channels, and the backward copies each chunk's mean
-and coefficient maps into the scratch's row layout with 0 at junk outputs.
-Every invalid (output, cell) pair, junk or padding, adds an exact +0.0:
-its deviation is zeroed before it is raised, so it never overflows either.
-Each output thus adds the same terms in the same raster order, the mean is
-still the sum times 1 / count and the Horner order is unchanged, so both
-walks give the same bits. Neither walk copies the upstream or a per-plane
-map of the output: the cell-gradient coefficients are built straight into
-fresh arrays, and the steps and chunks read the output's channels per
-sample.
+The statistics and the cell gradients run one moment loop and one
+cell-gradient loop over the `windows.Walk` that `windows.window_walk`
+picks from the geometry; `windows` gives the rule, the measurements behind
+it and why both ways of building a walk give the same bits. Neither loop
+copies the upstream or a per-plane map of the output.
 
 Saved forward
 -------------
@@ -95,7 +84,7 @@ import numpy as np
 from . import normalize
 from .normalize import BatchNormState
 from .tensor import Tensor, _is_int, nchw_shape
-from .windows import FlatWalk, PoolSpec, output_dims, window_walk
+from .windows import PoolSpec, Walk, _planes, output_dims, window_walk
 
 NORM_KINDS = ("none", "layer", "max", "batch")
 NORM_AXES = ("order", "joint", "location")
@@ -160,84 +149,74 @@ def _by_order(a: np.ndarray, channels: int) -> np.ndarray:
 
 
 def _cell_sum(a: np.ndarray) -> np.ndarray:
-    """Sum over a block's kernel axes; a one-cell block has none."""
-    return a if a.ndim == 3 else a.sum(axis=(3, 4))
+    """Sum over a block's kernel axes; a one-cell block or a run has none."""
+    return a if a.ndim <= 4 else a.sum(axis=(4, 5))
 
 
-def _sample_index(planes: slice, channels: int) -> tuple:
-    """A range of flat planes, inside one sample or of whole samples, as the
-    (samples, channels) index of an (N, C, ...) array; the range's planes
-    split into the first two axes of what it indexes."""
-    b, c = divmod(planes.start, channels)
-    k = -(-(planes.stop - planes.start) // channels)
-    return slice(b, b + k), slice(c, c + (planes.stop - planes.start) // k)
+def _deviation(step, x: np.ndarray, mean: np.ndarray, out) -> np.ndarray:
+    """The step's cells less their window means, into `out`, or into a fresh
+    array in the block's own layout when `out` is None (the kernel-axis sums
+    then run in that layout's order). Each invalid pair's deviation is
+    zeroed, so it adds an exact +0.0 when raised and never overflows."""
+    dev = np.subtract(step.block(x), mean[step.win], out=out)
+    if step.bad is not None:
+        np.copyto(dev, 0.0, where=step.bad)
+    return dev
 
 
-def _strided_stats(x4: np.ndarray, steps, inv: np.ndarray, n: int):
-    """m1..mn as (planes, H', W') maps, over the strided steps."""
-    mu = np.zeros((x4.shape[0] * x4.shape[1],) + inv.shape)
-    for st in steps:
-        mu[st.out] += _cell_sum(st.block(x4))
-    mu *= inv
-    sums = [np.zeros_like(mu) for _ in range(n - 1)]
-    for st in steps if sums else ():
-        dev = st.block(x4) - mu[st.win]
-        d2 = dev * dev
-        sums[0][st.out] += _cell_sum(d2)
-        if n >= 3:  # the powers reuse the deviation's and the square's buffers
-            sums[1][st.out] += _cell_sum(np.multiply(d2, dev, out=dev))
-        if n >= 4:
-            sums[2][st.out] += _cell_sum(np.multiply(d2, d2, out=d2))
-    return [mu] + [np.multiply(s, inv, out=s) for s in sums]
+def _fresh(walk: Walk, shape: tuple) -> np.ndarray:
+    """A new array for `walk`'s loops to add into: zeroed where the steps add
+    into it in place, left unset where a padded walk copies each chunk's
+    results over its planes."""
+    return np.zeros(shape) if walk.pad is None else np.empty(shape)
 
 
-def _flat_stats(x4: np.ndarray, walk: FlatWalk, n: int, orders: np.ndarray):
-    """m1..mn over the flat walk, written chunk by chunk into the
-    (N, n, C, H', W') `orders`; returns m3..mn again as (planes, H', W')
-    maps.
+def _frames(walk: Walk, x4: np.ndarray, maps=(), sums=(), grad=None):
+    """Each chunk of `walk` in the layout its steps index, as (steps, x,
+    maps, grad, inv, work): the input, the (N, C, H', W') `maps` the chunk
+    reads followed by the `sums` it adds into, the gradient it adds into,
+    1 / cell count, and two buffers for a step's deviation and its powers,
+    or None for fresh arrays.
 
-    A padding cell reads the scratch's zero, so the mean adds it as an exact
-    +0.0; the power sums zero the deviation of every invalid pair before
-    raising it, which adds +0.0 again and never overflows.
+    On an in-place walk these are the arrays themselves, and `sums` and
+    `grad` start at 0 (see `_fresh`). A padded walk copies the chunk's
+    planes of x4 and of `maps` into zeroed scratch planes, the maps in the
+    scratch's row layout with 0 at junk outputs, and copies `sums` and
+    `grad` back out once the chunk is done.
     """
-    (ph, pw), (hp, wp), (h_out, w_out) = walk.pad, walk.padded, walk.out
-    h, w = x4.shape[2:]
-    planes = x4.reshape(-1, h, w)
-    scratch = np.zeros((walk.per, hp, wp))
-    sums = np.empty((n, walk.per, hp, wp))
-    dev, d2 = np.empty((2, walk.inv.size))
-    raw = np.empty((max(n - 2, 0), len(planes), h_out, w_out))
-    xf, flat = scratch.reshape(-1), sums.reshape(n, -1)
-    by_order = orders.swapaxes(0, 1)
-    for chunk, size in walk.chunks:
-        q = chunk.stop - chunk.start
-        scratch[:q, ph:ph + h, pw:pw + w] = planes[chunk]
-        acc, inv = flat[:, :size], walk.inv[:size]
-        acc.fill(0.0)
-        for off in walk.offsets:
-            acc[0] += xf[off:off + size]
-        acc[0] *= inv
-        e, e2 = dev[:size], d2[:size]
-        for off, bad in zip(walk.offsets, walk.invalid) if n >= 2 else ():
-            np.subtract(xf[off:off + size], acc[0], out=e)
-            np.copyto(e, 0.0, where=bad[:size])
-            acc[1] += np.multiply(e, e, out=e2)
-            if n >= 3:
-                acc[2] += np.multiply(e2, e, out=e)
-            if n >= 4:
-                acc[3] += np.multiply(e2, e2, out=e2)
-        acc[1:] *= inv
-        maps = sums[:, :q, :h_out, :w_out]
-        dst = by_order[(slice(None),) + _sample_index(chunk, orders.shape[2])]
-        dst[...] = maps.reshape(dst.shape)
-        raw[:, chunk] = maps[2:]
-    return raw
+    if walk.pad is None:
+        for _, steps in walk.chunks:
+            yield steps, x4, [*maps, *sums], grad, walk.inv, (None, None)
+        return
+    (ph, pw), (h, w) = walk.pad, x4.shape[2:]
+    h_out, w_out = [*maps, *sums][0].shape[2:]
+    k = len(maps) + len(sums)
+    per = max(_planes(planes) for planes, _ in walk.chunks)
+    # maps, sums, then the input and the gradient
+    layers = np.zeros((k + 1 + (grad is not None), per, h + 2 * ph, w + 2 * pw))
+    flat = layers.reshape(len(layers), -1)
+    work = np.empty((2, walk.inv.size))
+    for planes, steps in walk.chunks:
+        x = x4[planes]
+        q, size = _planes(planes), steps[0].shape[0]
+        cells = layers[k:, :q, ph:ph + h, pw:pw + w].reshape((-1,) + x.shape)
+        outs = layers[:k, :q, :h_out, :w_out].reshape(
+            (k,) + x.shape[:2] + (h_out, w_out))
+        cells[0] = x
+        for dst, m in zip(outs, maps):
+            dst[...] = m[planes]
+        flat[len(maps):k].fill(0.0)
+        flat[k + 1:].fill(0.0)
+        g = flat[k + 1] if grad is not None else None
+        yield steps, flat[k], list(flat[:k, :size]), g, walk.inv[:size], work[:, :size]
+        for a, src in zip(sums, outs[len(maps):]):
+            a[planes] = src
+        if grad is not None:
+            grad[planes] = cells[1]
 
 
-def _walk_stats(x4: np.ndarray, walk, counts, n: int):
-    """(maps, output): the (N, C, H', W') maps m1..mn over `walk`, and an
-    array of `output_shape` holding them in its moment-major channels; m1
-    and m2 are views of the output, m3..mn their own arrays.
+def _moments(x4: np.ndarray, walk: Walk, maps: list) -> None:
+    """Add m1..mn over `walk` into the n (N, C, H', W') `maps`.
 
     Where every strided step is one kernel cell, as at stride 1 with
     H', W' >= 2, each output adds its in-bounds cells one at a time in
@@ -245,19 +224,40 @@ def _walk_stats(x4: np.ndarray, walk, counts, n: int):
     one scaling by 1 / cell count. The flat walk does the same with an exact
     +0.0 for every other cell, so there the two walks agree bit for bit.
     """
-    shape = x4.shape[:1] + (n, x4.shape[1], counts[0].size, counts[1].size)
-    if isinstance(walk, FlatWalk):
-        orders = np.empty(shape)
-        raw = _flat_stats(x4, walk, n, orders)
-    else:  # the output comes after the walk's block temporaries are gone
-        raw = _strided_stats(x4, walk, 1.0 / np.multiply.outer(*counts), n)
-        orders = np.empty(shape)
-        for k, m in enumerate(raw):
-            orders[:, k] = m.reshape(orders[:, k].shape)
-        raw = raw[2:]
-    maps = [orders[:, k] for k in range(min(n, 2))]
-    maps += [m.reshape(orders[:, 0].shape) for m in raw]
-    return maps, orders.reshape(shape[0], -1, *shape[3:])
+    n = len(maps)
+    for steps, x, acc, _, inv, (e, e2) in _frames(walk, x4, sums=maps):
+        for st in steps:
+            acc[0][st.out] += _cell_sum(st.block(x))
+        acc[0] *= inv
+        for st in steps if n >= 2 else ():
+            dev = _deviation(st, x, acc[0], e)
+            d2 = np.multiply(dev, dev, out=e2)
+            acc[1][st.out] += _cell_sum(d2)
+            if n >= 3:  # the powers reuse the deviation's and the square's buffers
+                acc[2][st.out] += _cell_sum(np.multiply(d2, dev, out=dev))
+            if n >= 4:
+                acc[3][st.out] += _cell_sum(np.multiply(d2, d2, out=d2))
+        for a in acc[1:]:
+            a *= inv
+
+
+def _walk_stats(x4: np.ndarray, walk: Walk, counts, n: int):
+    """(maps, output): the (N, C, H', W') maps m1..mn over `walk`, and an
+    array of `output_shape` holding them in its moment-major channels; m1
+    and m2 are views of the output, m3..mn their own arrays.
+
+    The walk adds into contiguous maps, whose elementwise steps merge whole
+    planes; the output comes once the walk and its temporaries are gone, so
+    the walk holds n maps, not 2n.
+    """
+    shape = x4.shape[:2] + (counts[0].size, counts[1].size)
+    maps = [_fresh(walk, shape) for _ in range(n)]
+    _moments(x4, walk, maps)
+    orders = np.empty(shape[:1] + (n,) + shape[1:])
+    for k, m in enumerate(maps):
+        orders[:, k] = m
+    maps[:2] = [orders[:, k] for k in range(min(n, 2))]
+    return maps, orders.reshape(shape[0], -1, *shape[2:])
 
 
 def _window_stats(x4: np.ndarray, pool: PoolSpec, n: int):
@@ -267,63 +267,25 @@ def _window_stats(x4: np.ndarray, pool: PoolSpec, n: int):
     return (walk, counts) + _walk_stats(x4, walk, counts, n)
 
 
-def _strided_grad(x4: np.ndarray, steps, m1: np.ndarray, poly: np.ndarray):
-    """Cell gradients over the strided steps, added onto the input grid."""
-    grad = np.zeros(x4.shape)  # no cell repeats within a block: += is safe
-    for st in steps:
-        win = _sample_index(st.out[0], m1.shape[1]) + st.win[1:]
-        mean = m1[win]  # its planes split (samples, channels), and so do the blocks'
-        xb, gb = (st.block(a).reshape(mean.shape[:2] + st.shape[1:])
-                  for a in (x4, grad))
-        g = poly[-1][win]
-        if len(poly) > 1:  # Horner, highest order first
-            dev = xb - mean
-            g = g * dev
-            for c in poly[-2:0:-1]:
-                g += c[win]
-                g *= dev
-            g += poly[0][win]
-        gb += g
-    return grad
-
-
-def _flat_grad(x4: np.ndarray, walk: FlatWalk, m1: np.ndarray, poly: np.ndarray):
-    """Cell gradients over the flat walk, added onto a padded grid per chunk.
-
-    The mean and coefficient maps sit in the scratch's row layout with 0 at
-    junk outputs, and every invalid pair's deviation is zeroed, so a junk
-    pair adds an exact +0.0 wherever it lands and no pair overflows; a
-    padding pair lands in the padding, which is dropped.
-    """
-    (ph, pw), (hp, wp), (h_out, w_out) = walk.pad, walk.padded, walk.out
-    n = len(poly)
-    h, w = x4.shape[2:]
-    grad = np.empty(x4.shape)
-    planes, grad_planes = x4.reshape(-1, h, w), grad.reshape(-1, h, w)
-    scratch = np.zeros((2 + n, walk.per, hp, wp))  # input, mean, coefficients
-    padded = np.empty((walk.per, hp, wp))
-    dev, g = np.empty((2, walk.inv.size))
-    xf, muf = scratch[0].reshape(-1), scratch[1].reshape(-1)
-    cf, gf = scratch[2:].reshape(n, -1), padded.reshape(-1)
-    for chunk, size in walk.chunks:
-        q = chunk.stop - chunk.start
-        scratch[0, :q, ph:ph + h, pw:pw + w] = planes[chunk]
-        index = _sample_index(chunk, m1.shape[1])
-        maps = scratch[1:, :q, :h_out, :w_out].reshape((n + 1,) + m1[index].shape)
-        maps[0], maps[1:] = m1[index], poly[(slice(None),) + index]
-        padded.fill(0.0)
-        c, e, t = cf[:, :size], dev[:size], g[:size]
-        for off, bad in zip(walk.offsets, walk.invalid):
-            if n > 1:  # Horner, highest order first
-                np.subtract(xf[off:off + size], muf[:size], out=e)
-                np.copyto(e, 0.0, where=bad[:size])
-                np.multiply(c[-1], e, out=t)
-                for ck in c[-2:0:-1]:
-                    t += ck
-                    t *= e
-                t += c[0]
-            gf[off:off + size] += t if n > 1 else c[0]
-        grad_planes[chunk] = padded[:q, ph:ph + h, pw:pw + w]
+def _cell_grads(x4: np.ndarray, walk: Walk, m1: np.ndarray, poly: np.ndarray):
+    """Cell gradients over `walk`, added onto the input grid. A step's block
+    holds no input cell twice, so `+=` is safe; a junk pair adds an exact
+    +0.0 wherever it lands, its coefficients being 0, and a padding pair
+    lands in the scratch's padding, which is dropped."""
+    grad = _fresh(walk, x4.shape)
+    for steps, x, (mean, *coef), g, _, (e, t) in _frames(
+            walk, x4, maps=[m1, *poly], grad=grad):
+        for st in steps:
+            h = coef[-1][st.win]
+            if len(coef) > 1:  # Horner, highest order first
+                dev = _deviation(st, x, mean, e)
+                h = np.multiply(h, dev, out=t)
+                for c in coef[-2:0:-1]:
+                    h += c[st.win]
+                    h *= dev
+                h += coef[0][st.win]
+            gb = st.block(g)
+            gb += h
     return grad
 
 
@@ -478,9 +440,7 @@ def smp_backward(t: Tensor, pool: PoolSpec, spec: MomentSpec, upstream: Tensor,
         np.multiply(w[k], (k + 1.0) * inv, out=poly[k])
     for k in range(2, spec.n):
         poly[0] -= poly[k] * stats[k - 1]
-    cell_grads = _flat_grad if isinstance(walk, FlatWalk) else _strided_grad
-    grad = cell_grads(x4, walk, stats[0], poly)
-    return Tensor._adopt(t.shape, grad)
+    return Tensor._adopt(t.shape, _cell_grads(x4, walk, stats[0], poly))
 
 
 def check_forward(x: Tensor, pool: PoolSpec, spec: MomentSpec,

@@ -1,4 +1,4 @@
-"""Pooling-window geometry and the two window walks shared by forward and backward.
+"""Pooling-window geometry and the window walk shared by forward and backward.
 
 Window placement follows the standard convolution rule: with input extent
 `in`, padding `p`, dilation `d`, kernel `k` and stride `s`, the output
@@ -6,25 +6,29 @@ extent is floor((in + 2p - d*(k-1) - 1) / s) + 1. Geometry that would yield
 a non-positive output extent is rejected rather than producing empty
 tensors.
 
-A walk visits every in-bounds (window, kernel cell) pair exactly once, in
-a fixed order, for the forward statistics and the backward's cell
-gradients alike. `window_walk` picks one of two from the geometry alone:
+A walk (`Walk`) visits every in-bounds (window, kernel cell) pair exactly
+once, in a fixed order, for the forward statistics and the backward's cell
+gradients alike. It is a tuple of chunks, each a run of planes (a plane is
+one channel of one sample) and the steps that complete every window of
+those planes; a step is one block of cells, viewed over an array's buffer.
+`window_walk` builds it one of two ways from the geometry alone:
 
-- `window_steps`, the strided walk: a fixed sequence of strided blocks of
+- `window_steps` reads the arrays in place: one chunk of strided blocks of
   the unpadded input that never touch a padding cell and hold no input cell
   twice, so the backward adds a block of cell gradients into the input
-  gradient with a plain `+=`. At stride 1 each block is one kernel cell,
-  and numpy's per-row overhead dominates it: neither the input block nor
-  the output slice can merge rows, so an (8, 63, 63) block runs 504 inner
-  loops of 63 elements.
-- `flat_walk`, the flat walk, for overlapping stride-1 windows: one chunk
-  of planes at a time is copied into a zero-padded scratch, and the
-  outputs are laid out in the scratch's own row layout, so each kernel cell
-  is one contiguous slice and each elementwise operation one ufunc call. It
-  also computes junk outputs past the last output row and column. Every
-  invalid pair, junk or padding, is made to add an exact +0.0, so each
-  output sees the same additions in the same order as on the strided walk
-  and the bits do not move.
+  gradient with a plain `+=`. Each block is indexed by (samples, channels),
+  so it reads and feeds the (N, C, H', W') maps where they lie. At stride 1
+  each block is one kernel cell, and numpy's per-row overhead dominates it:
+  neither the input block nor the output slice can merge rows, so a block
+  of eight 63x63 planes runs 504 inner loops of 63 elements.
+- `flat_walk`, for overlapping stride-1 windows, copies one chunk of
+  planes at a time into a zero-padded scratch and lays the outputs out in
+  the scratch's own row layout, so each kernel cell is one contiguous run
+  and each elementwise operation one ufunc call. It also computes junk
+  outputs past the last output row and column. A step's `bad` mask marks
+  its invalid pairs, junk or padding, and each is made to add an exact
+  +0.0, so every output sees the same additions in the same order as on
+  the strided walk and the bits do not move.
 
 The flat walk is taken at stride 1 on both axes when one padded plane
 fits `_STEP_BYTES` and at most a quarter of its outputs are junk (junk =
@@ -49,6 +53,7 @@ stacked 8x8 probes, keep the strided walk.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import NamedTuple
@@ -129,21 +134,44 @@ _STEP_BYTES = 1 << 18
 
 
 class WindowStep(NamedTuple):
-    """One block of the walk: (P'', H'', W'', kr, kc) cells of a range of P''
-    planes, or (P'', H'', W'') for one kernel cell, laid over the buffer of
-    a C-contiguous array of the walked shape; a plane is one channel of one
-    sample. `out` indexes the slice of a (planes, H', W') output that the
-    block feeds and `win` the same slice broadcast against the block."""
+    """One block of a walk, laid over the buffer of a C-contiguous array.
+
+    A strided step's block is (S, C', H'', W'', kr, kc) cells of S samples
+    and C' channels of an (N, C, H, W) array, or (S, C', H'', W'') for one
+    kernel cell; `out` indexes the slice of an (N, C, H', W') map that it
+    feeds and `win` the same slice broadcast against the block. A flat step
+    is one kernel cell's run over a chunk's flattened padded scratch, and
+    `out` and `win` take the whole of the chunk's equally long output run.
+    `bad` marks the block's invalid (output, cell) pairs, or is None where
+    it has none."""
 
     out: tuple
     win: tuple
     offset: int
     shape: tuple
     strides: tuple
+    bad: np.ndarray | None = None
 
     def block(self, arr: np.ndarray) -> np.ndarray:
         """The block as a view of `arr`, which must have the walked shape."""
         return np.ndarray(self.shape, np.float64, arr, self.offset, self.strides)
+
+
+class Walk(NamedTuple):
+    """A window walk, cached per shape and geometry.
+
+    `chunks` holds (planes, steps) pairs: the (samples, channels) index of
+    a run of planes, inside one sample or of whole samples, and the steps
+    that complete every window of those planes. `inv` is 1 / cell count in
+    the layout the steps feed, read-only. `pad` is None where the steps
+    read and feed the arrays in place; else each chunk's planes are copied
+    into a scratch with (pad_h, pad_w) zeros around each plane, and `inv`
+    spans the flattened outputs of the largest chunk with 0 at junk.
+    """
+
+    chunks: tuple
+    inv: np.ndarray
+    pad: tuple | None = None
 
 
 def _runs(size: int, out: int, k: int, s: int, d: int, p: int):
@@ -170,7 +198,8 @@ def _runs(size: int, out: int, k: int, s: int, d: int, p: int):
 def _runs_and_counts(h: int, w: int, spec: PoolSpec):
     """Row runs, column runs and the per-axis in-bounds counts: kernel rows
     per output row and columns per output column, read-only, whose product
-    is a window's cell count."""
+    is a window's cell count. A window with no input cell, which a dilated
+    kernel can step over, is a GeometryError."""
     h_out, w_out = output_dims(h, w, spec)
     rows = _runs(h, h_out, spec.kernel_h, spec.stride_h, spec.dilation_h, spec.pad_h)
     cols = _runs(w, w_out, spec.kernel_w, spec.stride_w, spec.dilation_w, spec.pad_w)
@@ -178,38 +207,48 @@ def _runs_and_counts(h: int, w: int, spec: PoolSpec):
     for count, runs in zip(counts, (rows, cols)):
         for out_slice, _, cells in runs:
             count[out_slice] += cells
+        if not count.all():
+            raise GeometryError(f"{spec} leaves windows with no input cell on "
+                                f"input {h}x{w}")
         count.setflags(write=False)
     return rows, cols, counts
 
 
 def _plane_chunks(samples: int, channels: int, per: int) -> list:
-    """Slices of at most `per` flat planes, `per` >= 1, each inside one
-    sample or a run of whole samples, spread evenly."""
+    """(samples, channels) indices of at most `per` planes, `per` >= 1, each
+    inside one sample or of whole samples, spread evenly."""
     if per >= channels:
         k = min(samples, per // channels)
         k = -(-samples // -(-samples // k))
-        return [slice(b * channels, min(samples, b + k) * channels)
+        return [(slice(b, min(samples, b + k)), slice(0, channels))
                 for b in range(0, samples, k)]
     per = -(-channels // -(-channels // per))
-    return [slice(b * channels + c, b * channels + min(channels, c + per))
+    return [(slice(b, b + 1), slice(c, min(channels, c + per)))
             for b in range(samples) for c in range(0, channels, per)]
+
+
+def _planes(index: tuple) -> int:
+    """The number of planes in a (samples, channels) index."""
+    return math.prod(s.stop - s.start for s in index)
 
 
 @lru_cache(maxsize=64)
 def window_steps(shape: tuple, spec: PoolSpec):
-    """The strided walk for an (N, C, H, W) `shape`, cached: (steps, counts).
+    """The strided walk for an (N, C, H, W) `shape`, cached: (walk, counts).
 
-    Each step holds as many whole planes and kernel rows of one run as fit
-    in `_STEP_BYTES`, at least one of each; its planes lie inside one sample
-    or are whole samples. `counts` is a read-only pair: the in-bounds kernel
-    rows per output row and columns per output column, whose product is a
-    window's cell count; kept per axis for a small cache.
+    Its one chunk holds every plane. Each step holds as many whole planes
+    and kernel rows of one run as fit in `_STEP_BYTES`, at least one of
+    each; its planes lie inside one sample or are whole samples. `counts` is
+    a read-only pair: the in-bounds kernel rows per output row and columns
+    per output column, whose product is a window's cell count; kept per
+    axis for a small cache.
     """
     n, c, h, w = shape
     rows, cols, counts = _runs_and_counts(h, w, spec)
     item = np.dtype(np.float64).itemsize
-    strides = tuple(item * s for s in (h * w, spec.stride_h * w, spec.stride_w,
-                                       spec.dilation_h * w, spec.dilation_w))
+    strides = tuple(item * s for s in (c * h * w, h * w, spec.stride_h * w,
+                                       spec.stride_w, spec.dilation_h * w,
+                                       spec.dilation_w))
     steps = []
     for (out_h, y0, kr), (out_w, x0, kc) in itertools.product(rows, cols):
         hw = (out_h.stop - out_h.start, out_w.stop - out_w.start)
@@ -217,41 +256,18 @@ def window_steps(shape: tuple, spec: PoolSpec):
         per_p = max(1, _STEP_BYTES // (row * kr))
         per_r = kr if per_p > 1 else max(1, _STEP_BYTES // row)
         chunks = _plane_chunks(n, c, per_p)
-        for chunk, r0 in itertools.product(chunks, range(0, kr, per_r)):
-            out = (chunk, out_h, out_w)
+        for (bs, cs), r0 in itertools.product(chunks, range(0, kr, per_r)):
+            out = (bs, cs, out_h, out_w)
             cells = (min(per_r, kr - r0), kc)
-            rank = 3 if cells == (1, 1) else 5
-            offset = (chunk.start * strides[0]
-                      + ((y0 + r0 * spec.dilation_h) * w + x0) * item)
-            steps.append(WindowStep(out, out + (None,) * (rank - 3), offset,
-                                    ((chunk.stop - chunk.start,) + hw + cells)[:rank],
-                                    strides[:rank]))
-    return tuple(steps), counts
-
-
-class FlatWalk(NamedTuple):
-    """The flat walk of stride-1 windows, one chunk of planes at a time.
-
-    A chunk is copied into a zero-padded (planes, Hp, Wp) scratch. Output o
-    of the chunk sits at o = (plane * Hp + row) * Wp + col, the scratch's
-    own row layout, and reads kernel cell k at o + offsets[k], so each cell
-    is one contiguous slice of the flattened scratch. Outputs at row >= H'
-    or col >= W' are junk. `chunks` holds each chunk's plane slice and its
-    count of outputs o, up to the last real one; `per` is the most planes in
-    a chunk. `invalid[k]` marks the outputs for which cell k is junk or
-    padding, and `inv` holds 1 / cell count at every real output and 0 at
-    junk; both are read-only and span the largest chunk, and a smaller
-    chunk uses their prefix.
-    """
-
-    pad: tuple
-    padded: tuple
-    out: tuple
-    per: int
-    chunks: tuple
-    offsets: tuple
-    invalid: np.ndarray
-    inv: np.ndarray
+            rank = 4 if cells == (1, 1) else 6
+            offset = ((bs.start * c + cs.start) * h * w
+                      + (y0 + r0 * spec.dilation_h) * w + x0) * item
+            planes = (bs.stop - bs.start, cs.stop - cs.start)
+            steps.append(WindowStep(out, out + (None,) * (rank - 4), offset,
+                                    (planes + hw + cells)[:rank], strides[:rank]))
+    inv = 1.0 / np.multiply.outer(*counts)
+    inv.setflags(write=False)
+    return Walk((((slice(0, n), slice(0, c)), tuple(steps)),), inv), counts
 
 
 @lru_cache(maxsize=64)
@@ -260,14 +276,20 @@ def flat_walk(shape: tuple, spec: PoolSpec):
     (walk, counts), with `counts` as in `window_steps`.
 
     A chunk holds as many whole planes as fit in `_STEP_BYTES`, at least
-    one, inside one sample or as whole samples, like a strided step.
+    one, inside one sample or as whole samples, like a strided step. Copied
+    into a zero-padded (planes, Hp, Wp) scratch, output o of the chunk sits
+    at o = (plane * Hp + row) * Wp + col, the scratch's own row layout, and
+    reads kernel cell k at o + offset(k); outputs at row >= H' or col >= W'
+    are junk. A chunk has one step per kernel cell, a run over its outputs
+    up to the last real one, and the step's `bad` marks the outputs for
+    which the cell is junk or padding.
     """
     n, c, h, w = shape
     _, _, counts = _runs_and_counts(h, w, spec)
     ph, pw, (h_out, w_out) = spec.pad_h, spec.pad_w, (a.size for a in counts)
     hp, wp = h + 2 * ph, w + 2 * pw
     chunks = _plane_chunks(n, c, max(1, _STEP_BYTES // (hp * wp * 8)))
-    per = max(ch.stop - ch.start for ch in chunks)
+    per = max(_planes(ch) for ch in chunks)
 
     def outputs(planes: int) -> int:
         """Flat outputs of a chunk, up to its last real one."""
@@ -287,9 +309,14 @@ def flat_walk(shape: tuple, spec: PoolSpec):
     inv = inv.reshape(-1)[:outputs(per)]
     for a in (invalid, inv):
         a.setflags(write=False)
-    walk = FlatWalk((ph, pw), (hp, wp), (h_out, w_out), per,
-                    tuple((ch, outputs(ch.stop - ch.start)) for ch in chunks),
-                    tuple(di * wp + dj for di, dj in cells), invalid, inv)
+
+    def steps(size: int) -> tuple:
+        return tuple(WindowStep((slice(None),), (slice(None),), 8 * (di * wp + dj),
+                                (size,), (8,), bad[:size])
+                     for (di, dj), bad in zip(cells, invalid))
+
+    walk = Walk(tuple((ch, steps(outputs(_planes(ch)))) for ch in chunks),
+                inv, (ph, pw))
     return walk, counts
 
 

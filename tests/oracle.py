@@ -39,8 +39,10 @@ same probes in stacked chunks and must reproduce this loop bit for bit.
 
 Seeded uniforms
 ---------------
-`scalar_fill_uniform` draws one xoshiro256++ word at a time through
-`next_u64`, the draw-by-draw definition that the lane-parallel
+`scalar_next_u64` steps a `Xoshiro256pp`'s state by the scalar
+xoshiro256++ rule in `momentpool.rng`'s docstring, one word at a time, and
+`scalar_random` turns a word into a double in [0, 1). `scalar_fill_uniform`
+draws through them: the draw-by-draw definition that the lane-parallel
 `Xoshiro256pp.fill_uniform` must reproduce bit for bit.
 """
 
@@ -200,12 +202,39 @@ def col2im_accumulate(grads, spec: PoolSpec, h: int, w: int) -> Tensor:
     return Tensor(out.shape, out)
 
 
+_MASK64 = (1 << 64) - 1
+
+
+def _rotl(x: int, k: int) -> int:
+    return ((x << k) | (x >> (64 - k))) & _MASK64
+
+
+def scalar_next_u64(gen) -> int:
+    """The next xoshiro256++ output word of `gen`, advancing its state."""
+    s0, s1, s2, s3 = gen._s
+    result = (_rotl((s0 + s3) & _MASK64, 23) + s0) & _MASK64
+    t = (s1 << 17) & _MASK64
+    s2 ^= s0
+    s3 ^= s1
+    s1 ^= s2
+    s0 ^= s3
+    s2 ^= t
+    s3 = _rotl(s3, 45)
+    gen._s = [s0, s1, s2, s3]
+    return result
+
+
+def scalar_random(gen) -> float:
+    """The next uniform double in [0, 1) of `gen`, 53-bit resolution."""
+    return (scalar_next_u64(gen) >> 11) * 2.0 ** -53
+
+
 def scalar_fill_uniform(gen, count: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
-    """``count`` uniform draws in [lo, hi) from `gen`, one `next_u64` each."""
+    """``count`` uniform draws in [lo, hi) from `gen`, one word each."""
     span = hi - lo
     out = np.empty(count, dtype=np.float64)
     for i in range(count):
-        out[i] = lo + span * ((gen.next_u64() >> 11) * 2.0 ** -53)
+        out[i] = lo + span * scalar_random(gen)
     return out
 
 

@@ -141,6 +141,15 @@ class TestPool:
                              "--out", str(tmp_path / "o"), "--kernel", "5")
         assert rc == 2 and "error" in err
 
+    def test_window_with_no_input_cell_is_usage_error(self, tmp_path, capsys):
+        src = tmp_path / "one.tensor"
+        tensor_write(Tensor((1, 1, 1, 1), [1.0]), src)
+        rc, _, err = run_cli(capsys, "pool", "--input", str(src),
+                             "--out", str(tmp_path / "o"), "--kernel", "2x1",
+                             "--pad", "3x0", "--dilation", "3x1")
+        assert rc == 2 and "no input cell on input 1x1" in err
+        assert not (tmp_path / "o").exists()
+
     def test_rectangular_kernel_and_layer_norm(self, tmp_path, capsys):
         src = tmp_path / "n.tensor"
         run_cli(capsys, "generate", "--pattern", "uniform-noise",

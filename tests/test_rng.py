@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from momentpool.rng import Xoshiro256pp, _splitmix64_stream
-from oracle import scalar_fill_uniform
+from oracle import scalar_fill_uniform, scalar_next_u64, scalar_random
 
 # splitmix64(0) reference prefix; 0xe220a8397b1dcdaf is the widely used
 # first-output check value for the published mixer
@@ -32,7 +32,7 @@ XOSHIRO_SEED42_DOUBLES = [
 ]
 # sha256 of Xoshiro256pp(0).fill_uniform(196608, -1.0, 1.0).tobytes(), taken
 # from the draw-by-draw loop before fills were drawn in lanes; 196608 draws
-# are 384 lanes of 512 steps
+# are 3072 lanes of 64 steps
 XOSHIRO_SEED0_FILL_SHA256 = (
     "4e89489948dd6261a10350f90deb52e0011e87f1979e0cfd5ab49b6bdba3be7e")
 
@@ -46,18 +46,22 @@ def test_splitmix64_reference_prefix():
 
 def test_frozen_u64_sequence():
     g = Xoshiro256pp(0)
-    assert [g.next_u64() for _ in range(4)] == XOSHIRO_SEED0_U64
+    assert [scalar_next_u64(g) for _ in range(4)] == XOSHIRO_SEED0_U64
+    words = np.array(XOSHIRO_SEED0_U64, dtype=np.uint64) >> np.uint64(11)
+    assert Xoshiro256pp(0).fill_uniform(4).tolist() == (words * 2.0 ** -53).tolist()
 
 
 def test_frozen_double_sequence():
     g = Xoshiro256pp(42)
-    assert [g.random() for _ in range(3)] == XOSHIRO_SEED42_DOUBLES
+    assert [scalar_random(g) for _ in range(3)] == XOSHIRO_SEED42_DOUBLES
+    assert Xoshiro256pp(42).fill_uniform(3).tolist() == XOSHIRO_SEED42_DOUBLES
 
 
 def test_same_seed_same_sequence():
     a = Xoshiro256pp(7, stream=3)
     b = Xoshiro256pp(7, stream=3)
-    assert [a.next_u64() for _ in range(64)] == [b.next_u64() for _ in range(64)]
+    assert a.fill_uniform(64).tobytes() == b.fill_uniform(64).tobytes()
+    assert a._s == b._s
 
 
 def test_streams_are_splitmix_offsets():
@@ -71,9 +75,9 @@ def test_streams_are_splitmix_offsets():
 
 
 def test_distinct_seeds_and_streams_differ():
-    base = [Xoshiro256pp(1, 0).next_u64() for _ in range(8)]
-    assert base != [Xoshiro256pp(2, 0).next_u64() for _ in range(8)]
-    assert base != [Xoshiro256pp(1, 1).next_u64() for _ in range(8)]
+    base = Xoshiro256pp(1, 0).fill_uniform(8).tolist()
+    assert base != Xoshiro256pp(2, 0).fill_uniform(8).tolist()
+    assert base != Xoshiro256pp(1, 1).fill_uniform(8).tolist()
 
 
 def test_uniform_range_and_coverage():
@@ -88,7 +92,7 @@ def test_uniform_range_and_coverage():
 def test_fill_matches_scalar_draws():
     a = Xoshiro256pp(11).fill_uniform(10, 0.0, 1.0)
     g = Xoshiro256pp(11)
-    b = np.array([g.random() for _ in range(10)])
+    b = np.array([scalar_random(g) for _ in range(10)])
     assert np.array_equal(a, b)
 
 
@@ -139,10 +143,11 @@ def test_zero_count_is_empty_and_draws_nothing():
 
 
 # A fill of `count` draws steps L = ceil(count / B) lanes B = 2**k times,
-# with k = count.bit_length() // 2. 0..65 covers every lane shape for
-# B = 1, 2, 4 and 8: whole lanes (L*B), one draw into a new lane (L*B + 1)
-# and one short of a whole lane (L*B - 1). 255, 256 and 257 do the same at
-# B = 16, 1021 is a prime, and 196608 = 384 * 512 is the generate workload.
+# with k = min(6, count.bit_length() // 2). 0..65 covers every lane shape
+# for B = 1, 2, 4 and 8: whole lanes (L*B), one draw into a new lane
+# (L*B + 1) and one short of a whole lane (L*B - 1). 255, 256 and 257 do the
+# same at B = 16, 1021 is a prime at B = 32, and 196608 = 3072 * 64 is the
+# generate workload.
 LANE_COUNTS = [*range(66), 255, 256, 257, 1021, 196608]
 
 
@@ -158,11 +163,11 @@ def test_fill_leaves_generator_count_draws_ahead():
     for count in LANE_COUNTS[:-1]:
         ref = Xoshiro256pp(21)
         for _ in range(count):
-            ref.next_u64()
+            scalar_next_u64(ref)
         g = Xoshiro256pp(21)
         g.fill_uniform(count, -1.0, 1.0)
         assert g._s == ref._s, count
-        assert g.next_u64() == ref.next_u64(), count
+        assert scalar_next_u64(g) == scalar_next_u64(ref), count
 
 
 def test_chained_fills_equal_one_fill():

@@ -1,5 +1,6 @@
 """Forward moment pooling: oracle equivalence, layout, costs, guards."""
 
+import warnings
 import weakref
 from unittest import mock
 
@@ -201,6 +202,16 @@ class TestMomentSpec:
         with pytest.raises(GeometryError):
             smp_forward(solid((1, 1, 2, 2), 1.0), PoolSpec(3, 3),
                         MomentSpec(n=1, norm="none"))
+
+    def test_window_with_no_input_cell_is_refused(self):
+        """A dilated kernel can step over a 1x1 input: windows at outputs 1
+        and 3 hold only padding, so there is no count to divide by."""
+        pool = PoolSpec(2, 1, 1, 1, 3, 0, 3, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GeometryError, match=r"no input cell on input 1x1"):
+                smp_forward(solid((1, 1, 1, 1), 1.0), pool,
+                            MomentSpec(n=2, norm="none"))
 
 
 class TestNormalizationWiring:

@@ -1,11 +1,12 @@
-"""The two window walks: the choice between them, their coverage and their bits.
+"""The two ways to build a walk: the choice between them, their coverage
+and their bits.
 
 The flat walk (`windows.flat_walk`) must reproduce the strided walk
 (`windows.window_steps`) bit for bit wherever it is taken, so these tests
-call both through the private builders on the same geometry, pin the bytes
-of both public entry points to digests taken before the flat walk existed,
-and check that the junk and padding pairs the flat walk computes add
-nothing and never overflow.
+run both through the same moment and cell-gradient loops on the same
+geometry, pin the bytes of both public entry points to digests taken before
+the flat walk existed, and check that the junk and padding pairs the flat
+walk computes add nothing and never overflow.
 """
 
 import hashlib
@@ -20,14 +21,28 @@ from hypothesis import strategies as st
 from momentpool import smp
 from momentpool.smp import MomentSpec, smp_backward, smp_forward
 from momentpool.tensor import Tensor
-from momentpool.windows import (FlatWalk, PoolSpec, flat_walk, output_dims,
-                                window_steps, window_walk)
+from momentpool.windows import (GeometryError, PoolSpec, flat_walk,
+                                output_dims, window_steps, window_walk)
 
 UNSAFE4 = MomentSpec(n=4, norm="none", unsafe_no_norm=True)
 
 
 def uniform(shape, seed):
     return np.random.default_rng(seed).uniform(-1.0, 1.0, shape)
+
+
+def plane_range(planes, channels):
+    """A chunk's (samples, channels) index as [start, stop) of flat planes,
+    which it must be: one sample's channel run, or whole samples."""
+    samples, chans = planes
+    if samples.stop - samples.start > 1:
+        assert (chans.start, chans.stop) == (0, channels)
+    return (samples.start * channels + chans.start,
+            (samples.stop - 1) * channels + chans.stop)
+
+
+def steps_of(walk):
+    return [step for _, steps in walk.chunks for step in steps]
 
 
 class TestChoice:
@@ -48,18 +63,19 @@ class TestChoice:
     def test_flat_walk_at_stride_one_on_budget_planes_with_little_junk(
             self, shape, pool, flat):
         walk, counts = window_walk(shape, pool)
-        assert isinstance(walk, FlatWalk) == flat
+        assert (walk.pad is not None) == flat
         builder = flat_walk if flat else window_steps
         assert builder(shape, pool)[0] is walk
 
     def test_flat_chunks_split_no_sample_and_respect_the_budget(self):
         walk, _ = flat_walk((8, 16, 64, 64), PoolSpec.square(3, 1, 1))
-        sizes = [ch.stop - ch.start for ch, _ in walk.chunks]
-        assert sum(sizes) == 8 * 16 and max(sizes) == walk.per
-        assert all(ch.start // 16 == (ch.stop - 1) // 16 for ch, _ in walk.chunks)
-        assert walk.per * 66 * 66 * 8 <= 1 << 18
+        planes = [plane_range(ch, 16) for ch, _ in walk.chunks]
+        sizes = [stop - start for start, stop in planes]
+        assert sum(sizes) == 8 * 16
+        assert all(start // 16 == (stop - 1) // 16 for start, stop in planes)
+        assert max(sizes) * 66 * 66 * 8 <= 1 << 18
         walk, _ = flat_walk((6, 2, 16, 16), PoolSpec.square(3, 1, 1))
-        assert [(ch.start, ch.stop) for ch, _ in walk.chunks] == [(0, 12)]
+        assert [plane_range(ch, 2) for ch, _ in walk.chunks] == [(0, 12)]
 
 
 # sha256 of smp_forward and smp_backward bytes for UNSAFE4 on uniform(-1, 1)
@@ -93,7 +109,7 @@ FROZEN = {
 @pytest.mark.parametrize("name", list(FROZEN))
 def test_forward_and_backward_bytes_are_frozen(name):
     shape, pool, flat, y_digest, g_digest = FROZEN[name]
-    assert isinstance(window_walk(shape, pool)[0], FlatWalk) == flat
+    assert (window_walk(shape, pool)[0].pad is not None) == flat
     rng = np.random.default_rng(1234)
     x = Tensor(shape, rng.uniform(-1.0, 1.0, shape))
     y = smp_forward(x, pool, UNSAFE4)
@@ -115,7 +131,9 @@ def stride_one_cases(draw):
     h = draw(st.integers(max(1, pool.eff_kernel_h + 1 - 2 * pool.pad_h), 12))
     w = draw(st.integers(max(1, pool.eff_kernel_w + 1 - 2 * pool.pad_w), 12))
     shape = (draw(st.integers(1, 3)), draw(st.integers(1, 4)), h, w)
-    if not all(count.all() for count in window_steps(shape, pool)[1]):
+    try:
+        window_steps(shape, pool)
+    except GeometryError:
         reject()  # a dilated window that misses the input has no statistics
     return shape, pool, draw(st.integers(1, 4)), draw(st.integers(0, 2**32 - 1))
 
@@ -127,20 +145,20 @@ def test_flat_walk_matches_the_strided_walk_bit_for_bit(case):
     the strided walk's on any stride-1 geometry, taken or not, with inputs
     of both signs and a few exact zeros; the coefficients carry a -0.0."""
     shape, pool, n, seed = case
-    steps, counts = window_steps(shape, pool)
-    assert all(len(step.shape) == 3 for step in steps)
+    strided, counts = window_steps(shape, pool)
+    assert all(len(step.shape) == 4 for step in steps_of(strided))
     flat, flat_counts = flat_walk(shape, pool)
     assert all(np.array_equal(a, b) for a, b in zip(counts, flat_counts))
     x4 = uniform(shape, seed)
     x4[x4 > 0.8] = 0.0
-    maps, out = smp._walk_stats(x4, steps, counts, n)
+    maps, out = smp._walk_stats(x4, strided, counts, n)
     flat_maps, flat_out = smp._walk_stats(x4, flat, counts, n)
     assert out.tobytes() == flat_out.tobytes()
     assert all(a.tobytes() == b.tobytes() for a, b in zip(maps, flat_maps))
     poly = uniform((n,) + maps[0].shape, seed + 1)
     poly.reshape(-1)[::7] = -0.0
-    g = smp._strided_grad(x4, steps, maps[0], poly)
-    assert g.tobytes() == smp._flat_grad(x4, flat, maps[0], poly).tobytes()
+    g = smp._cell_grads(x4, strided, maps[0], poly)
+    assert g.tobytes() == smp._cell_grads(x4, flat, maps[0], poly).tobytes()
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -148,26 +166,31 @@ def test_flat_walk_matches_the_strided_walk_bit_for_bit(case):
 def test_flat_walk_makes_each_inbounds_pair_valid_once(case):
     """Every in-bounds (window, cell) pair is valid in exactly one chunk at
     the cell's offset, reading its own cell; every other (output, cell) pair
-    is marked invalid, and `inv` is 1 / cell count at real outputs and 0 at
-    junk."""
+    is marked bad by the cell's step, and `inv` is 1 / cell count at real
+    outputs and 0 at junk."""
     shape, pool, _, _ = case
     n_s, c_s, h, w = shape
     h_out, w_out = output_dims(h, w, pool)
     walk, counts = flat_walk(shape, pool)
-    (ph, pw), (hp, wp) = walk.pad, walk.padded
+    ph, pw = walk.pad
+    hp, wp = h + 2 * ph, w + 2 * pw
     visits = np.zeros((n_s * c_s, h_out, w_out, pool.kernel_h, pool.kernel_w), int)
     cells = [(i, j) for i in range(pool.kernel_h) for j in range(pool.kernel_w)]
-    for chunk, size in walk.chunks:
+    for planes, steps in walk.chunks:
+        start, stop = plane_range(planes, c_s)
+        size = steps[0].shape[0]
+        assert len(steps) == len(cells)
+        assert all(step.shape == (size,) and step.strides == (8,) for step in steps)
         plane, rest = np.divmod(np.arange(size), hp * wp)
         row, col = np.divmod(rest, wp)
         real = (row < h_out) & (col < w_out)
         assert np.array_equal(walk.inv[:size][~real], np.zeros((~real).sum()))
         np.testing.assert_array_equal(
             walk.inv[:size][real], np.tile(1.0 / np.multiply.outer(*counts).ravel(),
-                                           chunk.stop - chunk.start))
-        for (i, j), off, bad in zip(cells, walk.offsets, walk.invalid):
-            valid = ~bad[:size]
-            src_plane, src = np.divmod(np.arange(size) + off, hp * wp)
+                                           stop - start))
+        for (i, j), step in zip(cells, steps):
+            valid = ~step.bad
+            src_plane, src = np.divmod(np.arange(size) + step.offset // 8, hp * wp)
             y, x = np.divmod(src, wp)
             y, x = y - ph, x - pw
             assert real[valid].all() and (src_plane[valid] == plane[valid]).all()
@@ -175,7 +198,7 @@ def test_flat_walk_makes_each_inbounds_pair_valid_once(case):
             assert np.array_equal(x[valid], col[valid] + j * pool.dilation_w - pw)
             inside = real & (0 <= y) & (y < h) & (0 <= x) & (x < w)
             assert np.array_equal(valid, inside)
-            at = (chunk.start + plane[valid], row[valid], col[valid], i, j)
+            at = (start + plane[valid], row[valid], col[valid], i, j)
             np.add.at(visits, at, 1)
     rows = (np.arange(h_out)[:, None] + np.arange(pool.kernel_h) * pool.dilation_h
             - pool.pad_h)
@@ -207,8 +230,7 @@ def test_huge_constant_pools_and_differentiates_without_warnings(shape, pool):
             walk, counts = builder(shape, pool)
             maps, _ = smp._walk_stats(x.nchw, walk, counts, 3)
             poly = uniform((4,) + maps[0].shape, 0)
-            cell_grads = smp._flat_grad if builder is flat_walk else smp._strided_grad
-            grads.append(cell_grads(x.nchw, walk, maps[0], poly))
+            grads.append(smp._cell_grads(x.nchw, walk, maps[0], poly))
     assert np.isfinite(y.data).all() and np.isfinite(g.data).all()
     assert grads[0].tobytes() == grads[1].tobytes()
 
@@ -227,8 +249,8 @@ def test_non_finite_cells_spread_alike_on_both_walks(bad):
             walk, counts = builder(shape, pool)
             maps, out = smp._walk_stats(x4, walk, counts, 4)
             poly = uniform((4,) + maps[0].shape, 9)
-            cell_grads = smp._flat_grad if builder is flat_walk else smp._strided_grad
-            results.append((out.tobytes(), cell_grads(x4, walk, maps[0], poly).tobytes()))
+            results.append((out.tobytes(),
+                            smp._cell_grads(x4, walk, maps[0], poly).tobytes()))
     assert results[0] == results[1]
     assert np.isfinite(np.frombuffer(results[0][0])).mean() > 0.9
 
@@ -248,10 +270,12 @@ def test_cached_backward_copies_no_upstream_and_no_mean_map(shape, pool):
     up = Tensor(y.shape, uniform(y.shape, 4))
     smp_backward(x, pool, spec, up)  # warm: the walk is cached per geometry
     walk, _ = window_walk(shape, pool)
-    if isinstance(walk, FlatWalk):  # input, mean, coefficients, padded grad, dev, g
-        work = 8 * (5 * walk.per * np.prod(walk.padded) + 2 * walk.inv.size)
+    if walk.pad is not None:  # input, mean, coefficients, padded grad, dev, g
+        per = max(np.prod([s.stop - s.start for s in ch]) for ch, _ in walk.chunks)
+        padded = np.add(shape[2:], np.multiply(2, walk.pad))
+        work = 8 * (5 * per * np.prod(padded) + 2 * walk.inv.size)
     else:  # the deviation and the cell gradient of the largest step
-        work = 2 * 8 * max(np.prod(step.shape) for step in walk)
+        work = 2 * 8 * max(np.prod(step.shape) for step in steps_of(walk))
     bound = x.data.nbytes + y.data.nbytes + work
     tracemalloc.start()
     try:

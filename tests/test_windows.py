@@ -286,19 +286,19 @@ def step_cells(step, shape, spec):
     """
     n_s, c_s, h, w = shape
     flat = step.block(np.arange(float(np.prod(shape))).reshape(shape))
-    flat = flat.astype(np.int64).reshape(flat.shape[:3] + (flat.shape[3:] or (1, 1)))
+    flat = flat.astype(np.int64).reshape(flat.shape[:4] + (flat.shape[4:] or (1, 1)))
     plane, rest = divmod(flat, h * w)
     y, x = divmod(rest, w)
-    planes, out_h, out_w = step.out
+    samples, channels, out_h, out_w = step.out
     oh = np.arange(out_h.start, out_h.stop)[:, None, None, None]
     ow = np.arange(out_w.start, out_w.stop)[None, :, None, None]
     i, i_rem = divmod(y - oh * spec.stride_h + spec.pad_h, spec.dilation_h)
     j, j_rem = divmod(x - ow * spec.stride_w + spec.pad_w, spec.dilation_w)
     assert not i_rem.any() and not j_rem.any()  # cells sit on the kernel grid
     assert ((0 <= i) & (i < spec.kernel_h) & (0 <= j) & (j < spec.kernel_w)).all()
-    lead = np.arange(planes.start, planes.stop)[:, None, None, None, None]
-    assert (plane == lead).all()
     n, c = divmod(plane, c_s)
+    assert (n == np.arange(samples.start, samples.stop).reshape(-1, 1, 1, 1, 1, 1)).all()
+    assert (c == np.arange(channels.start, channels.stop).reshape(-1, 1, 1, 1, 1)).all()
     block_shape = step.block(np.zeros(shape)).shape
     return flat, tuple(np.broadcast_to(a, flat.shape).reshape(block_shape)
                        for a in (n, c, oh, ow, i, j))
@@ -321,8 +321,9 @@ def walk(shape, spec, x, g):
     visits = np.zeros(g.shape, dtype=np.int64)
     gathered = 0.0
     scattered = np.zeros(shape)
-    steps, (count_h, count_w) = window_steps(shape, spec)
-    for step in steps:
+    walk, (count_h, count_w) = window_steps(shape, spec)
+    assert walk.pad is None and len(walk.chunks) == 1
+    for step in walk.chunks[0][1]:
         flat, idx = step_cells(step, shape, spec)
         assert np.unique(flat).size == flat.size
         np.add.at(visits, idx, 1)
@@ -338,7 +339,8 @@ def test_window_steps_visit_each_inbounds_cell_once(case):
     """Every in-bounds (window, cell) pair is visited by exactly one step, no
     input cell repeats within a step's block, the walk counts each window's
     in-bounds cells, and the blocks' gather and scatter are adjoint, the
-    scatter agreeing with `col2im_accumulate`.
+    scatter agreeing with `col2im_accumulate`. A geometry that leaves a
+    window with no input cell is refused instead.
 
     Checked at the default block budget and at two small ones, which cut
     planes and runs of kernel rows into several steps.
@@ -355,6 +357,10 @@ def test_window_steps_visit_each_inbounds_cell_once(case):
             + np.arange(spec.kernel_w) * spec.dilation_w - spec.pad_w)
     inside = (((0 <= rows) & (rows < h))[:, None, :, None]
               & ((0 <= cols) & (cols < w))[None, :, None, :])
+    if not inside.any(axis=(2, 3)).all():
+        with pytest.raises(GeometryError, match=f"on input {h}x{w}"):
+            window_steps(shape, spec)
+        return
     col2im = np.stack([
         col2im_accumulate([g[b, c].reshape(h_out * w_out, spec.window_size)
                            for c in range(c_s)], spec, h, w).array

@@ -1,5 +1,6 @@
 """Interleaved wall time and traced peak of smp_forward and smp_backward on
-the three named geometries, for one or more source trees.
+the three named geometries and a large stride-1 plane, for one or more
+source trees.
 
     python3 tools/bench_geometries.py --tree parent=DIR --tree change=DIR \
         > BENCH_<tag>.json
@@ -8,7 +9,8 @@ Each of ROUNDS rounds runs every tree once per geometry, each in a fresh
 process with one BLAS thread, in alternating order; a run times REPEATS
 warm calls.
 Reported per tree and geometry: the median over all timed calls of the
-forward and of forward plus backward (on the forward's cache), and the
+forward and of forward plus backward (on the forward's cache), the median
+of each round alone, which shows the drift between rounds, and the
 tracemalloc peak of one forward and of one fresh forward plus backward.
 Inputs are uniform(-1, 1) from numpy's default_rng(0); the layer is n=4
 with layer norm.
@@ -28,6 +30,7 @@ GEOMETRIES = {
     "global 1x3x1080x1920": ((1, 3, 1080, 1920), "global"),
     "dense 8x16x64x64 3x3 s1 p1": ((8, 16, 64, 64), (3, 1, 1)),
     "8x16x64x64 8x8 s8": ((8, 16, 64, 64), (8, 8, 0)),
+    "1x3x256x256 3x3 s1 p1": ((1, 3, 256, 256), (3, 1, 1)),
 }
 REPEATS, ROUNDS = 9, 7
 
@@ -101,6 +104,8 @@ def main(argv=None) -> int:
             for k in ("fwd", "fwd_bwd"):
                 times = [t for one in rs for t in one[k]["ms"]]
                 row[f"{k}_median_ms"] = statistics.median(times)
+                row[f"{k}_round_medians_ms"] = [statistics.median(one[k]["ms"])
+                                                for one in rs]
                 row[f"{k}_peak_mib"] = max(one[k]["peak_mib"] for one in rs)
     result = {
         "command": " ".join(["python3", "tools/bench_geometries.py"]
