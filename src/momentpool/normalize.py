@@ -15,14 +15,15 @@ returns the output y and its per-group divisor (peak + eps for max norm,
 sqrt(var + eps) otherwise). `smp` normalizes its output in place and saves
 both for its backward; the public functions return fresh arrays.
 
-`_normalized_vjp` is the one vector-Jacobian product, taken from y and the
-divisor alone (Ioffe & Szegedy 2015): u / divisor for max norm and eval-mode
-batch norm, and (u - mean(u) - y * mean(u * y)) / divisor per group for
-layer norm and training-mode batch norm. `norm_backward` is the kernel then
-the VJP. Max norm deliberately treats the divisor as a constant: the true
-derivative is discontinuous at the argmax, so the gradient flows through
-the numerator only (straight-through subgradient), and that surrogate is
-what the gradient checks verify.
+The one vector-Jacobian product is taken from y and the divisor alone
+(Ioffe & Szegedy 2015): u / divisor for max norm and eval-mode batch norm,
+and (u - mean(u) - y * mean(u * y)) / divisor per group for layer norm and
+training-mode batch norm: `_vjp_terms` then `_vjp_apply`, which `smp` runs
+per chunk. `norm_backward` is the kernel then both. Max norm deliberately
+treats the divisor as a constant: the true derivative is discontinuous at
+the argmax, so the gradient flows through the numerator only
+(straight-through subgradient), and that surrogate is what the gradient
+checks verify.
 """
 
 from __future__ import annotations
@@ -106,16 +107,30 @@ def _normalized(kind: str, x: np.ndarray, eps: float, axis=None,
     return out, divisor
 
 
-def _normalized_vjp(kind: str, y: np.ndarray, divisor, upstream: np.ndarray,
-                    axis=None, training: bool = True) -> np.ndarray:
-    """VJP of `_normalized` at the point whose output is `y` and divisor
-    `divisor`, for upstream weights of y's shape."""
+def _vjp_terms(kind: str, y: np.ndarray, divisor, upstream: np.ndarray,
+               axis=None, training: bool = True) -> tuple:
+    """The VJP's group terms at output `y` and divisor `divisor` for upstream
+    weights of y's shape: (divisor,) where it is u / divisor, else (divisor,
+    mean(u), mean(u * y)). Groups along one axis of a sample form u * y a
+    sample at a time, with the sums of the whole block's product, bit for bit."""
     if kind == "max" or (kind == "batch" and not training):
-        return upstream / divisor
+        return (divisor,)
     if kind == "batch":
         axis = _batch_axes(y)
-    return (upstream - upstream.mean(axis, keepdims=True)
-            - y * (upstream * y).mean(axis, keepdims=True)) / divisor
+    mean_u = upstream.mean(axis, keepdims=True)
+    if not (isinstance(axis, int) and axis > 0):
+        return divisor, mean_u, (upstream * y).mean(axis, keepdims=True)
+    prod = np.empty(y.shape[1:])
+    return divisor, mean_u, np.stack([np.multiply(a, b, out=prod).mean(
+        axis - 1, keepdims=True) for a, b in zip(upstream, y)])
+
+
+def _vjp_apply(upstream: np.ndarray, y: np.ndarray, divisor, mean_u=None,
+               mean_uy=None, out=None) -> np.ndarray:
+    """The VJP's elementwise rest, on any block with `_vjp_terms` broadcast."""
+    if mean_u is not None:
+        upstream = upstream - mean_u - y * mean_uy
+    return np.divide(upstream, divisor, out=out)
 
 
 def layer_norm(x: np.ndarray, eps: float = DEFAULT_EPS, axis=None) -> np.ndarray:
@@ -152,5 +167,5 @@ def norm_backward(kind: str, x: np.ndarray, upstream: np.ndarray,
     """
     y, divisor = _normalized(kind, np.asarray(x, dtype=np.float64), eps, axis,
                              None if training else state, training)
-    return _normalized_vjp(kind, y, divisor,
-                           np.asarray(upstream, dtype=np.float64), axis, training)
+    u = np.asarray(upstream, dtype=np.float64)
+    return _vjp_apply(u, y, *_vjp_terms(kind, y, divisor, u, axis, training))

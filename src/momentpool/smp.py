@@ -24,13 +24,14 @@ upstream weights u it satisfies
 
     <smp_backward(u), dx>  ==  d/de <smp_forward(x + e*dx), u> at e = 0.
 
-It reads what the forward of its input saved, then chains the
-normalization VJP (orders >= 3), the pre-norm standardization VJP when
-enabled, and the per-window moment derivatives, evaluated per cell as a
-polynomial in its deviation from the window mean and added back onto the
-input grid block by block. `check_forward` is the matching
-finite-difference target: the true forward, except that max norm holds its
-peak divisor fixed, as the backward does.
+It reads what the forward of its input saved, takes the normalization
+VJP's group terms once, then per chunk of planes chains the VJP's rest
+(orders >= 3), the pre-norm standardization VJP when enabled, and the
+coefficients of each cell's gradient, a polynomial in its deviation from
+the window mean, written into the walk's layout (a flat walk's scratch, or
+maps of all planes on a strided walk). `check_forward` is the matching
+finite-difference target: the true forward, except that max norm holds
+its peak divisor fixed, as the backward does.
 
 Window walks
 ------------
@@ -45,14 +46,14 @@ Saved forward
 Each `smp_forward` saves, read-only in a one-entry cache, what the
 backward needs: the walk, the per-axis counts, m1..mn (m1 and m2 as views
 of the output, m3 and m4 raw), and the normalized orders >= 3 (a view of
-the output) with their per-group divisor, so no pre-norm block is rebuilt.
-The key is the input `Tensor`'s identity through a weakref (tensors are
-immutable), `pool`, the whole `spec` and `training`, since the divisor
-depends on every normalization field. On a miss the backward runs the
-forward itself, without the running state in training mode, so a hit and
-a miss share one formula. Eval-mode batch norm divides by the backward's
-own running state. The entry goes when its input dies or the next input
-is pooled.
+the output) with their per-group divisor; the backward reads them per chunk
+and rebuilds no pre-norm block. The key is the input `Tensor`'s identity
+through a weakref (tensors are immutable), `pool`, the whole `spec` and
+`training`, since the divisor depends on every normalization field. On a
+miss the backward runs the forward itself, without the running state in
+training mode, so a hit and a miss share one formula. Eval-mode batch norm
+divides by the backward's own running state. The entry goes when its
+input dies or the next input is pooled.
 
 Operation-count model
 ---------------------
@@ -143,9 +144,9 @@ def output_shape(shape, pool: PoolSpec,
     return (n_samples, spec.n * channels) + output_dims(h, w, pool)
 
 
-def _by_order(a: np.ndarray, channels: int) -> np.ndarray:
-    """Moment-major (N, k*C, H', W') channels as an (N, k, C, H', W') view."""
-    return a.reshape(a.shape[0], -1, channels, *a.shape[2:])
+def _by_order(a: np.ndarray, shape: tuple) -> list:
+    """Moment-major channels, or their norm groups, as a view of `shape` per order."""
+    return list(a.reshape(shape[0], -1, *shape[1:]).swapaxes(0, 1))
 
 
 def _cell_sum(a: np.ndarray) -> np.ndarray:
@@ -171,28 +172,32 @@ def _fresh(walk: Walk, shape: tuple) -> np.ndarray:
     return np.zeros(shape) if walk.pad is None else np.empty(shape)
 
 
-def _frames(walk: Walk, x4: np.ndarray, maps=(), sums=(), grad=None):
+def _frames(walk: Walk, x4: np.ndarray, maps=(), fill=None, sums=(), grad=None):
     """Each chunk of `walk` in the layout its steps index, as (steps, x,
     maps, grad, inv, work): the input, the (N, C, H', W') `maps` the chunk
-    reads followed by the `sums` it adds into, the gradient it adds into,
-    1 / cell count, and two buffers for a step's deviation and its powers,
-    or None for fresh arrays.
+    reads, the k maps that `fill` = (k, f) builds by f(planes, out) into
+    `out`, the `sums` it adds into, the gradient it adds into, 1 / cell
+    count, and two buffers for a step's deviation and its powers, or None.
 
-    On an in-place walk these are the arrays themselves, and `sums` and
-    `grad` start at 0 (see `_fresh`). A padded walk copies the chunk's
-    planes of x4 and of `maps` into zeroed scratch planes, the maps in the
-    scratch's row layout with 0 at junk outputs, and copies `sums` and
-    `grad` back out once the chunk is done.
+    On an in-place walk these are the arrays themselves, `out` is fresh,
+    and `sums` and `grad` start at 0 (see `_fresh`). A padded walk copies
+    the chunk's planes of x4 and of `maps` into zeroed scratch planes, the
+    maps in the scratch's row layout with 0 at junk outputs, where f writes
+    too, and copies `sums` and `grad` back out once the chunk is done.
     """
+    k_fill, build = fill or (0, lambda planes, out: None)
     if walk.pad is None:
-        for _, steps in walk.chunks:
-            yield steps, x4, [*maps, *sums], grad, walk.inv, (None, None)
+        for planes, steps in walk.chunks:
+            built = np.empty((k_fill,) + x4.shape[:2] + walk.inv.shape)
+            build(planes, built)
+            yield steps, x4, [*maps, *built, *sums], grad, walk.inv, (None, None)
         return
     (ph, pw), (h, w) = walk.pad, x4.shape[2:]
-    h_out, w_out = [*maps, *sums][0].shape[2:]
-    k = len(maps) + len(sums)
+    h_out, w_out = (sums or maps)[0].shape[2:]
+    k_read = len(maps) + k_fill
+    k = k_read + len(sums)
     per = max(_planes(planes) for planes, _ in walk.chunks)
-    # maps, sums, then the input and the gradient
+    # maps, built maps, sums, then the input and the gradient
     layers = np.zeros((k + 1 + (grad is not None), per, h + 2 * ph, w + 2 * pw))
     flat = layers.reshape(len(layers), -1)
     work = np.empty((2, walk.inv.size))
@@ -205,11 +210,12 @@ def _frames(walk: Walk, x4: np.ndarray, maps=(), sums=(), grad=None):
         cells[0] = x
         for dst, m in zip(outs, maps):
             dst[...] = m[planes]
-        flat[len(maps):k].fill(0.0)
+        build(planes, outs[len(maps):k_read])
+        flat[k_read:k].fill(0.0)
         flat[k + 1:].fill(0.0)
         g = flat[k + 1] if grad is not None else None
         yield steps, flat[k], list(flat[:k, :size]), g, walk.inv[:size], work[:, :size]
-        for a, src in zip(sums, outs[len(maps):]):
+        for a, src in zip(sums, outs[k_read:]):
             a[planes] = src
         if grad is not None:
             grad[planes] = cells[1]
@@ -267,14 +273,15 @@ def _window_stats(x4: np.ndarray, pool: PoolSpec, n: int):
     return (walk, counts) + _walk_stats(x4, walk, counts, n)
 
 
-def _cell_grads(x4: np.ndarray, walk: Walk, m1: np.ndarray, poly: np.ndarray):
-    """Cell gradients over `walk`, added onto the input grid. A step's block
-    holds no input cell twice, so `+=` is safe; a junk pair adds an exact
-    +0.0 wherever it lands, its coefficients being 0, and a padding pair
-    lands in the scratch's padding, which is dropped."""
+def _cell_grads(x4: np.ndarray, walk: Walk, m1: np.ndarray, coefficients):
+    """Cell gradients over `walk`, added onto the input grid, for the n
+    coefficient maps `coefficients` = (n, f) builds (see `_frames`). A
+    step's block holds no input cell twice, so `+=` is safe; a junk pair
+    adds an exact +0.0 wherever it lands, its coefficients being 0, and a
+    padding pair lands in the scratch's padding, which is dropped."""
     grad = _fresh(walk, x4.shape)
     for steps, x, (mean, *coef), g, _, (e, t) in _frames(
-            walk, x4, maps=[m1, *poly], grad=grad):
+            walk, x4, maps=[m1], fill=coefficients, grad=grad):
         for st in steps:
             h = coef[-1][st.win]
             if len(coef) > 1:  # Horner, highest order first
@@ -328,9 +335,9 @@ def _standardize_block(block: np.ndarray, m2: np.ndarray,
     when `spec.standardize_pre_norm` is set. The result is the pre-norm block,
     the normalization input."""
     if spec.standardize_pre_norm:
-        orders = _by_order(block, m2.shape[1])
-        for i, (_, _, denom) in enumerate(_standardize_terms(m2, spec)):
-            orders[:, i] /= denom
+        for order, (_, _, denom) in zip(_by_order(block, m2.shape),
+                                        _standardize_terms(m2, spec)):
+            order /= denom
     return block
 
 
@@ -410,37 +417,41 @@ def smp_backward(t: Tensor, pool: PoolSpec, spec: MomentSpec, upstream: Tensor,
         raise ValueError(f"upstream shape {upstream.nchw.shape} does not match "
                          f"forward output {expected}")
 
-    x4 = t.nchw
     walk, counts, stats, y, divisor = _saved(t, pool, spec, bn_state, training)
-    channels = x4.shape[1]
-    w = list(_by_order(upstream.nchw, channels).swapaxes(0, 1))  # order k + 1 at w[k]
-
-    if spec.norm != "none" and spec.n >= 3:
-        y, axis = _grouped(y, spec)
-        u_norm, _ = _grouped(upstream.nchw[:, 2 * channels:], spec)
+    shape, n = stats[0].shape, spec.n
+    w, norm = _by_order(upstream.nchw, shape), None  # order k + 1 at w[k]
+    if spec.norm != "none" and n >= 3:
+        # y and the VJP's group terms, which broadcast as views of y's shape
+        block, axis = _grouped(y, spec)
         if spec.norm == "batch" and not training:  # this call's running state
-            divisor = np.sqrt(normalize._running_stats(bn_state, y)[1]
+            divisor = np.sqrt(normalize._running_stats(bn_state, block)[1]
                               + spec.eps_norm)
-        v = normalize._normalized_vjp(spec.norm, y, divisor, u_norm, axis, training)
-        w[2:] = v.reshape((len(v), spec.n - 2) + stats[0].shape[1:]).swapaxes(0, 1)
-
-    if spec.standardize_pre_norm and spec.n >= 3:
-        for i, (half_p, root, denom) in enumerate(
-                _standardize_terms(stats[1], spec), start=2):
-            # order p = i + 1, through m_p / denom
-            w[1] = w[1] + w[i] * (-stats[i] * half_p * root / (denom * denom))
-            w[i] = w[i] / denom
+        terms = normalize._vjp_terms(spec.norm, block, divisor, _grouped(
+            upstream.nchw[:, 2 * shape[1]:], spec)[0], axis, training)
+        norm = [_by_order(np.broadcast_to(a, block.shape), shape)
+                for a in (block, *terms)]
+    inv = 1.0 / np.multiply.outer(*counts)
 
     # order k adds k * w_k / window count * (dev**(k-1) - m_(k-1)) to a cell,
     # m_0 = m_1 = 0, for the cell's deviation dev from the window mean;
     # poly[j] is the coefficient of dev**j in the sum over k
-    inv = 1.0 / np.multiply.outer(*counts)
-    poly = np.empty((spec.n,) + stats[0].shape)
-    for k in range(spec.n):
-        np.multiply(w[k], (k + 1.0) * inv, out=poly[k])
-    for k in range(2, spec.n):
-        poly[0] -= poly[k] * stats[k - 1]
-    return Tensor._adopt(t.shape, _cell_grads(x4, walk, stats[0], poly))
+    def coefs(planes, poly):
+        v, m = ([a[planes] for a in maps] for maps in (w, stats))
+        std = spec.standardize_pre_norm and _standardize_terms(m[1], spec)
+        for i in range(2, n):  # order i + 1 passes through its own poly[i]
+            vi = v[i] if norm is None else normalize._vjp_apply(
+                v[i], *(a[i - 2][planes] for a in norm), out=poly[i])
+            if std:  # order p = i + 1, through m_p / denom
+                half_p, root, denom = next(std)
+                v[1] = v[1] + vi * (-m[i] * half_p * root / (denom * denom))
+                vi = np.divide(vi, denom, out=poly[i])
+            np.multiply(vi, (i + 1.0) * inv, out=poly[i])
+        for k in range(min(n, 2)):
+            np.multiply(v[k], (k + 1.0) * inv, out=poly[k])
+        for k in range(2, n):
+            poly[0] -= poly[k] * m[k - 1]
+
+    return Tensor._adopt(t.shape, _cell_grads(t.nchw, walk, stats[0], (n, coefs)))
 
 
 def check_forward(x: Tensor, pool: PoolSpec, spec: MomentSpec,

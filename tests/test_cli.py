@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from momentpool import cli
 from momentpool.cli import main
 from momentpool.smp import MomentSpec, smp_forward
 from momentpool.synth import PATTERNS, checkerboard, make_pattern, ramp
@@ -386,6 +387,44 @@ class TestDeterminism:
         a = run_cli(capsys, *args)[1].strip().splitlines()[-1]
         b = run_cli(capsys, *args)[1].strip().splitlines()[-1]
         assert a == b
+
+
+def test_cached_parser_prints_what_a_fresh_parser_prints(tmp_path, capsys,
+                                                         monkeypatch):
+    """`main` keeps one parser for the process: calls of different
+    subcommands in a row, errors among them, give the bytes that a fresh
+    parser per call gives."""
+    noise, pooled = tmp_path / "noise.tensor", tmp_path / "pooled.tensor"
+    argvs = [
+        ("generate", "--pattern", "uniform-noise", "--shape", "1,2,12,12",
+         "--a", "-1", "--b", "1", "--seed", "5", "--out", str(noise)),
+        ("pool", "--input", str(noise), "--out", str(pooled), "--kernel", "3",
+         "--stride", "2", "--pad", "1", "--n", "4", "--norm", "layer"),
+        ("gradcheck", "--shape", "1,2,6,6", "--seed", "5", "--n", "3",
+         "--norm", "max"),
+        ("pool", "--input", str(noise), "--out", str(pooled), "--n", "4"),
+        ("toytrain", "--seed", "3", "--steps", "5", "--n", "2"),
+        ("bench", "--shape", "1,2,10,10", "--repeats", "1"),
+    ]
+
+    def run_all():
+        for f in (noise, pooled):
+            f.unlink(missing_ok=True)
+        runs = []
+        for argv in argvs:
+            rc, out, err = run_cli(capsys, *argv)
+            if argv[0] == "bench":  # wall times vary; the cost report must not
+                out = out.strip().splitlines()[-1]
+            runs.append((rc, out, err, *(f.exists() and f.read_bytes()
+                                         for f in (noise, pooled))))
+        return runs
+
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+    cached = run_all()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert run_all() == cached
+    assert [rc for rc, *_ in cached] == [0, 0, 0, 2, 0, 0]
 
 
 def test_console_entry_via_subprocess(tmp_path):

@@ -13,7 +13,7 @@ from momentpool.normalize import BatchNormState
 from momentpool.smp import MomentSpec, check_forward, smp_backward, smp_forward
 from momentpool.synth import solid
 from momentpool.tensor import Tensor
-from momentpool.windows import PoolSpec
+from momentpool.windows import PoolSpec, window_walk
 
 from gradutil import rel_gap
 from oracle import scalar_finite_diff
@@ -95,16 +95,31 @@ def test_upstream_shape_mismatch_rejected():
                      Tensor((1, 1, 2, 2), np.ones(4)))
 
 
-@pytest.mark.parametrize("spec", SPECS, ids=spec_id)
-def test_backward_matches_finite_differences(spec):
-    pool = PoolSpec.square(3, stride=2, pad=1)
-    x, up = make_case(1000 + spec.n, (4, 2, 6, 6), pool, spec)
+# a stride-1 geometry that takes the flat walk: 14x14 planes padded to
+# 16x16, 23% junk outputs
+FLAT_SHAPE, FLAT_POOL = (2, 2, 14, 14), PoolSpec.square(3, stride=1, pad=1)
+
+
+def _assert_matches_finite_differences(spec, shape, pool):
+    x, up = make_case(1000 + spec.n, shape, pool, spec)
     report = finite_diff_check(
         check_forward(x, pool, spec),
         lambda t, u: smp_backward(t, pool, spec, u),
         x, up)
     assert report.passed, report
     assert report.max_rel_error < 1e-6
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=spec_id)
+def test_backward_matches_finite_differences(spec):
+    _assert_matches_finite_differences(spec, (4, 2, 6, 6),
+                                       PoolSpec.square(3, stride=2, pad=1))
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=spec_id)
+def test_flat_walk_backward_matches_finite_differences(spec):
+    assert window_walk(FLAT_SHAPE, FLAT_POOL)[0].pad is not None
+    _assert_matches_finite_differences(spec, FLAT_SHAPE, FLAT_POOL)
 
 
 def test_eval_mode_batch_norm_backward():
@@ -146,18 +161,27 @@ def _count_stats():
     return mock.patch.object(smp, "_window_stats", wraps=smp._window_stats)
 
 
-@pytest.mark.parametrize("spec", SPECS, ids=spec_id)
-def test_cache_hit_gradients_are_bit_identical(spec):
-    """A backward reading the forward's cached statistics returns the same
-    bits as one that computes them for an equal-bytes twin input."""
-    pool = PoolSpec.square(3, stride=2, pad=1)
-    x, up = make_case(1000 + spec.n, (4, 2, 6, 6), pool, spec)
+def _assert_hit_equals_miss(spec, shape, pool):
+    x, up = make_case(1000 + spec.n, shape, pool, spec)
     with _count_stats() as stats:
         hit = smp_backward(x, pool, spec, up)
         assert stats.call_count == 0
         cold = smp_backward(Tensor(x.shape, x.data), pool, spec, up)
         assert stats.call_count == 1
     assert hit.data.tobytes() == cold.data.tobytes()
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=spec_id)
+def test_cache_hit_gradients_are_bit_identical(spec):
+    """A backward reading the forward's cached statistics returns the same
+    bits as one that computes them for an equal-bytes twin input."""
+    _assert_hit_equals_miss(spec, (4, 2, 6, 6), PoolSpec.square(3, stride=2, pad=1))
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=spec_id)
+def test_flat_walk_cache_hit_gradients_are_bit_identical(spec):
+    assert window_walk(FLAT_SHAPE, FLAT_POOL)[0].pad is not None
+    _assert_hit_equals_miss(spec, FLAT_SHAPE, FLAT_POOL)
 
 
 def test_cache_hit_gradients_are_bit_identical_eval_batch_norm():

@@ -1,12 +1,14 @@
 """Normalization forward values, statistics, and backward correctness."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from momentpool.normalize import (
     BatchNormState,
+    _vjp_terms,
     batch_norm,
     layer_norm,
     max_norm,
@@ -202,3 +204,31 @@ def test_norm_backward_dispatcher():
                                   u / (np.abs(x).max() + EPS))
     with pytest.raises(ValueError):
         norm_backward("group", x, u)
+
+
+@pytest.mark.parametrize("kind, shape, axis", [
+    ("layer", (5, 2, 20 * 31 * 29), 2),   # per sample and order
+    ("layer", (5, 2 * 20 * 31 * 29), 1),  # per sample, orders joint
+    ("layer", (5, 2, 20, 31 * 29), 2),    # per sample, order and location
+    ("layer", (3, 1, 16385), 2),          # a row past numpy's 8192-element buffer
+    ("layer", (7, 3), None),
+    ("batch", (5, 40, 31, 29), (0, 2, 3)),  # groups across samples
+    ("batch", (5, 1, 31, 29), (0, 2, 3)),   # one channel: numpy sums one run
+])
+def test_vjp_terms_match_one_product_of_the_block(kind, shape, axis):
+    """The VJP's mean(u * y) has the bits of the whole block's product, and
+    where groups lie inside a sample no more than one sample's product is
+    held at a time."""
+    rng = np.random.default_rng(61)
+    u, y = rng.uniform(-1, 1, (2,) + shape)
+    want = (u * y).mean(axis, keepdims=True)
+    tracemalloc.start()
+    try:
+        _, mean_u, got = _vjp_terms(kind, y, 1.0, u, axis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert mean_u.tobytes() == u.mean(axis, keepdims=True).tobytes()
+    held = y[0].nbytes if isinstance(axis, int) else y.nbytes
+    assert peak <= held + 3 * want.nbytes + 4096

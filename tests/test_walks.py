@@ -19,6 +19,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from momentpool import smp
+from momentpool.normalize import BatchNormState
 from momentpool.smp import MomentSpec, smp_backward, smp_forward
 from momentpool.tensor import Tensor
 from momentpool.windows import (GeometryError, PoolSpec, flat_walk,
@@ -43,6 +44,15 @@ def plane_range(planes, channels):
 
 def steps_of(walk):
     return [step for _, steps in walk.chunks for step in steps]
+
+
+def ready(poly):
+    """`smp._cell_grads`' coefficient builder for a ready (n, N, C, H', W')
+    array: it copies each chunk's planes."""
+    def fill(planes, out):
+        for dst, c in zip(out, poly):
+            dst[...] = c[planes]
+    return len(poly), fill
 
 
 class TestChoice:
@@ -120,6 +130,63 @@ def test_forward_and_backward_bytes_are_frozen(name):
         assert hashlib.sha256(g.data.tobytes()).hexdigest() == g_digest
 
 
+# sha256 of smp_backward bytes on a flat walk of six chunks that split each
+# sample's 20 channels 7 + 7 + 6, for the normalizations whose VJP reads
+# group terms; inputs, upstreams and the eval-mode running state from
+# default_rng(1234). Group means sum with numpy's pairwise float64
+# reduction, so unlike FROZEN these pin the bits of that reduction as well.
+FROZEN_NORMED_SHAPE, FROZEN_NORMED_POOL = (2, 20, 62, 62), PoolSpec.square(3, 1, 1)
+FROZEN_NORMED = {
+    "layer order": (
+        MomentSpec(n=4, norm="layer"), True,
+        "d6fe8b7f0bcbe823ae41d8dbf3dbafb546315515316dd57effcd4e47113de3a5"),
+    "layer joint": (
+        MomentSpec(n=4, norm="layer", norm_axis="joint"), True,
+        "e04ff954604a73ac90a9949302796c2b16d2ab678e32dcdcbe9861d1c57e3f36"),
+    "layer location": (
+        MomentSpec(n=4, norm="layer", norm_axis="location"), True,
+        "523bbf8a9c3094486676cdeede4dca3d140e2e6cdd6e65eb6b54a8611c446288"),
+    "max order": (
+        MomentSpec(n=4, norm="max"), True,
+        "4bf6e11dd52f5ec26d05d506482c5d5a60f0d320b50b071720a7d8cd80487821"),
+    "max location n3": (
+        MomentSpec(n=3, norm="max", norm_axis="location"), True,
+        "759dd20cd5babbcb27dc2f61f268c7e80e204cc58e4b6ce1cbc3af946f1beed5"),
+    "batch training": (
+        MomentSpec(n=4, norm="batch"), True,
+        "cf6c29d43c5f51bd884efc7358e461c1f96cdab32ca13c623927ce646150eb7f"),
+    "batch eval": (
+        MomentSpec(n=4, norm="batch"), False,
+        "6b2aa854826fcdbead76e131afad0980805368e094f89b3087136d825021acc4"),
+    "layer standardized": (
+        MomentSpec(n=4, norm="layer", standardize_pre_norm=True), True,
+        "90e6594f1d5cea432e85a45ebb676c90747ee647066890c924ef8e1a1d824509"),
+    "batch standardized": (
+        MomentSpec(n=4, norm="batch", standardize_pre_norm=True), True,
+        "e0ef09e61e96fcb5141d8d3960067a3f62b926650a8d97b31edf534d3285b967"),
+}
+
+
+@pytest.mark.parametrize("name", list(FROZEN_NORMED))
+def test_normalized_backward_bytes_are_frozen(name):
+    spec, training, digest = FROZEN_NORMED[name]
+    shape, pool = FROZEN_NORMED_SHAPE, FROZEN_NORMED_POOL
+    walk, _ = window_walk(shape, pool)
+    assert walk.pad is not None and len(walk.chunks) == 6
+    rng = np.random.default_rng(1234)
+    x = Tensor(shape, rng.uniform(-1.0, 1.0, shape))
+    state = None
+    if not training:
+        k = (spec.n - 2) * shape[1]
+        state = BatchNormState(mean=rng.standard_normal(k),
+                               var=rng.uniform(0.5, 2.0, k))
+    y = smp_forward(x, pool, spec, bn_state=state, training=training)
+    up = Tensor(y.shape, rng.uniform(-1.0, 1.0, y.shape))
+    for t in (x, Tensor(shape, x.data)):  # cache hit, then miss
+        g = smp_backward(t, pool, spec, up, bn_state=state, training=training)
+        assert hashlib.sha256(g.data.tobytes()).hexdigest() == digest
+
+
 @st.composite
 def stride_one_cases(draw):
     """Stride-1 geometry with H', W' >= 2, where every strided step is one
@@ -157,8 +224,8 @@ def test_flat_walk_matches_the_strided_walk_bit_for_bit(case):
     assert all(a.tobytes() == b.tobytes() for a, b in zip(maps, flat_maps))
     poly = uniform((n,) + maps[0].shape, seed + 1)
     poly.reshape(-1)[::7] = -0.0
-    g = smp._cell_grads(x4, strided, maps[0], poly)
-    assert g.tobytes() == smp._cell_grads(x4, flat, maps[0], poly).tobytes()
+    g = smp._cell_grads(x4, strided, maps[0], ready(poly))
+    assert g.tobytes() == smp._cell_grads(x4, flat, maps[0], ready(poly)).tobytes()
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -230,7 +297,7 @@ def test_huge_constant_pools_and_differentiates_without_warnings(shape, pool):
             walk, counts = builder(shape, pool)
             maps, _ = smp._walk_stats(x.nchw, walk, counts, 3)
             poly = uniform((4,) + maps[0].shape, 0)
-            grads.append(smp._cell_grads(x.nchw, walk, maps[0], poly))
+            grads.append(smp._cell_grads(x.nchw, walk, maps[0], ready(poly)))
     assert np.isfinite(y.data).all() and np.isfinite(g.data).all()
     assert grads[0].tobytes() == grads[1].tobytes()
 
@@ -250,7 +317,7 @@ def test_non_finite_cells_spread_alike_on_both_walks(bad):
             maps, out = smp._walk_stats(x4, walk, counts, 4)
             poly = uniform((4,) + maps[0].shape, 9)
             results.append((out.tobytes(),
-                            smp._cell_grads(x4, walk, maps[0], poly).tobytes()))
+                            smp._cell_grads(x4, walk, maps[0], ready(poly)).tobytes()))
     assert results[0] == results[1]
     assert np.isfinite(np.frombuffer(results[0][0])).mean() > 0.9
 
@@ -284,3 +351,33 @@ def test_cached_backward_copies_no_upstream_and_no_mean_map(shape, pool):
     finally:
         tracemalloc.stop()
     assert peak <= bound + y.data.nbytes // 4
+
+
+def test_streamed_backward_builds_no_full_size_map():
+    """A cached n=4 layer-norm backward on a flat walk whose chunks split each
+    sample's channels holds the gradient, one chunk's padded scratch (the
+    mean, four coefficient maps, the input and the gradient) and working
+    buffers, a few chunk-sized temporaries of the coefficient builder and
+    the per-group terms, with room for numpy's own. A full-size VJP result
+    or coefficient array would push it past the bound."""
+    shape, pool = FROZEN_NORMED_SHAPE, FROZEN_NORMED_POOL
+    spec = MomentSpec(n=4, norm="layer")
+    x = Tensor(shape, uniform(shape, 5))
+    y = smp_forward(x, pool, spec)
+    up = Tensor(y.shape, uniform(y.shape, 6))
+    smp_backward(x, pool, spec, up)  # warm: the walk is cached per geometry
+    walk, counts = window_walk(shape, pool)
+    per = max(np.prod([s.stop - s.start for s in ch]) for ch, _ in walk.chunks)
+    assert walk.pad is not None and per < shape[1]
+    padded = np.add(shape[2:], np.multiply(2, walk.pad))
+    scratch = 8 * (7 * per * np.prod(padded) + 2 * walk.inv.size)
+    temps = 8 * 4 * per * counts[0].size * counts[1].size
+    terms = 8 * 3 * shape[0] * (spec.n - 2)
+    bound = x.data.nbytes + scratch + temps + terms
+    tracemalloc.start()
+    try:
+        smp_backward(x, pool, spec, up)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound + x.data.nbytes // 4
