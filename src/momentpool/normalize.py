@@ -32,16 +32,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tensor import _is_real
+
 DEFAULT_EPS = 1e-5
 
 
 @dataclass
 class BatchNormState:
-    """Running per-channel statistics; owned by a single training loop."""
+    """Running per-channel statistics; owned by a single training loop.
+
+    `mean` and `var` are stored as float64 1-D arrays of one length, finite,
+    with `var` >= 0; `momentum` is a real number in [0, 1].
+    """
 
     mean: np.ndarray
     var: np.ndarray
     momentum: float = 0.1
+
+    def __post_init__(self):
+        mean, var = (np.asarray(a, dtype=np.float64) for a in (self.mean, self.var))
+        if not (mean.ndim == 1 and mean.shape == var.shape
+                and np.isfinite([mean, var]).all() and (var >= 0).all()):
+            raise ValueError(f"BatchNormState needs finite 1-D mean and var of "
+                             f"one length, var >= 0; got {mean!r} and {var!r}")
+        if not (_is_real(self.momentum) and 0 <= self.momentum <= 1):
+            raise ValueError(f"BatchNormState momentum must be a real number "
+                             f"in [0, 1], got {self.momentum!r}")
+        self.mean, self.var = mean, var
 
     @classmethod
     def fresh(cls, channels: int, momentum: float = 0.1) -> "BatchNormState":
@@ -65,13 +82,9 @@ def _running_stats(state: BatchNormState | None, x: np.ndarray):
     """The state's (mean, var), shaped to broadcast over x's channel axis."""
     if state is None:
         raise ValueError("eval-mode batch normalization needs running state")
-    channels = x.shape[1]
-    given = (np.shape(state.mean), np.shape(state.var))
-    if given != ((channels,), (channels,)):
-        raise ValueError(
-            f"BatchNormState must hold {channels} channels to match the input, "
-            f"got mean shape {given[0]} and var shape {given[1]}"
-        )
+    if state.mean.shape != x.shape[1:2]:  # mean and var share one shape
+        raise ValueError(f"BatchNormState must hold {x.shape[1]} channels to "
+                         f"match the input, got shape {state.mean.shape}")
     shape = (1, -1) + (1,) * (x.ndim - 2)
     return state.mean.reshape(shape), state.var.reshape(shape)
 

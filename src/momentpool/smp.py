@@ -33,27 +33,19 @@ maps of all planes on a strided walk). `check_forward` is the matching
 finite-difference target: the true forward, except that max norm holds
 its peak divisor fixed, as the backward does.
 
-Window walks
-------------
-The statistics and the cell gradients run one moment loop and one
-cell-gradient loop over the `windows.Walk` that `windows.window_walk`
-picks from the geometry; `windows` gives the rule, the measurements behind
-it and why both ways of building a walk give the same bits. Neither loop
-copies the upstream or a per-plane map of the output.
-
 Saved forward
 -------------
 Each `smp_forward` saves, read-only in a one-entry cache, what the
-backward needs: the walk, the per-axis counts, m1..mn (m1 and m2 as views
-of the output, m3 and m4 raw), and the normalized orders >= 3 (a view of
-the output) with their per-group divisor; the backward reads them per chunk
-and rebuilds no pre-norm block. The key is the input `Tensor`'s identity
-through a weakref (tensors are immutable), `pool`, the whole `spec` and
-`training`, since the divisor depends on every normalization field. On a
-miss the backward runs the forward itself, without the running state in
-training mode, so a hit and a miss share one formula. Eval-mode batch norm
-divides by the backward's own running state. The entry goes when its
-input dies or the next input is pooled.
+backward needs: the entry (walk, stats, block, divisor) holds the walk
+with its per-axis counts, m1..mn (m1 and m2 as views of the output, m3 and
+m4 raw), and the normalized orders >= 3 (a view of the output) with their
+per-group divisor. The key is the input `Tensor`'s identity through a
+weakref (tensors are immutable), `pool`, the whole `spec` and `training`,
+since the divisor depends on every normalization field. On a miss the
+backward runs the forward itself, without the running state in training
+mode, so a hit and a miss share one formula. Eval-mode batch norm divides
+by the backward's own running state. The entry goes when its input dies or
+the next input is pooled.
 
 Operation-count model
 ---------------------
@@ -77,14 +69,14 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from . import normalize
 from .normalize import BatchNormState
-from .tensor import Tensor, _is_int, nchw_shape
+from .tensor import Tensor, _is_int, _is_real, nchw_shape
 from .windows import PoolSpec, Walk, _planes, output_dims, window_walk
 
 NORM_KINDS = ("none", "layer", "max", "batch")
@@ -118,10 +110,14 @@ class MomentSpec:
         if self.norm not in NORM_KINDS:
             raise ValueError(f"norm must be one of {NORM_KINDS}, got {self.norm!r}")
         if self.norm_axis not in NORM_AXES:
-            raise ValueError(f"norm_axis must be one of {NORM_AXES}")
-        if not (math.isfinite(self.eps_norm) and self.eps_norm > 0):
+            raise ValueError(
+                f"norm_axis must be one of {NORM_AXES}, got {self.norm_axis!r}")
+        if not (_is_real(self.eps_norm) and 0 < self.eps_norm < math.inf):
             raise ValueError(
                 f"eps_norm must be finite and positive, got {self.eps_norm!r}")
+        for flag in ("standardize_pre_norm", "unsafe_no_norm"):
+            if not isinstance(getattr(self, flag), bool):
+                raise ValueError(f"{flag} must be a bool, got {getattr(self, flag)!r}")
         if self.n >= 3 and self.norm == "none" and not self.unsafe_no_norm:
             raise ValueError(
                 "order >= 3 without normalization destabilizes training; "
@@ -247,7 +243,7 @@ def _moments(x4: np.ndarray, walk: Walk, maps: list) -> None:
             a *= inv
 
 
-def _walk_stats(x4: np.ndarray, walk: Walk, counts, n: int):
+def _walk_stats(x4: np.ndarray, walk: Walk, n: int):
     """(maps, output): the (N, C, H', W') maps m1..mn over `walk`, and an
     array of `output_shape` holding them in its moment-major channels; m1
     and m2 are views of the output, m3..mn their own arrays.
@@ -256,21 +252,12 @@ def _walk_stats(x4: np.ndarray, walk: Walk, counts, n: int):
     planes; the output comes once the walk and its temporaries are gone, so
     the walk holds n maps, not 2n.
     """
-    shape = x4.shape[:2] + (counts[0].size, counts[1].size)
+    shape = x4.shape[:2] + tuple(a.size for a in walk.counts)
     maps = [_fresh(walk, shape) for _ in range(n)]
     _moments(x4, walk, maps)
-    orders = np.empty(shape[:1] + (n,) + shape[1:])
-    for k, m in enumerate(maps):
-        orders[:, k] = m
+    orders = np.stack(maps, axis=1)
     maps[:2] = [orders[:, k] for k in range(min(n, 2))]
     return maps, orders.reshape(shape[0], -1, *shape[2:])
-
-
-def _window_stats(x4: np.ndarray, pool: PoolSpec, n: int):
-    """(walk, counts, maps, output): the walk for x4's shape, its per-axis
-    in-bounds counts and `_walk_stats` over it."""
-    walk, counts = window_walk(x4.shape, pool)
-    return (walk, counts) + _walk_stats(x4, walk, counts, n)
 
 
 def _cell_grads(x4: np.ndarray, walk: Walk, m1: np.ndarray, coefficients):
@@ -298,7 +285,7 @@ def _cell_grads(x4: np.ndarray, walk: Walk, m1: np.ndarray, coefficients):
 
 # What the last forward saved, for the backward of the same input:
 # (weakref to the input Tensor, pool, spec, training, entry) or None, with
-# entry = (walk, counts, stats, normalized orders >= 3, divisor). Tensors
+# entry = (walk, stats, normalized orders >= 3, divisor). Tensors
 # are immutable, so the input's identity pins its bytes.
 _cached = None
 
@@ -329,18 +316,6 @@ def _standardize_terms(m2: np.ndarray, spec: MomentSpec):
         yield p / 2, root, root * m2 + spec.eps_norm
 
 
-def _standardize_block(block: np.ndarray, m2: np.ndarray,
-                       spec: MomentSpec) -> np.ndarray:
-    """Divide raw m3, m4 in `block` by sigma^3 + eps, sigma^4 + eps, in place,
-    when `spec.standardize_pre_norm` is set. The result is the pre-norm block,
-    the normalization input."""
-    if spec.standardize_pre_norm:
-        for order, (_, _, denom) in zip(_by_order(block, m2.shape),
-                                        _standardize_terms(m2, spec)):
-            order /= denom
-    return block
-
-
 def _grouped(block: np.ndarray, spec: MomentSpec):
     """Reshape an orders >= 3 block so one axis spans each norm group.
 
@@ -360,36 +335,34 @@ def _grouped(block: np.ndarray, spec: MomentSpec):
     return block.reshape(n_samples, k, block.shape[1] // k, -1), 2  # location
 
 
-def _normalize(block: np.ndarray, spec: MomentSpec,
-               bn_state: BatchNormState | None, training: bool):
-    """`spec.norm` applied in place to a pre-norm block in its groups;
-    returns the per-group divisor, or None without normalization."""
-    if spec.norm == "none":
-        return None
-    x, axis = _grouped(block, spec)
-    return normalize._normalized(spec.norm, x, spec.eps_norm, axis, bn_state,
-                                 training, out=x)[1]
-
-
-def _pooled(t: Tensor, pool: PoolSpec, spec: MomentSpec, norm):
-    """(output, entry): moment channels m1, m2 and the pre-norm block after
-    `norm`, which rescales it in place and returns its divisor, concatenated;
-    the read-only entry is what `_saved` returns for `t`.
+def _pooled(t: Tensor, pool: PoolSpec, spec: MomentSpec,
+            bn_state: BatchNormState | None, training: bool):
+    """(output, entry): moment channels m1..mn, the orders >= 3 divided by
+    sigma^p + eps when `spec.standardize_pre_norm` is set and then normalized
+    in place in their groups; the read-only entry is what `_saved` returns
+    for `t`.
 
     The entry keeps m1, m2 and the normalized block as views of the output
     and raw m3, m4 as their own arrays, so the two together hold no map
     twice.
     """
-    walk, counts, stats, out = _window_stats(t.nchw, pool, spec.n)
-    channels = stats[0].shape[1]
+    walk = window_walk(t.nchw.shape, pool)
+    stats, out = _walk_stats(t.nchw, walk, spec.n)
     block = divisor = None
     if spec.n >= 3:
-        block = _standardize_block(out[:, 2 * channels:], stats[1], spec)
-        divisor = norm(block)
+        block = out[:, 2 * stats[0].shape[1]:]
+        if spec.standardize_pre_norm:
+            for order, (_, _, denom) in zip(_by_order(block, stats[1].shape),
+                                            _standardize_terms(stats[1], spec)):
+                order /= denom
+        if spec.norm != "none":
+            x, axis = _grouped(block, spec)
+            divisor = normalize._normalized(spec.norm, x, spec.eps_norm, axis,
+                                            bn_state, training, out=x)[1]
     for a in (*stats, block, divisor):
         if a is not None:
             a.setflags(write=False)
-    return out, (walk, counts, stats, block, divisor)
+    return out, (walk, stats, block, divisor)
 
 
 def smp_forward(t: Tensor, pool: PoolSpec, spec: MomentSpec,
@@ -402,8 +375,7 @@ def smp_forward(t: Tensor, pool: PoolSpec, spec: MomentSpec,
     when none is given in training mode).
     """
     global _cached
-    out, entry = _pooled(t, pool, spec,
-                         lambda block: _normalize(block, spec, bn_state, training))
+    out, entry = _pooled(t, pool, spec, bn_state, training)
     _cached = (weakref.ref(t, _forget), pool, spec, training, entry)
     return Tensor._adopt(out.shape, out)
 
@@ -417,7 +389,7 @@ def smp_backward(t: Tensor, pool: PoolSpec, spec: MomentSpec, upstream: Tensor,
         raise ValueError(f"upstream shape {upstream.nchw.shape} does not match "
                          f"forward output {expected}")
 
-    walk, counts, stats, y, divisor = _saved(t, pool, spec, bn_state, training)
+    walk, stats, y, divisor = _saved(t, pool, spec, bn_state, training)
     shape, n = stats[0].shape, spec.n
     w, norm = _by_order(upstream.nchw, shape), None  # order k + 1 at w[k]
     if spec.norm != "none" and n >= 3:
@@ -430,7 +402,7 @@ def smp_backward(t: Tensor, pool: PoolSpec, spec: MomentSpec, upstream: Tensor,
             upstream.nchw[:, 2 * shape[1]:], spec)[0], axis, training)
         norm = [_by_order(np.broadcast_to(a, block.shape), shape)
                 for a in (block, *terms)]
-    inv = 1.0 / np.multiply.outer(*counts)
+    inv = 1.0 / np.multiply.outer(*walk.counts)
 
     # order k adds k * w_k / window count * (dev**(k-1) - m_(k-1)) to a cell,
     # m_0 = m_1 = 0, for the cell's deviation dev from the window mean;
@@ -476,27 +448,21 @@ def check_forward(x: Tensor, pool: PoolSpec, spec: MomentSpec,
     chunk of probes in one call. Training-mode batch statistics couple the
     samples, so that forward has no `stacked` and is called once per probe.
     """
-    if spec.norm == "batch" and training:
-        return lambda t: smp_forward(t, pool, spec, training=True)
-
-    if spec.norm != "max" or spec.n < 3:
-        def forward(t: Tensor) -> Tensor:
-            return smp_forward(t, pool, spec, bn_state=bn_state,
-                               training=training)
-    else:
-        peaks = _saved(x, pool, spec, bn_state, training)[4]
+    if spec.norm == "max" and spec.n >= 3:
+        peaks = _saved(x, pool, spec, bn_state, training)[3]
+        raw = replace(spec, norm="none", unsafe_no_norm=True)
 
         def forward(t: Tensor) -> Tensor:
-            tiled = np.concatenate([peaks] * (t.nchw.shape[0] // len(peaks)))
-
-            def fixed_peak(block: np.ndarray) -> None:
-                g, _ = _grouped(block, spec)
-                g /= tiled
-
-            out, _ = _pooled(t, pool, spec, fixed_peak)
+            out, _ = _pooled(t, pool, raw, None, training)
+            block, _ = _grouped(out[:, 2 * t.nchw.shape[1]:], spec)
+            block /= np.concatenate([peaks] * (len(out) // len(peaks)))
             return Tensor._adopt(out.shape, out)
-
-    forward.stacked = forward
+    else:
+        def forward(t: Tensor) -> Tensor:
+            return smp_forward(t, pool, spec, None if training else bn_state,
+                               training)
+    if spec.norm != "batch" or not training:
+        forward.stacked = forward
     return forward
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 
 import numpy as np
@@ -34,6 +35,11 @@ class TensorFileError(ValueError):
 def _is_int(value) -> bool:
     """True for Python and numpy integers; bools are rejected."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """True for Python and numpy real numbers; bools are rejected."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def nchw_shape(shape) -> tuple[int, int, int, int]:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .smp import MomentSpec, smp_forward
 from .synth import uniform_noise
-from .tensor import _is_int, nchw_shape
+from .tensor import _is_int, _is_real, nchw_shape
 from .windows import PoolSpec
 
 _FEATURE_STREAM = 0
@@ -55,11 +55,11 @@ class ToyTrainConfig:
     def __post_init__(self):
         if not (_is_int(self.steps) and self.steps >= 1):
             raise ValueError(f"steps must be an int >= 1, got {self.steps!r}")
-        if not (math.isfinite(self.lr) and self.lr > 0):
+        if not (_is_real(self.lr) and 0 < self.lr < math.inf):
             raise ValueError(f"lr must be finite and positive, got {self.lr!r}")
         if not (_is_int(self.batch) and self.batch >= 1):
             raise ValueError(f"batch must be an int >= 1, got {self.batch!r}")
-        if not (math.isfinite(self.input_scale) and self.input_scale > 0):
+        if not (_is_real(self.input_scale) and 0 < self.input_scale < math.inf):
             raise ValueError(
                 f"input_scale must be finite and positive, got {self.input_scale!r}")
         shape = self.feature_shape

@@ -158,12 +158,14 @@ class WindowStep(NamedTuple):
 
 
 class Walk(NamedTuple):
-    """A window walk, cached per shape and geometry.
+    """A window walk, cached per shape and geometry by `window_walk`.
 
     `chunks` holds (planes, steps) pairs: the (samples, channels) index of
     a run of planes, inside one sample or of whole samples, and the steps
     that complete every window of those planes. `inv` is 1 / cell count in
-    the layout the steps feed, read-only. `pad` is None where the steps
+    the layout the steps feed, read-only. `counts` is a read-only pair: the
+    in-bounds kernel rows per output row and columns per output column,
+    whose product is a window's cell count. `pad` is None where the steps
     read and feed the arrays in place; else each chunk's planes are copied
     into a scratch with (pad_h, pad_w) zeros around each plane, and `inv`
     spans the flattened outputs of the largest chunk with 0 at junk.
@@ -171,6 +173,7 @@ class Walk(NamedTuple):
 
     chunks: tuple
     inv: np.ndarray
+    counts: tuple
     pad: tuple | None = None
 
 
@@ -232,16 +235,12 @@ def _planes(index: tuple) -> int:
     return math.prod(s.stop - s.start for s in index)
 
 
-@lru_cache(maxsize=64)
-def window_steps(shape: tuple, spec: PoolSpec):
-    """The strided walk for an (N, C, H, W) `shape`, cached: (walk, counts).
+def window_steps(shape: tuple, spec: PoolSpec) -> Walk:
+    """The strided walk for an (N, C, H, W) `shape`.
 
     Its one chunk holds every plane. Each step holds as many whole planes
     and kernel rows of one run as fit in `_STEP_BYTES`, at least one of
-    each; its planes lie inside one sample or are whole samples. `counts` is
-    a read-only pair: the in-bounds kernel rows per output row and columns
-    per output column, whose product is a window's cell count; kept per
-    axis for a small cache.
+    each; its planes lie inside one sample or are whole samples.
     """
     n, c, h, w = shape
     rows, cols, counts = _runs_and_counts(h, w, spec)
@@ -267,13 +266,11 @@ def window_steps(shape: tuple, spec: PoolSpec):
                                     (planes + hw + cells)[:rank], strides[:rank]))
     inv = 1.0 / np.multiply.outer(*counts)
     inv.setflags(write=False)
-    return Walk((((slice(0, n), slice(0, c)), tuple(steps)),), inv), counts
+    return Walk((((slice(0, n), slice(0, c)), tuple(steps)),), inv, counts)
 
 
-@lru_cache(maxsize=64)
-def flat_walk(shape: tuple, spec: PoolSpec):
-    """The flat walk for an (N, C, H, W) `shape` at stride 1, cached:
-    (walk, counts), with `counts` as in `window_steps`.
+def flat_walk(shape: tuple, spec: PoolSpec) -> Walk:
+    """The flat walk for an (N, C, H, W) `shape` at stride 1.
 
     A chunk holds as many whole planes as fit in `_STEP_BYTES`, at least
     one, inside one sample or as whole samples, like a strided step. Copied
@@ -315,16 +312,15 @@ def flat_walk(shape: tuple, spec: PoolSpec):
                                 (size,), (8,), bad[:size])
                      for (di, dj), bad in zip(cells, invalid))
 
-    walk = Walk(tuple((ch, steps(outputs(_planes(ch)))) for ch in chunks),
-                inv, (ph, pw))
-    return walk, counts
+    return Walk(tuple((ch, steps(outputs(_planes(ch)))) for ch in chunks),
+                inv, counts, (ph, pw))
 
 
-def window_walk(shape: tuple, spec: PoolSpec):
-    """The walk that the forward and the backward take for `shape`:
+@lru_cache(maxsize=64)
+def window_walk(shape: tuple, spec: PoolSpec) -> Walk:
+    """The walk that the forward and the backward take for `shape`, cached:
     `flat_walk` at stride 1 when one padded plane fits `_STEP_BYTES` and at
-    most a quarter of the outputs are junk, else `window_steps`. Both
-    return (walk, counts)."""
+    most a quarter of the outputs are junk, else `window_steps`."""
     h, w = shape[2:]
     hp, wp = h + 2 * spec.pad_h, w + 2 * spec.pad_w
     if (spec.stride_h, spec.stride_w) == (1, 1) and hp * wp * 8 <= _STEP_BYTES:

@@ -1,5 +1,6 @@
 """Backward pass correctness, VJP algebra, and gradient scaling laws."""
 
+import hashlib
 import warnings
 from unittest import mock
 
@@ -118,7 +119,7 @@ def test_backward_matches_finite_differences(spec):
 
 @pytest.mark.parametrize("spec", SPECS, ids=spec_id)
 def test_flat_walk_backward_matches_finite_differences(spec):
-    assert window_walk(FLAT_SHAPE, FLAT_POOL)[0].pad is not None
+    assert window_walk(FLAT_SHAPE, FLAT_POOL).pad is not None
     _assert_matches_finite_differences(spec, FLAT_SHAPE, FLAT_POOL)
 
 
@@ -158,7 +159,7 @@ def test_gradient_check_leaves_batch_norm_state_untouched():
 
 
 def _count_stats():
-    return mock.patch.object(smp, "_window_stats", wraps=smp._window_stats)
+    return mock.patch.object(smp, "_walk_stats", wraps=smp._walk_stats)
 
 
 def _assert_hit_equals_miss(spec, shape, pool):
@@ -180,7 +181,7 @@ def test_cache_hit_gradients_are_bit_identical(spec):
 
 @pytest.mark.parametrize("spec", SPECS, ids=spec_id)
 def test_flat_walk_cache_hit_gradients_are_bit_identical(spec):
-    assert window_walk(FLAT_SHAPE, FLAT_POOL)[0].pad is not None
+    assert window_walk(FLAT_SHAPE, FLAT_POOL).pad is not None
     _assert_hit_equals_miss(spec, FLAT_SHAPE, FLAT_POOL)
 
 
@@ -215,6 +216,82 @@ def test_frozen_peak_forward_same_with_and_without_a_hit(axis):
     probes = Tensor((4, 2, 6, 6), np.concatenate([x.nchw, 2.0 * x.nchw]))
     assert hit(x) == cold(x)
     assert hit.stacked(probes) == cold.stacked(probes)
+
+
+# sha256 of check_forward's stacked max-norm output bytes: three probes of
+# x + 1e-3 * uniform(-1, 1) stacked on the sample axis, x and the probes from
+# default_rng(1234), the peaks held at x; keyed "<walk> n<order> <norm_axis>"
+# with " std" for standardize_pre_norm. Peaks, divisions and the walk's sums
+# are all fixed-order, so the digests hold on any IEEE-754 platform.
+FROZEN_PEAK_GEOMETRY = {
+    "flat": ((2, 3, 16, 16), PoolSpec.square(3, 1, 1)),
+    "strided": ((2, 3, 9, 9), PoolSpec.square(3, 2, 1)),
+}
+FROZEN_PEAK = {
+    "flat n3 order":
+        "b3a6ae5097a2f65101fc99d03b6edc73b808cdada81e98d62d72332025e0f592",
+    "flat n3 order std":
+        "49736f2dca6c27f6b6747e3091ef80973aaf0b7c6d1f6035ae48412c02fa1f32",
+    "flat n3 joint":
+        "b3a6ae5097a2f65101fc99d03b6edc73b808cdada81e98d62d72332025e0f592",
+    "flat n3 joint std":
+        "49736f2dca6c27f6b6747e3091ef80973aaf0b7c6d1f6035ae48412c02fa1f32",
+    "flat n3 location":
+        "b58de870a0b92cdd939aed41a869909e40b41657b308af50045e6fed8b065b3b",
+    "flat n3 location std":
+        "644109c83fbaef0f00d06e1f5f43a2830ef200bee58b0a8745b371c6ec553ac2",
+    "flat n4 order":
+        "414b034d33dfa2f65d88b747fb49151674fb2e2c38064f1538164418c2d827a3",
+    "flat n4 order std":
+        "9e852bcc4dae38a3f21de88da6e9bcdce231ce256aebd6e71dd84e7ce63bbb69",
+    "flat n4 joint":
+        "c7124b9fbd25bf994b8e736ff41e248a34a344951fc4ce9b3cfcf2a071dfa1a3",
+    "flat n4 joint std":
+        "f84e77775afd8ccc0167a2bcbf87516202f55aaa03447d120ef240316ba66b5f",
+    "flat n4 location":
+        "38f3255c556b2f10f3c0cfed35f10b9979a72a2e81bb9500727a2682216c7ca9",
+    "flat n4 location std":
+        "b4876ff71a9d87a270056b2c85dec5dc88c33835060cf4182512357714c3e403",
+    "strided n3 order":
+        "763a32aef5ea27844f8c1dc1653ef2a0bbb0ea0e68e9e4da1b2ab71a11d97324",
+    "strided n3 order std":
+        "a3e1d2807f8dbb70b075fe0e3c4b25b9d8709f8364a9c2e9010ef747e9f1c99b",
+    "strided n3 joint":
+        "763a32aef5ea27844f8c1dc1653ef2a0bbb0ea0e68e9e4da1b2ab71a11d97324",
+    "strided n3 joint std":
+        "a3e1d2807f8dbb70b075fe0e3c4b25b9d8709f8364a9c2e9010ef747e9f1c99b",
+    "strided n3 location":
+        "d8d173795da2cd1bb29dbfbfff398888910fdd55b5d87c5e2590f57b42f436a6",
+    "strided n3 location std":
+        "c50951fea03adee460f393eb080d956bd76206ac79591eec3718515ef16fec4a",
+    "strided n4 order":
+        "dbf09d4f2d261d8fcf9ab9fa5e3672c6ced995ef7a400a1dd693e5e409a5a15d",
+    "strided n4 order std":
+        "6b2785fe81bf807c29be2d8b98211fc43b9345b880fe5a1922230a6bdbdea8e4",
+    "strided n4 joint":
+        "6b1db30f33c2c8b0764e1ce819071924713a11c81fcf4f64924d86734d7543ac",
+    "strided n4 joint std":
+        "3be6e353a93c57d82d64dc2731ac09a5d344c2b4bbdaee92db851c34e8025bd6",
+    "strided n4 location":
+        "fe93aace21e9843bb0e69642a19bd42a4cf7ff821a96a6d61f880879cb8f1bf8",
+    "strided n4 location std":
+        "db5b7f3d4a515cb0143fad8b4d50d0056117faa9423bc056d7ba2da26e67f710",
+}
+
+
+@pytest.mark.parametrize("name", list(FROZEN_PEAK))
+def test_frozen_peak_stacked_forward_bytes_are_frozen(name):
+    walk, n, axis, *std = name.split()
+    shape, pool = FROZEN_PEAK_GEOMETRY[walk]
+    assert (window_walk(shape, pool).pad is not None) == (walk == "flat")
+    spec = MomentSpec(n=int(n[1:]), norm="max", norm_axis=axis,
+                      standardize_pre_norm=bool(std))
+    rng = np.random.default_rng(1234)
+    x = Tensor(shape, rng.uniform(-1.0, 1.0, shape))
+    probes = np.concatenate([x.nchw + 1e-3 * rng.uniform(-1.0, 1.0, shape)
+                             for _ in range(3)])
+    out = check_forward(x, pool, spec).stacked(Tensor(probes.shape, probes))
+    assert hashlib.sha256(out.data.tobytes()).hexdigest() == FROZEN_PEAK[name]
 
 
 def _assert_bits_match_oracle(forward, x, up):

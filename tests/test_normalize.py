@@ -150,6 +150,29 @@ class TestBatchNorm:
         np.testing.assert_array_equal(batch_norm(x, training=True, eps=EPS),
                                       layer_norm(x, EPS, axis=(0, 2, 3)))
 
+    def test_state_is_validated_at_construction(self):
+        """Lists become float64 arrays; a bad state is refused before any
+        forward reads it, instead of failing deep in the stack, warning in
+        sqrt or turning the running statistics into NaN."""
+        state = BatchNormState(mean=[0.0, 1.0], var=[1, 2])
+        for a in (state.mean, state.var):
+            assert isinstance(a, np.ndarray) and a.dtype == np.float64
+        x = Tensor((2, 1, 4, 4), np.linspace(-1.0, 1.0, 32))
+        spec = MomentSpec(n=3, norm="batch")
+        for training in (True, False):
+            smp_forward(x, PoolSpec(2, 2, 2, 2), spec,
+                        bn_state=BatchNormState(mean=[0.0], var=[1.0]),
+                        training=training)
+        for mean, var in [([0.0], [-1.0]), ([np.nan], [1.0]), ([0.0], [np.inf]),
+                          ([0.0, 0.0], [1.0]), (0.0, 1.0)]:
+            with pytest.raises(ValueError, match="mean and var"):
+                BatchNormState(mean=mean, var=var)
+        with pytest.raises(ValueError, match="convert"):
+            BatchNormState(mean=["a"], var=[1.0])
+        for momentum in (np.nan, 1.5, -0.1, True):
+            with pytest.raises(ValueError, match="momentum"):
+                BatchNormState(mean=[0.0], var=[1.0], momentum=momentum)
+
     def test_state_channel_count_checked(self):
         """A state for 3 channels on a 4-channel block names both counts."""
         rng = np.random.default_rng(45)

@@ -198,6 +198,28 @@ class TestMomentSpec:
             with pytest.raises(ValueError, match="order"):
                 MomentSpec(n=n, norm="layer")
 
+    def test_flags_must_be_bools(self):
+        """A truthy non-bool neither unlocks the unsafe mode nor turns
+        standardization on."""
+        for flag in ("unsafe_no_norm", "standardize_pre_norm"):
+            for bad in ("no", 1, None, np.bool_(True)):
+                with pytest.raises(ValueError, match=f"{flag} must be a bool, "
+                                                     f"got {bad!r}"):
+                    MomentSpec(n=3, norm="none", **{flag: bad})
+        MomentSpec(n=3, norm="none", unsafe_no_norm=True,
+                   standardize_pre_norm=False)
+
+    def test_eps_norm_must_be_a_real_number(self):
+        for bad in (True, False, "1e-5", None, 1e-5j):
+            with pytest.raises(ValueError, match=f"eps_norm .* got {bad!r}"):
+                MomentSpec(n=4, norm="layer", eps_norm=bad)
+        for good in (1, 1e-3, np.float64(1e-3), np.int64(2)):
+            assert MomentSpec(n=4, norm="layer", eps_norm=good).eps_norm == good
+
+    def test_norm_axis_message_names_the_value(self):
+        with pytest.raises(ValueError, match="got 'channel'"):
+            MomentSpec(n=4, norm="layer", norm_axis="channel")
+
     def test_invalid_geometry_surfaces(self):
         with pytest.raises(GeometryError):
             smp_forward(solid((1, 1, 2, 2), 1.0), PoolSpec(3, 3),
@@ -274,8 +296,9 @@ class TestNormalizationWiring:
 
 
 class TestInPlaceNormalization:
-    """`smp._normalize` rescales the orders >= 3 of an output in place; on
-    that strided view it must equal the public functions bit for bit."""
+    """`smp._pooled` normalizes the orders >= 3 of its output in place,
+    through `_grouped` views of that strided block and `_normalized` with
+    `out`; that must equal the public functions bit for bit."""
 
     N, C = 3, 2
 
@@ -290,7 +313,8 @@ class TestInPlaceNormalization:
         assert not block.flags.c_contiguous
         want, axis = smp._grouped(np.ascontiguousarray(block), spec)
         want = public(want, axis).reshape(block.shape)
-        smp._normalize(block, spec, **kw)
+        x, axis = smp._grouped(block, spec)
+        normalize._normalized(spec.norm, x, spec.eps_norm, axis, out=x, **kw)
         assert out[:, 2 * self.C:].tobytes() == want.tobytes()
         assert out[:, :2 * self.C].tobytes() == before[:, :2 * self.C].tobytes()
 
@@ -298,13 +322,13 @@ class TestInPlaceNormalization:
     def test_layer_norm(self, axis):
         spec = MomentSpec(n=4, norm="layer", norm_axis=axis)
         self._check(spec, lambda g, a: normalize.layer_norm(g, spec.eps_norm, a),
-                    bn_state=None, training=True)
+                    state=None, training=True)
 
     @pytest.mark.parametrize("axis", ["order", "joint", "location"])
     def test_max_norm(self, axis):
         spec = MomentSpec(n=4, norm="max", norm_axis=axis)
         self._check(spec, lambda g, a: normalize.max_norm(g, spec.eps_norm, a),
-                    bn_state=None, training=True)
+                    state=None, training=True)
 
     @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
     def test_batch_norm(self, training):
@@ -315,7 +339,7 @@ class TestInPlaceNormalization:
         theirs = BatchNormState(mean=mean.copy(), var=var.copy())
         self._check(spec, lambda g, a: normalize.batch_norm(
                         g, theirs, training, spec.eps_norm),
-                    bn_state=mine, training=training)
+                    state=mine, training=training)
         assert mine.mean.tobytes() == theirs.mean.tobytes()
         assert mine.var.tobytes() == theirs.var.tobytes()
 
@@ -338,7 +362,7 @@ class TestStatsCache:
 
     @staticmethod
     def _counting():
-        return mock.patch.object(smp, "_window_stats", wraps=smp._window_stats)
+        return mock.patch.object(smp, "_walk_stats", wraps=smp._walk_stats)
 
     def test_forward_backward_pair_computes_statistics_once(self):
         x = self._input()
@@ -414,18 +438,18 @@ class TestStatsCache:
         smp_backward(x2, self.POOL, self.SPEC,
                      self._upstream(x2, self.POOL, self.SPEC))
         stored_by_backward = smp._cached[4]
-        for t, (steps, counts, stats, block, divisor) in (
+        for t, (walk, stats, block, divisor) in (
                 (x, stored_by_forward), (x2, stored_by_backward)):
-            fresh = smp._window_stats(t.nchw, self.POOL, self.SPEC.n)[2]
-            assert isinstance(steps, tuple)
-            assert len(counts) == 2 and len(stats) == self.SPEC.n
-            for a in (*counts, *stats, block, divisor):
+            fresh = smp._walk_stats(t.nchw, walk, self.SPEC.n)[0]
+            assert isinstance(walk.chunks, tuple)
+            assert len(walk.counts) == 2 and len(stats) == self.SPEC.n
+            for a in (*walk.counts, *stats, block, divisor):
                 assert not a.flags.writeable
             for a, b in zip(stats, fresh):
                 assert a.tobytes() == b.tobytes()
         # m1, m2 and the normalized block are views of the output, not
         # copies; raw m3 and m4 are not in the output at all
-        _, _, stats, block, _ = stored_by_forward
+        _, stats, block, _ = stored_by_forward
         assert all(np.shares_memory(m, y.data) for m in (*stats[:2], block))
         assert not any(np.shares_memory(m, y.data) for m in stats[2:])
         assert block.tobytes() == y.nchw[:, 2 * x.nchw.shape[1]:].tobytes()

@@ -230,7 +230,7 @@ def test_a_copy_is_a_new_input_to_the_statistics_cache(how):
     c = _COPIES[how](t)
     assert c == t and c is not t
     up = Tensor(out.shape, np.ones(out.size))
-    with mock.patch.object(smp, "_window_stats",
-                           wraps=smp._window_stats) as stats:
+    with mock.patch.object(smp, "_walk_stats",
+                           wraps=smp._walk_stats) as stats:
         smp_backward(c, pool, spec, up)
     assert stats.call_count == 1

@@ -77,3 +77,13 @@ def test_config_validation():
             ToyTrainConfig(seed=1, feature_shape=bad)
     with pytest.raises(ValueError):
         ToyTrainConfig(seed=1, n=4, norm="none")  # guard reaches the config
+
+
+def test_lr_and_input_scale_must_be_real_numbers():
+    for bad in (True, "1e-3", None):
+        with pytest.raises(ValueError, match=f"lr must be finite.*{bad!r}"):
+            ToyTrainConfig(seed=1, lr=bad)
+        with pytest.raises(ValueError,
+                           match=f"input_scale must be finite.*{bad!r}"):
+            ToyTrainConfig(seed=1, input_scale=bad)
+    assert ToyTrainConfig(seed=1, lr=np.float64(1e-3), input_scale=2).lr == 1e-3

@@ -46,6 +46,16 @@ def steps_of(walk):
     return [step for _, steps in walk.chunks for step in steps]
 
 
+def layout(walk):
+    """A walk's pad, plane chunks, step geometry, masks and 1 / cell counts,
+    in a form that compares with ==."""
+    steps = [(planes, [(s.out, s.win, s.offset, s.shape, s.strides,
+                        None if s.bad is None else s.bad.tobytes())
+                       for s in steps]) for planes, steps in walk.chunks]
+    return (walk.pad, steps, walk.inv.tobytes(),
+            [a.tobytes() for a in walk.counts])
+
+
 def ready(poly):
     """`smp._cell_grads`' coefficient builder for a ready (n, N, C, H', W')
     array: it copies each chunk's planes."""
@@ -72,19 +82,20 @@ class TestChoice:
     ])
     def test_flat_walk_at_stride_one_on_budget_planes_with_little_junk(
             self, shape, pool, flat):
-        walk, counts = window_walk(shape, pool)
+        walk = window_walk(shape, pool)
         assert (walk.pad is not None) == flat
+        assert window_walk(shape, pool) is walk
         builder = flat_walk if flat else window_steps
-        assert builder(shape, pool)[0] is walk
+        assert layout(builder(shape, pool)) == layout(walk)
 
     def test_flat_chunks_split_no_sample_and_respect_the_budget(self):
-        walk, _ = flat_walk((8, 16, 64, 64), PoolSpec.square(3, 1, 1))
+        walk = flat_walk((8, 16, 64, 64), PoolSpec.square(3, 1, 1))
         planes = [plane_range(ch, 16) for ch, _ in walk.chunks]
         sizes = [stop - start for start, stop in planes]
         assert sum(sizes) == 8 * 16
         assert all(start // 16 == (stop - 1) // 16 for start, stop in planes)
         assert max(sizes) * 66 * 66 * 8 <= 1 << 18
-        walk, _ = flat_walk((6, 2, 16, 16), PoolSpec.square(3, 1, 1))
+        walk = flat_walk((6, 2, 16, 16), PoolSpec.square(3, 1, 1))
         assert [plane_range(ch, 2) for ch, _ in walk.chunks] == [(0, 12)]
 
 
@@ -119,7 +130,7 @@ FROZEN = {
 @pytest.mark.parametrize("name", list(FROZEN))
 def test_forward_and_backward_bytes_are_frozen(name):
     shape, pool, flat, y_digest, g_digest = FROZEN[name]
-    assert (window_walk(shape, pool)[0].pad is not None) == flat
+    assert (window_walk(shape, pool).pad is not None) == flat
     rng = np.random.default_rng(1234)
     x = Tensor(shape, rng.uniform(-1.0, 1.0, shape))
     y = smp_forward(x, pool, UNSAFE4)
@@ -171,7 +182,7 @@ FROZEN_NORMED = {
 def test_normalized_backward_bytes_are_frozen(name):
     spec, training, digest = FROZEN_NORMED[name]
     shape, pool = FROZEN_NORMED_SHAPE, FROZEN_NORMED_POOL
-    walk, _ = window_walk(shape, pool)
+    walk = window_walk(shape, pool)
     assert walk.pad is not None and len(walk.chunks) == 6
     rng = np.random.default_rng(1234)
     x = Tensor(shape, rng.uniform(-1.0, 1.0, shape))
@@ -212,14 +223,14 @@ def test_flat_walk_matches_the_strided_walk_bit_for_bit(case):
     the strided walk's on any stride-1 geometry, taken or not, with inputs
     of both signs and a few exact zeros; the coefficients carry a -0.0."""
     shape, pool, n, seed = case
-    strided, counts = window_steps(shape, pool)
+    strided = window_steps(shape, pool)
     assert all(len(step.shape) == 4 for step in steps_of(strided))
-    flat, flat_counts = flat_walk(shape, pool)
-    assert all(np.array_equal(a, b) for a, b in zip(counts, flat_counts))
+    flat = flat_walk(shape, pool)
+    assert all(np.array_equal(a, b) for a, b in zip(strided.counts, flat.counts))
     x4 = uniform(shape, seed)
     x4[x4 > 0.8] = 0.0
-    maps, out = smp._walk_stats(x4, strided, counts, n)
-    flat_maps, flat_out = smp._walk_stats(x4, flat, counts, n)
+    maps, out = smp._walk_stats(x4, strided, n)
+    flat_maps, flat_out = smp._walk_stats(x4, flat, n)
     assert out.tobytes() == flat_out.tobytes()
     assert all(a.tobytes() == b.tobytes() for a, b in zip(maps, flat_maps))
     poly = uniform((n,) + maps[0].shape, seed + 1)
@@ -238,7 +249,7 @@ def test_flat_walk_makes_each_inbounds_pair_valid_once(case):
     shape, pool, _, _ = case
     n_s, c_s, h, w = shape
     h_out, w_out = output_dims(h, w, pool)
-    walk, counts = flat_walk(shape, pool)
+    walk = flat_walk(shape, pool)
     ph, pw = walk.pad
     hp, wp = h + 2 * ph, w + 2 * pw
     visits = np.zeros((n_s * c_s, h_out, w_out, pool.kernel_h, pool.kernel_w), int)
@@ -253,7 +264,7 @@ def test_flat_walk_makes_each_inbounds_pair_valid_once(case):
         real = (row < h_out) & (col < w_out)
         assert np.array_equal(walk.inv[:size][~real], np.zeros((~real).sum()))
         np.testing.assert_array_equal(
-            walk.inv[:size][real], np.tile(1.0 / np.multiply.outer(*counts).ravel(),
+            walk.inv[:size][real], np.tile(1.0 / np.multiply.outer(*walk.counts).ravel(),
                                            stop - start))
         for (i, j), step in zip(cells, steps):
             valid = ~step.bad
@@ -294,8 +305,8 @@ def test_huge_constant_pools_and_differentiates_without_warnings(shape, pool):
         g = smp_backward(x, pool, spec, up)
         grads = []
         for builder in (window_steps, flat_walk):
-            walk, counts = builder(shape, pool)
-            maps, _ = smp._walk_stats(x.nchw, walk, counts, 3)
+            walk = builder(shape, pool)
+            maps, _ = smp._walk_stats(x.nchw, walk, 3)
             poly = uniform((4,) + maps[0].shape, 0)
             grads.append(smp._cell_grads(x.nchw, walk, maps[0], ready(poly)))
     assert np.isfinite(y.data).all() and np.isfinite(g.data).all()
@@ -313,8 +324,8 @@ def test_non_finite_cells_spread_alike_on_both_walks(bad):
     results = []
     with np.errstate(all="ignore"):
         for builder in (window_steps, flat_walk):
-            walk, counts = builder(shape, pool)
-            maps, out = smp._walk_stats(x4, walk, counts, 4)
+            walk = builder(shape, pool)
+            maps, out = smp._walk_stats(x4, walk, 4)
             poly = uniform((4,) + maps[0].shape, 9)
             results.append((out.tobytes(),
                             smp._cell_grads(x4, walk, maps[0], ready(poly)).tobytes()))
@@ -336,7 +347,7 @@ def test_cached_backward_copies_no_upstream_and_no_mean_map(shape, pool):
     y = smp_forward(x, pool, spec)
     up = Tensor(y.shape, uniform(y.shape, 4))
     smp_backward(x, pool, spec, up)  # warm: the walk is cached per geometry
-    walk, _ = window_walk(shape, pool)
+    walk = window_walk(shape, pool)
     if walk.pad is not None:  # input, mean, coefficients, padded grad, dev, g
         per = max(np.prod([s.stop - s.start for s in ch]) for ch, _ in walk.chunks)
         padded = np.add(shape[2:], np.multiply(2, walk.pad))
@@ -366,12 +377,12 @@ def test_streamed_backward_builds_no_full_size_map():
     y = smp_forward(x, pool, spec)
     up = Tensor(y.shape, uniform(y.shape, 6))
     smp_backward(x, pool, spec, up)  # warm: the walk is cached per geometry
-    walk, counts = window_walk(shape, pool)
+    walk = window_walk(shape, pool)
     per = max(np.prod([s.stop - s.start for s in ch]) for ch, _ in walk.chunks)
     assert walk.pad is not None and per < shape[1]
     padded = np.add(shape[2:], np.multiply(2, walk.pad))
     scratch = 8 * (7 * per * np.prod(padded) + 2 * walk.inv.size)
-    temps = 8 * 4 * per * counts[0].size * counts[1].size
+    temps = 8 * 4 * per * walk.counts[0].size * walk.counts[1].size
     terms = 8 * 3 * shape[0] * (spec.n - 2)
     bound = x.data.nbytes + scratch + temps + terms
     tracemalloc.start()

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from momentpool import windows
 from momentpool.tensor import Tensor
-from momentpool.windows import GeometryError, PoolSpec, output_dims, window_steps
+from momentpool.windows import (GeometryError, PoolSpec, output_dims, window_steps,
+                                window_walk)
 
 from oracle import col2im_accumulate, im2col
 
@@ -307,12 +308,12 @@ def step_cells(step, shape, spec):
 @contextlib.contextmanager
 def block_budget(nbytes):
     """Walk with another block budget; cached walks are dropped both ways."""
-    window_steps.cache_clear()
+    window_walk.cache_clear()
     try:
         with mock.patch.object(windows, "_STEP_BYTES", nbytes):
             yield
     finally:
-        window_steps.cache_clear()
+        window_walk.cache_clear()
 
 
 def walk(shape, spec, x, g):
@@ -321,7 +322,8 @@ def walk(shape, spec, x, g):
     visits = np.zeros(g.shape, dtype=np.int64)
     gathered = 0.0
     scattered = np.zeros(shape)
-    walk, (count_h, count_w) = window_steps(shape, spec)
+    walk = window_steps(shape, spec)
+    count_h, count_w = walk.counts
     assert walk.pad is None and len(walk.chunks) == 1
     for step in walk.chunks[0][1]:
         flat, idx = step_cells(step, shape, spec)
