@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import windows
 from .tensor import _is_real
 
 DEFAULT_EPS = 1e-5
@@ -66,9 +67,25 @@ class BatchNormState:
                    momentum=momentum)
 
 
+def _by_samples(reduce, x: np.ndarray, axis):
+    """reduce(x), over chunks of whole samples of at most `windows._STEP_BYTES`
+    (and at least one sample) where each group lies inside one sample, an int
+    `axis` > 0. A group is reduced along the same axis in the same order, so
+    the bits equal reduce(x)'s."""
+    if isinstance(axis, int) and axis > 0:
+        per = max(1, windows._STEP_BYTES // max(1, x[:1].nbytes))
+        if len(x) > per:
+            return np.concatenate([reduce(x[b:b + per])
+                                   for b in range(0, len(x), per)])
+    return reduce(x)
+
+
 def _group_stats(x: np.ndarray, axis):
-    """Group mean and population variance, kept broadcastable against x."""
-    return x.mean(axis=axis, keepdims=True), x.var(axis=axis, keepdims=True)
+    """Group mean and population variance, kept broadcastable against x; the
+    variance over chunks of samples (`_by_samples`), so that x.var's x - mean
+    is chunk-sized where the groups lie inside one sample."""
+    return x.mean(axis=axis, keepdims=True), _by_samples(
+        lambda part: part.var(axis=axis, keepdims=True), x, axis)
 
 
 def _batch_axes(x: np.ndarray) -> tuple[int, ...]:
@@ -99,7 +116,8 @@ def _normalized(kind: str, x: np.ndarray, eps: float, axis=None,
     write.
     """
     if kind == "max":
-        divisor = np.abs(x).max(axis=axis, keepdims=True) + eps
+        divisor = _by_samples(lambda part: np.abs(part).max(axis=axis, keepdims=True),
+                              x, axis) + eps
         return np.divide(x, divisor, out=out), divisor
     if kind == "layer":
         mean, var = _group_stats(x, axis)

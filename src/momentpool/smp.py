@@ -36,10 +36,12 @@ its peak divisor fixed, as the backward does.
 Saved forward
 -------------
 Each `smp_forward` saves, read-only in a one-entry cache, what the
-backward needs: the entry (walk, stats, block, divisor) holds the walk
-with its per-axis counts, m1..mn (m1 and m2 as views of the output, m3 and
-m4 raw), and the normalized orders >= 3 (a view of the output) with their
-per-group divisor. The key is the input `Tensor`'s identity through a
+backward reads: the entry (walk, stats, block, divisor) holds the walk
+with its per-axis counts, the raw maps m1..m_(n-1) (m1 and m2 as views of
+the output), the normalized orders >= 3 (a view of the output) and their
+per-group divisor. Order k's cell gradient reads m_(k-1); only the
+standardization VJP reads raw mn, so it is kept only under
+`standardize_pre_norm`. The key is the input `Tensor`'s identity through a
 weakref (tensors are immutable), `pool`, the whole `spec` and `training`,
 since the divisor depends on every normalization field. On a miss the
 backward runs the forward itself, without the running state in training
@@ -161,13 +163,6 @@ def _deviation(step, x: np.ndarray, mean: np.ndarray, out) -> np.ndarray:
     return dev
 
 
-def _fresh(walk: Walk, shape: tuple) -> np.ndarray:
-    """A new array for `walk`'s loops to add into: zeroed where the steps add
-    into it in place, left unset where a padded walk copies each chunk's
-    results over its planes."""
-    return np.zeros(shape) if walk.pad is None else np.empty(shape)
-
-
 def _frames(walk: Walk, x4: np.ndarray, maps=(), fill=None, sums=(), grad=None):
     """Each chunk of `walk` in the layout its steps index, as (steps, x,
     maps, grad, inv, work): the input, the (N, C, H', W') `maps` the chunk
@@ -176,7 +171,7 @@ def _frames(walk: Walk, x4: np.ndarray, maps=(), fill=None, sums=(), grad=None):
     count, and two buffers for a step's deviation and its powers, or None.
 
     On an in-place walk these are the arrays themselves, `out` is fresh,
-    and `sums` and `grad` start at 0 (see `_fresh`). A padded walk copies
+    and `sums` and `grad` must start at 0. A padded walk copies
     the chunk's planes of x4 and of `maps` into zeroed scratch planes, the
     maps in the scratch's row layout with 0 at junk outputs, where f writes
     too, and copies `sums` and `grad` back out once the chunk is done.
@@ -243,21 +238,30 @@ def _moments(x4: np.ndarray, walk: Walk, maps: list) -> None:
             a *= inv
 
 
-def _walk_stats(x4: np.ndarray, walk: Walk, n: int):
-    """(maps, output): the (N, C, H', W') maps m1..mn over `walk`, and an
-    array of `output_shape` holding them in its moment-major channels; m1
-    and m2 are views of the output, m3..mn their own arrays.
+def _walk_stats(x4: np.ndarray, walk: Walk, n: int, kept: int | None = None):
+    """(maps, output): the first `kept` (default all) of the (N, C, H', W')
+    maps m1..mn over `walk`, and an array of `output_shape` holding all n in
+    its moment-major channels; m1 and m2 are views of the output.
 
-    The walk adds into contiguous maps, whose elementwise steps merge whole
-    planes; the output comes once the walk and its temporaries are gone, so
-    the walk holds n maps, not 2n.
+    A strided walk adds into contiguous maps, whose elementwise steps merge
+    whole planes, and stacks them once the walk is done. A flat walk copies
+    each chunk's sums out with one assignment per map, so it writes m1, m2
+    and the orders not kept straight into their output channels.
     """
     shape = x4.shape[:2] + tuple(a.size for a in walk.counts)
-    maps = [_fresh(walk, shape) for _ in range(n)]
-    _moments(x4, walk, maps)
-    orders = np.stack(maps, axis=1)
-    maps[:2] = [orders[:, k] for k in range(min(n, 2))]
-    return maps, orders.reshape(shape[0], -1, *shape[2:])
+    if walk.pad is None:
+        maps = [np.zeros(shape) for _ in range(n)]
+        _moments(x4, walk, maps)
+        orders = np.stack(maps, axis=1)
+        maps[:2] = [orders[:, k] for k in range(min(n, 2))]
+    else:
+        orders = np.empty((shape[0], n) + shape[1:])
+        own = range(2, kept or n)
+        maps = [np.empty(shape) if k in own else orders[:, k] for k in range(n)]
+        _moments(x4, walk, maps)
+        for k in own:
+            orders[:, k] = maps[k]
+    return maps[:kept], orders.reshape(shape[0], -1, *shape[2:])
 
 
 def _cell_grads(x4: np.ndarray, walk: Walk, m1: np.ndarray, coefficients):
@@ -266,7 +270,7 @@ def _cell_grads(x4: np.ndarray, walk: Walk, m1: np.ndarray, coefficients):
     step's block holds no input cell twice, so `+=` is safe; a junk pair
     adds an exact +0.0 wherever it lands, its coefficients being 0, and a
     padding pair lands in the scratch's padding, which is dropped."""
-    grad = _fresh(walk, x4.shape)
+    grad = np.zeros(x4.shape) if walk.pad is None else np.empty(x4.shape)
     for steps, x, (mean, *coef), g, _, (e, t) in _frames(
             walk, x4, maps=[m1], fill=coefficients, grad=grad):
         for st in steps:
@@ -343,11 +347,12 @@ def _pooled(t: Tensor, pool: PoolSpec, spec: MomentSpec,
     for `t`.
 
     The entry keeps m1, m2 and the normalized block as views of the output
-    and raw m3, m4 as their own arrays, so the two together hold no map
-    twice.
+    and the raw orders >= 3 that the backward reads (see "Saved forward"),
+    so the two together hold no map twice.
     """
     walk = window_walk(t.nchw.shape, pool)
-    stats, out = _walk_stats(t.nchw, walk, spec.n)
+    kept = spec.n if spec.standardize_pre_norm else max(2, spec.n - 1)
+    stats, out = _walk_stats(t.nchw, walk, spec.n, kept)
     block = divisor = None
     if spec.n >= 3:
         block = out[:, 2 * stats[0].shape[1]:]

@@ -35,19 +35,11 @@ fits `_STEP_BYTES` and at most a quarter of its outputs are junk (junk =
 1 - H'W' / (Hp Wp) on a padded Hp x Wp plane). The size bound keeps the
 scratch, the per-chunk maps and the cached masks within the step budget, as
 on the strided walk; a larger plane keeps the strided walk even where the
-flat one is faster (the 256x256 row below, a 520 KiB padded plane), and
-cutting such planes into row bands is left open. The junk bound fits these
-medians of the statistics pass, n = 4, each walk timed in turn in one
-process on a 2-vCPU Xeon guest:
-
-    geometry                          junk   strided    flat
-    8x16x64x64, 3x3 s1 p1              6%    64.1 ms   30.3 ms
-    1x3x256x256, 3x3 s1 p1             2%    18.0 ms   13.7 ms
-    2x16x128x128, 5x5 s1 p2           11%   134.0 ms   59.8 ms
-    52x3x8x8, 3x3 s1 p0 (probes)      44%    0.51 ms   0.66 ms
-
-Strided and global pooling, and small planes such as the gradient check's
-stacked 8x8 probes, keep the strided walk.
+flat one is faster, and cutting such planes into row bands is left open.
+The junk bound lies between the timed geometries: the flat statistics pass
+was faster at 2-11% junk and slower at 44%. Strided and global pooling,
+and small planes such as the gradient check's stacked 8x8 probes, keep the
+strided walk.
 """
 
 from __future__ import annotations

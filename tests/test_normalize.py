@@ -6,8 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from momentpool import windows
 from momentpool.normalize import (
     BatchNormState,
+    _group_stats,
+    _normalized,
     _vjp_terms,
     batch_norm,
     layer_norm,
@@ -255,3 +258,31 @@ def test_vjp_terms_match_one_product_of_the_block(kind, shape, axis):
     assert mean_u.tobytes() == u.mean(axis, keepdims=True).tobytes()
     held = y[0].nbytes if isinstance(axis, int) else y.nbytes
     assert peak <= held + 3 * want.nbytes + 4096
+
+
+@pytest.mark.parametrize("samples, hw", [(9, 15 * 15), (3, 31 * 29)],
+                         ids=["several-per-chunk", "one-per-chunk"])
+@pytest.mark.parametrize("grouping", ["order", "joint", "location"])
+def test_group_stats_by_sample_chunks_match_the_whole_block(samples, hw, grouping):
+    """Where groups lie inside a sample, the variance and max norm's peaks
+    are reduced over chunks of whole samples, several per chunk where a
+    sample is below `_STEP_BYTES` and one where it is above, with the bits
+    of the whole block's reductions and no full-size temporary."""
+    rng = np.random.default_rng(67)
+    block = (rng.uniform(-1, 1, (samples, 4, 20, hw)) ** 3)[:, 2:]  # as in smp
+    x, axis = {"order": (block.reshape(samples, 2, -1), 2),
+               "joint": (block.reshape(samples, -1), 1),
+               "location": (block, 2)}[grouping]
+    per = max(1, windows._STEP_BYTES // x[0].nbytes)
+    assert (per > 1) == (samples == 9) and per < samples
+    want = x.mean(axis, keepdims=True), x.var(axis, keepdims=True)
+    tracemalloc.start()
+    try:
+        got = _group_stats(x, axis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    assert (_normalized("max", x, EPS, axis)[1].tobytes()
+            == (np.abs(x).max(axis, keepdims=True) + EPS).tobytes())
+    assert peak <= per * x[0].nbytes + 4 * want[1].nbytes + 16384

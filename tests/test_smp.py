@@ -442,17 +442,44 @@ class TestStatsCache:
                 (x, stored_by_forward), (x2, stored_by_backward)):
             fresh = smp._walk_stats(t.nchw, walk, self.SPEC.n)[0]
             assert isinstance(walk.chunks, tuple)
-            assert len(walk.counts) == 2 and len(stats) == self.SPEC.n
+            assert len(walk.counts) == 2 and len(stats) == self.SPEC.n - 1
             for a in (*walk.counts, *stats, block, divisor):
                 assert not a.flags.writeable
             for a, b in zip(stats, fresh):
                 assert a.tobytes() == b.tobytes()
         # m1, m2 and the normalized block are views of the output, not
-        # copies; raw m3 and m4 are not in the output at all
+        # copies; raw m3 is not in the output at all, and raw m4, which
+        # the backward never reads, is not kept
         _, stats, block, _ = stored_by_forward
         assert all(np.shares_memory(m, y.data) for m in (*stats[:2], block))
         assert not any(np.shares_memory(m, y.data) for m in stats[2:])
         assert block.tobytes() == y.nchw[:, 2 * x.nchw.shape[1]:].tobytes()
+
+    @pytest.mark.parametrize("standardize", [False, True])
+    @pytest.mark.parametrize("shape, pool", [
+        ((2, 3, 7, 7), POOL),
+        ((2, 3, 16, 16), PoolSpec.square(3, stride=1, pad=1)),
+    ], ids=["strided", "flat"])
+    def test_entry_keeps_the_raw_orders_the_backward_reads(self, shape, pool,
+                                                           standardize):
+        """The entry keeps raw m1..m3 at n = 4, and raw m4 too under
+        standardization, whose VJP reads it; each raw order >= 3 is its own
+        array with a fresh pass's bytes, and a backward on a cache hit
+        equals one on a miss."""
+        spec = MomentSpec(n=4, norm="layer", standardize_pre_norm=standardize)
+        x = self._input(shape=shape)
+        y = smp_forward(x, pool, spec)
+        walk, stats, _, _ = smp._cached[4]
+        assert (walk.pad is not None) == (pool.stride_h == 1)
+        assert len(stats) == (4 if standardize else 3)
+        fresh = smp._walk_stats(x.nchw, walk, spec.n)[0]
+        for a, b in zip(stats, fresh):
+            assert a.tobytes() == b.tobytes()
+        assert not any(np.shares_memory(m, y.data) for m in stats[2:])
+        up = self._upstream(x, pool, spec)
+        hit = smp_backward(x, pool, spec, up)
+        miss = smp_backward(Tensor(x.shape, x.data), pool, spec, up)
+        assert hit.data.tobytes() == miss.data.tobytes()
 
 
 class TestOpCost:

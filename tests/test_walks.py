@@ -392,3 +392,32 @@ def test_streamed_backward_builds_no_full_size_map():
     finally:
         tracemalloc.stop()
     assert peak <= bound + x.data.nbytes // 4
+
+
+@pytest.mark.parametrize("norm", ["layer", "max"])
+def test_forward_holds_the_output_one_raw_map_and_one_chunk(norm):
+    """An n=4 forward on a flat walk whose chunks split each sample's
+    channels holds its output, the one raw map its backward reads (m3) and
+    one chunk's padded scratch (four sums, the input) and working buffers,
+    with room for numpy's own; the normalization's reductions run over
+    chunks of samples no larger than a map. A full-size variance or |x|
+    temporary, or the n maps held while they are stacked into the output,
+    would push it past the bound."""
+    shape, pool = FROZEN_NORMED_SHAPE, FROZEN_NORMED_POOL
+    spec = MomentSpec(n=4, norm=norm)
+    x = Tensor(shape, uniform(shape, 5))
+    y = smp_forward(x, pool, spec)  # warm: the walk is cached per geometry
+    walk = window_walk(shape, pool)
+    per = max(np.prod([s.stop - s.start for s in ch]) for ch, _ in walk.chunks)
+    assert walk.pad is not None and per < shape[1]
+    padded = np.add(shape[2:], np.multiply(2, walk.pad))
+    scratch = 8 * (5 * per * np.prod(padded) + 2 * walk.inv.size)
+    raw = y.data.nbytes // spec.n
+    bound = y.data.nbytes + raw + scratch
+    tracemalloc.start()
+    try:
+        smp_forward(x, pool, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound + raw // 4
