@@ -67,17 +67,18 @@ class BatchNormState:
                    momentum=momentum)
 
 
-def _by_samples(reduce, x: np.ndarray, axis):
-    """reduce(x), over chunks of whole samples of at most `windows._STEP_BYTES`
-    (and at least one sample) where each group lies inside one sample, an int
-    `axis` > 0. A group is reduced along the same axis in the same order, so
-    the bits equal reduce(x)'s."""
+def _by_samples(reduce, x: np.ndarray, axis, *more):
+    """reduce(x, *more), over chunks of whole samples of at most
+    `windows._STEP_BYTES` of x (and at least one sample) where each group lies
+    inside one sample, an int `axis` > 0; `more` are arrays of x's shape. A
+    group is reduced along the same axis in the same order, so the bits equal
+    reduce(x, *more)'s."""
     if isinstance(axis, int) and axis > 0:
         per = max(1, windows._STEP_BYTES // max(1, x[:1].nbytes))
         if len(x) > per:
-            return np.concatenate([reduce(x[b:b + per])
+            return np.concatenate([reduce(*(a[b:b + per] for a in (x, *more)))
                                    for b in range(0, len(x), per)])
-    return reduce(x)
+    return reduce(x, *more)
 
 
 def _group_stats(x: np.ndarray, axis):
@@ -142,18 +143,14 @@ def _vjp_terms(kind: str, y: np.ndarray, divisor, upstream: np.ndarray,
                axis=None, training: bool = True) -> tuple:
     """The VJP's group terms at output `y` and divisor `divisor` for upstream
     weights of y's shape: (divisor,) where it is u / divisor, else (divisor,
-    mean(u), mean(u * y)). Groups along one axis of a sample form u * y a
-    sample at a time, with the sums of the whole block's product, bit for bit."""
+    mean(u), mean(u * y)), u * y formed over chunks of samples
+    (`_by_samples`)."""
     if kind == "max" or (kind == "batch" and not training):
         return (divisor,)
     if kind == "batch":
         axis = _batch_axes(y)
-    mean_u = upstream.mean(axis, keepdims=True)
-    if not (isinstance(axis, int) and axis > 0):
-        return divisor, mean_u, (upstream * y).mean(axis, keepdims=True)
-    prod = np.empty(y.shape[1:])
-    return divisor, mean_u, np.stack([np.multiply(a, b, out=prod).mean(
-        axis - 1, keepdims=True) for a, b in zip(upstream, y)])
+    return divisor, upstream.mean(axis, keepdims=True), _by_samples(
+        lambda u, v: (u * v).mean(axis, keepdims=True), upstream, axis, y)
 
 
 def _vjp_apply(upstream: np.ndarray, y: np.ndarray, divisor, mean_u=None,

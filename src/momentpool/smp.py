@@ -28,10 +28,9 @@ It reads what the forward of its input saved, takes the normalization
 VJP's group terms once, then per chunk of planes chains the VJP's rest
 (orders >= 3), the pre-norm standardization VJP when enabled, and the
 coefficients of each cell's gradient, a polynomial in its deviation from
-the window mean, written into the walk's layout (a flat walk's scratch, or
-maps of all planes on a strided walk). `check_forward` is the matching
-finite-difference target: the true forward, except that max norm holds
-its peak divisor fixed, as the backward does.
+the window mean, built into the chunk's maps in the walk's layout.
+`check_forward` is the matching finite-difference target: the true
+forward, except that max norm holds its peak divisor fixed.
 
 Saved forward
 -------------
@@ -165,29 +164,44 @@ def _deviation(step, x: np.ndarray, mean: np.ndarray, out) -> np.ndarray:
 
 def _frames(walk: Walk, x4: np.ndarray, maps=(), fill=None, sums=(), grad=None):
     """Each chunk of `walk` in the layout its steps index, as (steps, x,
-    maps, grad, inv, work): the input, the (N, C, H', W') `maps` the chunk
-    reads, the k maps that `fill` = (k, f) builds by f(planes, out) into
-    `out`, the `sums` it adds into, the gradient it adds into, 1 / cell
-    count, and two buffers for a step's deviation and its powers, or None.
+    maps, grad, inv, work): the chunk's input, its planes of the
+    (N, C, H', W') `maps`, the k maps that `fill` = (k, f) builds by
+    f(planes, out) into `out`, its zeroed planes of the `sums` and of the
+    gradient to add into, 1 / cell count, and two buffers for a step's
+    deviation and its powers, or None.
 
-    On an in-place walk these are the arrays themselves, `out` is fresh,
-    and `sums` and `grad` must start at 0. A padded walk copies
-    the chunk's planes of x4 and of `maps` into zeroed scratch planes, the
-    maps in the scratch's row layout with 0 at junk outputs, where f writes
-    too, and copies `sums` and `grad` back out once the chunk is done.
+    An in-place walk hands out the arrays' own planes, except that a chunk
+    of several samples adds `sums` in contiguous buffers, copied out once
+    the chunk is done. A padded walk copies the chunk's planes of x4 and of
+    `maps` into zeroed scratch planes, the maps in the scratch's row layout
+    with 0 at junk outputs, where f writes too, and copies `sums` and
+    `grad` back out once the chunk is done.
     """
     k_fill, build = fill or (0, lambda planes, out: None)
+    per = max(_planes(planes) for planes, _ in walk.chunks)
     if walk.pad is None:
+        # an output channel's planes of several samples are strided, which
+        # slows every step's add: such chunks, which the first chunk (from
+        # sample 0) shows, add their sums in buffers
+        spill = len(sums) if walk.chunks[0][0][0].stop > 1 else 0
+        bufs = [np.empty((per,) + walk.inv.shape) for _ in range(k_fill + spill)]
         for planes, steps in walk.chunks:
-            built = np.empty((k_fill,) + x4.shape[:2] + walk.inv.shape)
-            build(planes, built)
-            yield steps, x4, [*maps, *built, *sums], grad, walk.inv, (None, None)
+            x, g = x4[planes], None if grad is None else grad[planes]
+            chunk = [b[:_planes(planes)].reshape(x.shape[:2] + walk.inv.shape)
+                     for b in bufs]
+            build(planes, chunk[:k_fill])
+            acc = chunk[k_fill:] if spill else [a[planes] for a in sums]
+            for a in acc if g is None else (*acc, g):
+                a.fill(0.0)
+            yield steps, x, [*(m[planes] for m in maps), *chunk[:k_fill], *acc], g, \
+                walk.inv, (None, None)
+            for a, src in zip(sums, chunk[k_fill:]):
+                a[planes] = src
         return
     (ph, pw), (h, w) = walk.pad, x4.shape[2:]
     h_out, w_out = (sums or maps)[0].shape[2:]
     k_read = len(maps) + k_fill
     k = k_read + len(sums)
-    per = max(_planes(planes) for planes, _ in walk.chunks)
     # maps, built maps, sums, then the input and the gradient
     layers = np.zeros((k + 1 + (grad is not None), per, h + 2 * ph, w + 2 * pw))
     flat = layers.reshape(len(layers), -1)
@@ -241,27 +255,14 @@ def _moments(x4: np.ndarray, walk: Walk, maps: list) -> None:
 def _walk_stats(x4: np.ndarray, walk: Walk, n: int, kept: int | None = None):
     """(maps, output): the first `kept` (default all) of the (N, C, H', W')
     maps m1..mn over `walk`, and an array of `output_shape` holding all n in
-    its moment-major channels; m1 and m2 are views of the output.
-
-    A strided walk adds into contiguous maps, whose elementwise steps merge
-    whole planes, and stacks them once the walk is done. A flat walk copies
-    each chunk's sums out with one assignment per map, so it writes m1, m2
-    and the orders not kept straight into their output channels.
+    its moment-major channels, into which the walk adds them; m1 and m2 are
+    views of the output, a kept order >= 3 a copy.
     """
-    shape = x4.shape[:2] + tuple(a.size for a in walk.counts)
-    if walk.pad is None:
-        maps = [np.zeros(shape) for _ in range(n)]
-        _moments(x4, walk, maps)
-        orders = np.stack(maps, axis=1)
-        maps[:2] = [orders[:, k] for k in range(min(n, 2))]
-    else:
-        orders = np.empty((shape[0], n) + shape[1:])
-        own = range(2, kept or n)
-        maps = [np.empty(shape) if k in own else orders[:, k] for k in range(n)]
-        _moments(x4, walk, maps)
-        for k in own:
-            orders[:, k] = maps[k]
-    return maps[:kept], orders.reshape(shape[0], -1, *shape[2:])
+    orders = np.empty((len(x4), n, x4.shape[1]) + tuple(a.size for a in walk.counts))
+    maps = list(orders.swapaxes(0, 1))
+    _moments(x4, walk, maps)
+    maps[2:kept] = [m.copy() for m in maps[2:kept]]
+    return maps[:kept], orders.reshape(len(x4), -1, *orders.shape[3:])
 
 
 def _cell_grads(x4: np.ndarray, walk: Walk, m1: np.ndarray, coefficients):
@@ -270,7 +271,7 @@ def _cell_grads(x4: np.ndarray, walk: Walk, m1: np.ndarray, coefficients):
     step's block holds no input cell twice, so `+=` is safe; a junk pair
     adds an exact +0.0 wherever it lands, its coefficients being 0, and a
     padding pair lands in the scratch's padding, which is dropped."""
-    grad = np.zeros(x4.shape) if walk.pad is None else np.empty(x4.shape)
+    grad = np.empty(x4.shape)
     for steps, x, (mean, *coef), g, _, (e, t) in _frames(
             walk, x4, maps=[m1], fill=coefficients, grad=grad):
         for st in steps:

@@ -9,26 +9,27 @@ tensors.
 A walk (`Walk`) visits every in-bounds (window, kernel cell) pair exactly
 once, in a fixed order, for the forward statistics and the backward's cell
 gradients alike. It is a tuple of chunks, each a run of planes (a plane is
-one channel of one sample) and the steps that complete every window of
-those planes; a step is one block of cells, viewed over an array's buffer.
-`window_walk` builds it one of two ways from the geometry alone:
+one channel of one sample) sized by `_STEP_BYTES`, inside one sample or
+of whole samples, with the steps that complete every window of those
+planes; a step is one block of cells, viewed over the buffer of the
+chunk's planes. `window_walk` builds it one of two ways:
 
-- `window_steps` reads the arrays in place: one chunk of strided blocks of
-  the unpadded input that never touch a padding cell and hold no input cell
-  twice, so the backward adds a block of cell gradients into the input
-  gradient with a plain `+=`. Each block is indexed by (samples, channels),
-  so it reads and feeds the (N, C, H', W') maps where they lie. At stride 1
-  each block is one kernel cell, and numpy's per-row overhead dominates it:
-  neither the input block nor the output slice can merge rows, so a block
-  of eight 63x63 planes runs 504 inner loops of 63 elements.
-- `flat_walk`, for overlapping stride-1 windows, copies one chunk of
-  planes at a time into a zero-padded scratch and lays the outputs out in
-  the scratch's own row layout, so each kernel cell is one contiguous run
-  and each elementwise operation one ufunc call. It also computes junk
-  outputs past the last output row and column. A step's `bad` mask marks
-  its invalid pairs, junk or padding, and each is made to add an exact
-  +0.0, so every output sees the same additions in the same order as on
-  the strided walk and the bits do not move.
+- `window_steps` reads the planes in place: strided blocks of the unpadded
+  input that never touch a padding cell and hold no input cell twice, so
+  the backward adds a block of cell gradients into the input gradient with
+  a plain `+=`. Each block is indexed by (samples, channels) of its chunk.
+  At stride 1 each block is one kernel cell, and numpy's per-row overhead
+  dominates it: neither the input block nor the output slice can merge
+  rows, so a block of eight 63x63 planes runs 504 inner loops of 63
+  elements.
+- `flat_walk`, for overlapping stride-1 windows, copies the planes into a
+  zero-padded scratch and lays the outputs out in the scratch's own row
+  layout, so each kernel cell is one contiguous run and each elementwise
+  operation one ufunc call. It also computes junk outputs past the last
+  output row and column. A step's `bad` mask marks its invalid pairs, junk
+  or padding, and each is made to add an exact +0.0, so every output sees
+  the same additions in the same order as on the strided walk and the bits
+  do not move.
 
 The flat walk is taken at stride 1 on both axes when one padded plane
 fits `_STEP_BYTES` and at most a quarter of its outputs are junk (junk =
@@ -129,9 +130,9 @@ class WindowStep(NamedTuple):
     """One block of a walk, laid over the buffer of a C-contiguous array.
 
     A strided step's block is (S, C', H'', W'', kr, kc) cells of S samples
-    and C' channels of an (N, C, H, W) array, or (S, C', H'', W'') for one
-    kernel cell; `out` indexes the slice of an (N, C, H', W') map that it
-    feeds and `win` the same slice broadcast against the block. A flat step
+    and C' channels of a chunk's planes, or (S, C', H'', W'') for one kernel
+    cell; `out` indexes the slice of the chunk's output maps that it feeds
+    and `win` the same slice broadcast against the block. A flat step
     is one kernel cell's run over a chunk's flattened padded scratch, and
     `out` and `win` take the whole of the chunk's equally long output run.
     `bad` marks the block's invalid (output, cell) pairs, or is None where
@@ -158,9 +159,9 @@ class Walk(NamedTuple):
     the layout the steps feed, read-only. `counts` is a read-only pair: the
     in-bounds kernel rows per output row and columns per output column,
     whose product is a window's cell count. `pad` is None where the steps
-    read and feed the arrays in place; else each chunk's planes are copied
-    into a scratch with (pad_h, pad_w) zeros around each plane, and `inv`
-    spans the flattened outputs of the largest chunk with 0 at junk.
+    read and feed a chunk's planes in place; else they are copied into a
+    scratch with (pad_h, pad_w) zeros around each plane, and `inv` spans
+    the flattened outputs of the largest chunk with 0 at junk.
     """
 
     chunks: tuple
@@ -230,48 +231,53 @@ def _planes(index: tuple) -> int:
 def window_steps(shape: tuple, spec: PoolSpec) -> Walk:
     """The strided walk for an (N, C, H, W) `shape`.
 
-    Its one chunk holds every plane. Each step holds as many whole planes
-    and kernel rows of one run as fit in `_STEP_BYTES`, at least one of
-    each; its planes lie inside one sample or are whole samples.
+    A chunk holds as many planes as keep its output map within
+    `_STEP_BYTES`, at least one; a step as many of its planes and of one
+    run's kernel rows as fit in `_STEP_BYTES`, at least one of each.
     """
     n, c, h, w = shape
     rows, cols, counts = _runs_and_counts(h, w, spec)
-    item = np.dtype(np.float64).itemsize
-    strides = tuple(item * s for s in (c * h * w, h * w, spec.stride_h * w,
-                                       spec.stride_w, spec.dilation_h * w,
-                                       spec.dilation_w))
-    steps = []
-    for (out_h, y0, kr), (out_w, x0, kc) in itertools.product(rows, cols):
-        hw = (out_h.stop - out_h.start, out_w.stop - out_w.start)
-        row = hw[0] * hw[1] * kc * item  # one plane's kernel row
-        per_p = max(1, _STEP_BYTES // (row * kr))
-        per_r = kr if per_p > 1 else max(1, _STEP_BYTES // row)
-        chunks = _plane_chunks(n, c, per_p)
-        for (bs, cs), r0 in itertools.product(chunks, range(0, kr, per_r)):
-            out = (bs, cs, out_h, out_w)
-            cells = (min(per_r, kr - r0), kc)
-            rank = 4 if cells == (1, 1) else 6
-            offset = ((bs.start * c + cs.start) * h * w
-                      + (y0 + r0 * spec.dilation_h) * w + x0) * item
-            planes = (bs.stop - bs.start, cs.stop - cs.start)
-            steps.append(WindowStep(out, out + (None,) * (rank - 4), offset,
-                                    (planes + hw + cells)[:rank], strides[:rank]))
+
+    @lru_cache(maxsize=None)
+    def chunk_steps(n: int, c: int) -> tuple:
+        """The steps of an (n, c, h, w) chunk, laid over its own buffer."""
+        strides = tuple(8 * s for s in (c * h * w, h * w, spec.stride_h * w,
+                                        spec.stride_w, spec.dilation_h * w,
+                                        spec.dilation_w))
+        steps = []
+        for (out_h, y0, kr), (out_w, x0, kc) in itertools.product(rows, cols):
+            hw = (out_h.stop - out_h.start, out_w.stop - out_w.start)
+            row = hw[0] * hw[1] * kc * 8  # one plane's kernel row
+            per_r = max(1, _STEP_BYTES // row)
+            blocks = _plane_chunks(n, c, max(1, _STEP_BYTES // (row * kr)))
+            for (bs, cs), r0 in itertools.product(blocks, range(0, kr, per_r)):
+                out = (bs, cs, out_h, out_w)
+                cells = (min(per_r, kr - r0), kc)
+                rank = 4 if cells == (1, 1) else 6
+                offset = ((bs.start * c + cs.start) * h * w
+                          + (y0 + r0 * spec.dilation_h) * w + x0) * 8
+                planes = (bs.stop - bs.start, cs.stop - cs.start)
+                steps.append(WindowStep(out, out + (None,) * (rank - 4), offset,
+                                        (planes + hw + cells)[:rank], strides[:rank]))
+        return tuple(steps)
+
     inv = 1.0 / np.multiply.outer(*counts)
     inv.setflags(write=False)
-    return Walk((((slice(0, n), slice(0, c)), tuple(steps)),), inv, counts)
+    chunks = _plane_chunks(n, c, max(1, _STEP_BYTES // inv.nbytes))
+    return Walk(tuple((ch, chunk_steps(*(s.stop - s.start for s in ch)))
+                      for ch in chunks), inv, counts)
 
 
 def flat_walk(shape: tuple, spec: PoolSpec) -> Walk:
     """The flat walk for an (N, C, H, W) `shape` at stride 1.
 
-    A chunk holds as many whole planes as fit in `_STEP_BYTES`, at least
-    one, inside one sample or as whole samples, like a strided step. Copied
-    into a zero-padded (planes, Hp, Wp) scratch, output o of the chunk sits
-    at o = (plane * Hp + row) * Wp + col, the scratch's own row layout, and
-    reads kernel cell k at o + offset(k); outputs at row >= H' or col >= W'
-    are junk. A chunk has one step per kernel cell, a run over its outputs
-    up to the last real one, and the step's `bad` marks the outputs for
-    which the cell is junk or padding.
+    A chunk holds as many padded planes as fit in `_STEP_BYTES`, at least
+    one. Copied into a zero-padded (planes, Hp, Wp) scratch, output o of
+    the chunk sits at o = (plane * Hp + row) * Wp + col, the scratch's own
+    row layout, and reads kernel cell k at o + offset(k); outputs at
+    row >= H' or col >= W' are junk. A chunk has one step per kernel cell,
+    a run over its outputs up to the last real one, and the step's `bad`
+    marks the outputs for which the cell is junk or padding.
     """
     n, c, h, w = shape
     _, _, counts = _runs_and_counts(h, w, spec)

@@ -421,3 +421,35 @@ def test_forward_holds_the_output_one_raw_map_and_one_chunk(norm):
     finally:
         tracemalloc.stop()
     assert peak <= bound + raw // 4
+
+
+def test_strided_plane_chunks_bound_the_large_plane_peaks():
+    """On 256x256 planes, too large for the flat walk, each strided chunk is
+    one plane. An n=4 layer-norm forward holds its output (6 MiB), the raw
+    m3 its backward reads (1.5 MiB), one plane's step buffers and the
+    normalization's group temporaries; forward plus backward adds the
+    gradient and one plane's coefficient maps. Maps of all planes, stacked
+    into the output or built as coefficients, would push the peaks past
+    their bounds, to 12.00 and 18.51 MiB."""
+    shape, pool = (1, 3, 256, 256), PoolSpec.square(3, 1, 1)
+    spec = MomentSpec(n=4, norm="layer")
+    x = Tensor(shape, uniform(shape, 5))
+    y = smp_forward(x, pool, spec)
+    up = Tensor(y.shape, uniform(y.shape, 6))
+    smp_backward(x, pool, spec, up)  # warm: the walk is cached per geometry
+    walk = window_walk(shape, pool)
+    assert walk.pad is None and len(walk.chunks) == 3
+
+    def forward_backward():
+        smp_forward(x, pool, spec)
+        smp_backward(x, pool, spec, up)
+
+    peaks = []
+    for run in (lambda: smp_forward(x, pool, spec), forward_backward):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 11.0 and peaks[1] <= 16.5

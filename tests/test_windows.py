@@ -9,6 +9,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from momentpool import windows
+from momentpool.smp import MomentSpec, smp_backward, smp_forward
 from momentpool.tensor import Tensor
 from momentpool.windows import (GeometryError, PoolSpec, output_dims, window_steps,
                                 window_walk)
@@ -279,14 +280,16 @@ def adjoint_cases(draw):
     return spec, shape, draw(st.integers(0, 2**32 - 1))
 
 
-def step_cells(step, shape, spec):
-    """Flat input index and (n, c, oh, ow, i, j) of every block element.
+def step_cells(step, shape, spec, planes):
+    """Flat input index and (n, c, oh, ow, i, j) of every block element of a
+    step of the chunk `planes`.
 
-    Decoded from the input index the block reads and the output slice it
-    feeds, so nothing but `out` and `block` of the step is trusted.
+    Decoded from the input index the block reads in the chunk's planes and
+    the output slice it feeds, offset by the chunk's first sample and
+    channel, so nothing but `out` and `block` of the step is trusted.
     """
     n_s, c_s, h, w = shape
-    flat = step.block(np.arange(float(np.prod(shape))).reshape(shape))
+    flat = step.block(np.arange(float(np.prod(shape))).reshape(shape)[planes])
     flat = flat.astype(np.int64).reshape(flat.shape[:4] + (flat.shape[4:] or (1, 1)))
     plane, rest = divmod(flat, h * w)
     y, x = divmod(rest, w)
@@ -298,9 +301,12 @@ def step_cells(step, shape, spec):
     assert not i_rem.any() and not j_rem.any()  # cells sit on the kernel grid
     assert ((0 <= i) & (i < spec.kernel_h) & (0 <= j) & (j < spec.kernel_w)).all()
     n, c = divmod(plane, c_s)
-    assert (n == np.arange(samples.start, samples.stop).reshape(-1, 1, 1, 1, 1, 1)).all()
-    assert (c == np.arange(channels.start, channels.stop).reshape(-1, 1, 1, 1, 1)).all()
-    block_shape = step.block(np.zeros(shape)).shape
+    n0, c0 = planes[0].start, planes[1].start
+    assert (n == np.arange(n0 + samples.start, n0 + samples.stop)
+            .reshape(-1, 1, 1, 1, 1, 1)).all()
+    assert (c == np.arange(c0 + channels.start, c0 + channels.stop)
+            .reshape(-1, 1, 1, 1, 1)).all()
+    block_shape = step.block(np.zeros(shape)[planes]).shape
     return flat, tuple(np.broadcast_to(a, flat.shape).reshape(block_shape)
                        for a in (n, c, oh, ow, i, j))
 
@@ -318,20 +324,24 @@ def block_budget(nbytes):
 
 def walk(shape, spec, x, g):
     """Visit counts per (n, c, oh, ow, i, j), <blocks of x, g>, the scatter
-    of g through the blocks and the walk's own window counts."""
+    of g through the blocks and the walk's own window counts. Each chunk is
+    one plane, or holds planes whose output maps fit the block budget."""
     visits = np.zeros(g.shape, dtype=np.int64)
     gathered = 0.0
     scattered = np.zeros(shape)
     walk = window_steps(shape, spec)
     count_h, count_w = walk.counts
-    assert walk.pad is None and len(walk.chunks) == 1
-    for step in walk.chunks[0][1]:
-        flat, idx = step_cells(step, shape, spec)
-        assert np.unique(flat).size == flat.size
-        np.add.at(visits, idx, 1)
-        gathered += float(np.sum(step.block(x) * g[idx]))
-        dst = step.block(scattered)
-        dst += g[idx]
+    assert walk.pad is None
+    for planes, steps in walk.chunks:
+        assert (windows._planes(planes) == 1 or windows._planes(planes)
+                * count_h.size * count_w.size * 8 <= windows._STEP_BYTES)
+        for step in steps:
+            flat, idx = step_cells(step, shape, spec, planes)
+            assert np.unique(flat).size == flat.size
+            np.add.at(visits, idx, 1)
+            gathered += float(np.sum(step.block(x[planes]) * g[idx]))
+            dst = step.block(scattered[planes])
+            dst += g[idx]
     return visits, gathered, scattered, np.multiply.outer(count_h, count_w)
 
 
@@ -345,7 +355,8 @@ def test_window_steps_visit_each_inbounds_cell_once(case):
     window with no input cell is refused instead.
 
     Checked at the default block budget and at two small ones, which cut
-    planes and runs of kernel rows into several steps.
+    planes into several chunks and planes and runs of kernel rows into
+    several steps.
     """
     spec, shape, seed = case
     n_s, c_s, h, w = shape
@@ -376,3 +387,29 @@ def test_window_steps_visit_each_inbounds_cell_once(case):
         assert np.array_equal(counts, inside.sum(axis=(2, 3)))
         np.testing.assert_allclose(scattered, col2im, rtol=0, atol=1e-12)
         assert abs(gathered - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+@pytest.mark.parametrize("shape, pool, budget, chunk", [
+    ((4, 8, 9, 9), PoolSpec.square(3, 2, 1), 3200, (2, 8)),
+    ((2, 4, 6, 6), PoolSpec.square(3, 1, 0), 256, (1, 2)),
+], ids=["whole-samples", "inside-a-sample"])
+def test_strided_chunks_keep_the_bits_of_one_chunk(shape, pool, budget, chunk):
+    """A strided walk that one chunk covers at the default budget, cut into
+    chunks of (samples, channels) `chunk` by a budget that still fits each
+    step's kernel rows, gives an n=4 layer-norm forward and backward the
+    same bytes."""
+    spec = MomentSpec(n=4, norm="layer")
+    rng = np.random.default_rng(17)
+    x = Tensor(shape, rng.uniform(-1.0, 1.0, shape))
+    up = rng.uniform(-1.0, 1.0, (shape[0], 4 * shape[1]) + output_dims(*shape[2:], pool))
+    results = []
+    for nbytes, size in ((windows._STEP_BYTES, shape[:2]), (budget, chunk)):
+        with block_budget(nbytes):
+            walk = window_walk(shape, pool)
+            assert walk.pad is None
+            assert [tuple(s.stop - s.start for s in planes) for planes, _ in walk.chunks] \
+                == [size] * (shape[0] * shape[1] // (size[0] * size[1]))
+            y = smp_forward(x, pool, spec)
+            g = smp_backward(x, pool, spec, Tensor(up.shape, up))
+        results.append((y.data.tobytes(), g.data.tobytes()))
+    assert results[0] == results[1]

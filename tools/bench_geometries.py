@@ -1,6 +1,6 @@
 """Interleaved wall time and traced peak of smp_forward and smp_backward on
-the three named geometries and a large stride-1 plane, for one or more
-source trees.
+the three named geometries, a large stride-1 plane and the CLI's strided
+pool geometry, for one or more source trees.
 
     python3 tools/bench_geometries.py --tree parent=DIR --tree change=DIR \
         > BENCH_<tag>.json
@@ -31,6 +31,7 @@ GEOMETRIES = {
     "dense 8x16x64x64 3x3 s1 p1": ((8, 16, 64, 64), (3, 1, 1)),
     "8x16x64x64 8x8 s8": ((8, 16, 64, 64), (8, 8, 0)),
     "1x3x256x256 3x3 s1 p1": ((1, 3, 256, 256), (3, 1, 1)),
+    "1x3x256x256 3x3 s2 p1": ((1, 3, 256, 256), (3, 2, 1)),
 }
 REPEATS, ROUNDS = 9, 7
 
