@@ -9,21 +9,27 @@ element error |analytic - numeric| is divided by
 max(max|analytic|, max|numeric|, 1e-12), which keeps elements whose true
 derivative happens to vanish from drowning the report in 0/0 noise.
 
-Probes run in stacked chunks. Input elements are taken in order, a chunk
-at a time; for each element of a chunk the x + h and x - h copies of the
-input are stacked on the sample axis, and one call of the forward's
-`stacked` attribute evaluates them all. A chunk holds as many elements as
+Probes run in stacked chunks, one block of the input at a time. A forward
+separable by sample carries `sample(b)`, and each sample is its own block:
+probes of x[b] alone, against its slice of the upstream. Any other forward
+is one block of the whole batch, evaluated by its `stacked` attribute, or
+by a default that calls it once per probe, which is the only correct
+choice for a forward that couples samples (training-mode batch norm).
+`smp.check_forward` states which of its forwards carry which. Within a
+block, elements are taken in order, a chunk at a time; the x + h and x - h
+copies of the block for each element of a chunk are stacked on the sample
+axis, and one call evaluates them all. A chunk holds as many elements as
 keep its probe inputs plus outputs within `_CHUNK_BYTES` (256 KiB), so the
-check's memory stays small whatever the input size. A forward without
-`stacked` gets a default that calls it once per probe, which is the only
-correct choice for a forward that couples samples (training-mode batch
-norm). `smp.check_forward` states which of its forwards carry `stacked`.
+check's memory stays small whatever the input size, and per-sample blocks
+make the whole check O(N) sample-forwards in place of O(N^2).
 
 Only the nonzero product differences reach `math.fsum`. Most of them are
 exact zeros (outputs of the other samples and of windows the probe does
 not touch cancel bitwise), and because `fsum` is exactly rounded, and so
 independent of term order, dropping terms that add nothing leaves every
 numeric derivative bit-identical; an all-zero row gives 0.0 either way.
+The per-sample blocks drop only the other samples' terms, so they give
+the same bits as the whole batch.
 
 `gradient_magnitude_profile` measures how strongly each moment order drives
 the input gradient of `smp.smp_backward`.
@@ -72,34 +78,57 @@ def _one_by_one(forward: Callable[[Tensor], Tensor],
     return stacked
 
 
+def _check_step(h: float) -> None:
+    if not (isfinite(h) and h > 0):
+        raise ValueError(f"step size must be finite and positive, got {h!r}")
+
+
+def _check_upstream(out_size: int, upstream_size: int) -> None:
+    if out_size != upstream_size:
+        raise ValueError("upstream size does not match forward output")
+
+
 def numeric_gradient(forward: Callable[[Tensor], Tensor], x: Tensor,
                      upstream: Tensor, h: float = 1e-6) -> np.ndarray:
     """Central differences of <forward(x), upstream> for every element of x.
 
-    If `forward` has a `stacked` attribute, that is called instead with K
-    probes of x stacked on the sample axis, shape (K*N, C, H, W) for x's
-    rank-4 (N, C, H, W), and must return the K outputs in probe order.
-    Chunking and summation per the module docstring.
+    If `forward` has a `sample` attribute, `sample(b)` is called with K
+    probes of x[b] stacked on the sample axis, shape (K, C, H, W) for x's
+    rank-4 (N, C, H, W); else its `stacked` attribute, if any, with K
+    probes of x, shape (K*N, C, H, W). Either must return the K outputs in
+    probe order. `h` must be finite and positive and `upstream` the size of
+    forward(x). Blocks, chunking and summation per the module docstring.
     """
-    stacked = getattr(forward, "stacked", None) or _one_by_one(forward, x.shape)
-    base, u = x.data, upstream.data
+    _check_step(h)
     n_samples, *cell = x.nchw.shape
-    per_chunk = max(1, _CHUNK_BYTES // (16 * (base.size + u.size)))
-    numeric = np.empty(base.size)
-    for start in range(0, base.size, per_chunk):
-        cols = np.arange(start, min(start + per_chunk, base.size))
-        rows = 2 * np.arange(cols.size)  # x + h at rows, x - h at rows + 1
-        probes = np.tile(base, (2 * cols.size, 1))
-        probes[rows, cols] = base[cols] + h
-        probes[rows + 1, cols] = base[cols] - h
-        out = stacked(Tensor._adopt((2 * cols.size * n_samples, *cell), probes))
-        out = out.data.reshape(2 * cols.size, u.size)
-        terms = out[0::2] * u - out[1::2] * u
-        nonzero = terms != 0
-        kept = terms[nonzero].tolist()
-        ends = np.cumsum(nonzero.sum(axis=1)).tolist()
-        for j, lo, hi in zip(cols.tolist(), [0] + ends, ends):
-            numeric[j] = fsum(kept[lo:hi]) / (2.0 * h)
+    if hasattr(forward, "sample"):
+        parts, forwards = n_samples, map(forward.sample, range(n_samples))
+    else:
+        parts = 1
+        forwards = [getattr(forward, "stacked", None)
+                    or _one_by_one(forward, x.shape)]
+    numeric = np.empty(x.size)
+    # array_split never raises, so a wrong-size upstream reaches the check
+    for stacked, base, u, grad in zip(
+            forwards, np.split(x.data, parts),
+            np.array_split(upstream.data, parts), np.split(numeric, parts)):
+        per_chunk = max(1, _CHUNK_BYTES // (16 * (base.size + u.size)))
+        for start in range(0, base.size, per_chunk):
+            cols = np.arange(start, min(start + per_chunk, base.size))
+            rows = 2 * np.arange(cols.size)  # x + h at rows, x - h at rows + 1
+            probes = np.tile(base, (2 * cols.size, 1))
+            probes[rows, cols] = base[cols] + h
+            probes[rows + 1, cols] = base[cols] - h
+            shape = (2 * cols.size * n_samples // parts, *cell)
+            out = stacked(Tensor._adopt(shape, probes)).data
+            _check_upstream(out.size, 2 * cols.size * u.size)
+            out = out.reshape(2 * cols.size, u.size)
+            terms = out[0::2] * u - out[1::2] * u
+            nonzero = terms != 0
+            kept = terms[nonzero].tolist()
+            ends = np.cumsum(nonzero.sum(axis=1)).tolist()
+            for j, lo, hi in zip(cols.tolist(), [0] + ends, ends):
+                grad[j] = fsum(kept[lo:hi]) / (2.0 * h)
     return numeric
 
 
@@ -113,16 +142,14 @@ def finite_diff_check(forward: Callable[[Tensor], Tensor],
     deterministic (it is called twice up front and the outputs compared
     bitwise). Error metric per the module docstring.
     """
-    if not (isfinite(h) and h > 0):
-        raise ValueError(f"step size must be finite and positive, got {h!r}")
+    _check_step(h)
     if not (isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     ref = forward(x)
     again = forward(x)
     if ref.data.tobytes() != again.data.tobytes():
         raise ValueError("forward is not deterministic: repeated calls disagree")
-    if ref.size != upstream.size:
-        raise ValueError("upstream size does not match forward output")
+    _check_upstream(ref.size, upstream.size)
 
     analytic = backward(x, upstream).data
     if analytic.size != x.size:

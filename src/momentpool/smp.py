@@ -448,27 +448,41 @@ def check_forward(x: Tensor, pool: PoolSpec, spec: MomentSpec,
     Every configuration except training-mode batch norm is separable by
     sample: no norm, layer and max norm in all three `norm_axis` groupings,
     with or without `standardize_pre_norm`, and eval-mode batch norm. Its
-    forward takes any whole number of copies of x's batch stacked on the
-    sample axis (fixed-peak max norm repeats its peaks once per copy) and
-    carries itself as `stacked`, so `grad.finite_diff_check` evaluates a
-    chunk of probes in one call. Training-mode batch statistics couple the
-    samples, so that forward has no `stacked` and is called once per probe.
+    forward carries two entries for `grad.numeric_gradient`, which
+    evaluates a chunk of probes in one call of either:
+
+    - `stacked` takes any whole number of copies of x's batch stacked on
+      the sample axis (fixed-peak max norm repeats its peaks once per copy);
+    - `sample(b)` returns a forward over any number of stacked copies of
+      sample b alone. It is the forward itself, except that fixed-peak max
+      norm divides by sample b's own peaks.
+
+    Training-mode batch statistics couple the samples, so that forward has
+    neither entry and is called once per probe.
     """
     if spec.norm == "max" and spec.n >= 3:
         peaks = _saved(x, pool, spec, bn_state, training)[3]
         raw = replace(spec, norm="none", unsafe_no_norm=True)
 
-        def forward(t: Tensor) -> Tensor:
-            out, _ = _pooled(t, pool, raw, None, training)
-            block, _ = _grouped(out[:, 2 * t.nchw.shape[1]:], spec)
-            block /= np.concatenate([peaks] * (len(out) // len(peaks)))
-            return Tensor._adopt(out.shape, out)
+        def divided_by(held: np.ndarray) -> Callable[[Tensor], Tensor]:
+            def forward(t: Tensor) -> Tensor:
+                out, _ = _pooled(t, pool, raw, None, training)
+                block, _ = _grouped(out[:, 2 * t.nchw.shape[1]:], spec)
+                block /= np.concatenate([held] * (len(out) // len(held)))
+                return Tensor._adopt(out.shape, out)
+            return forward
+
+        forward = divided_by(peaks)
+        sample = lambda b: divided_by(peaks[b:b + 1])  # noqa: E731
     else:
         def forward(t: Tensor) -> Tensor:
             return smp_forward(t, pool, spec, None if training else bn_state,
                                training)
+
+        sample = lambda b: forward  # noqa: E731
     if spec.norm != "batch" or not training:
         forward.stacked = forward
+        forward.sample = sample
     return forward
 
 

@@ -295,9 +295,14 @@ def test_frozen_peak_stacked_forward_bytes_are_frozen(name):
 
 
 def _assert_bits_match_oracle(forward, x, up):
-    """Stacked and one-probe-per-call numeric gradients equal the scalar loop."""
+    """Per-sample, whole-batch stacked and one-probe-per-call numeric
+    gradients all equal the scalar loop."""
     want = scalar_finite_diff(forward, x, up).tobytes()
     assert numeric_gradient(forward, x, up).tobytes() == want
+    if hasattr(forward, "stacked"):
+        whole = lambda t: forward(t)  # noqa: E731
+        whole.stacked = forward.stacked  # no `sample`: whole-batch probes
+        assert numeric_gradient(whole, x, up).tobytes() == want
     # a plain lambda has no `stacked`, so every probe is its own call
     assert numeric_gradient(lambda t: forward(t), x, up).tobytes() == want
 
@@ -308,7 +313,29 @@ def test_stacked_probes_match_scalar_loop(spec):
     x, up = make_case(1000 + spec.n, (4, 2, 6, 6), pool, spec)
     forward = check_forward(x, pool, spec)
     assert hasattr(forward, "stacked") == (spec.norm != "batch")
+    assert hasattr(forward, "sample") == (spec.norm != "batch")
     _assert_bits_match_oracle(forward, x, up)
+
+
+@pytest.mark.parametrize("axis", ["order", "joint", "location"])
+def test_per_sample_max_norm_divides_by_its_own_peaks(axis):
+    """Samples with different peaks: sample b is x[b] scaled by b + 1.
+
+    Each `sample(b)` must hold sample b's own peak divisor. A per-sample
+    forward that divides by the whole batch's tiled peaks, as `stacked`
+    does, divides the x + h and x - h probes of one element by two
+    different samples' peaks, and its numeric gradient is far off.
+    """
+    pool = PoolSpec.square(3, stride=2, pad=1)
+    spec = MomentSpec(n=4, norm="max", norm_axis=axis)
+    x, up = make_case(1100, (2, 2, 6, 6), pool, spec)
+    x = Tensor(x.shape, x.nchw * np.arange(1.0, 3.0).reshape(-1, 1, 1, 1))
+    forward = check_forward(x, pool, spec)
+    want = scalar_finite_diff(forward, x, up)
+    assert numeric_gradient(forward, x, up).tobytes() == want.tobytes()
+    tiled = lambda t: forward(t)  # noqa: E731
+    tiled.sample = lambda b: forward.stacked
+    assert rel_gap(numeric_gradient(tiled, x, up), want) > 1e-3
 
 
 @pytest.mark.parametrize("spec", [
@@ -336,7 +363,8 @@ def test_stacked_probes_match_scalar_loop_eval_batch_norm():
 
 @pytest.mark.parametrize("pairs", [None, 5], ids=["default-budget", "5-per-chunk"])
 def test_chunks_cover_every_element_once_in_order(monkeypatch, pairs):
-    """One stacked call per chunk, the last one short, and the same bits."""
+    """A forward with `stacked` and no `sample` keeps whole-batch probes:
+    one stacked call per chunk, the last one short, and the same bits."""
     pool = PoolSpec.square(3, stride=2, pad=1)
     spec = MomentSpec(n=4, norm="layer")
     x, up = make_case(101, (4, 2, 6, 6), pool, spec)
@@ -351,6 +379,7 @@ def test_chunks_cover_every_element_once_in_order(monkeypatch, pairs):
 
     def stacked(probes):
         rows = probes.data.reshape(-1, x.size) - x.data
+        assert (np.count_nonzero(rows, axis=1) == 1).all()  # whole batches
         j = int(np.flatnonzero(rows[0])[0])
         firsts.append((j, len(rows) // 2, rows[0, j] > 0, rows[1, j] < 0))
         return forward.stacked(probes)
@@ -365,6 +394,50 @@ def test_chunks_cover_every_element_once_in_order(monkeypatch, pairs):
     assert got.tobytes() == scalar_finite_diff(forward, x, up).tobytes()
 
 
+@pytest.mark.parametrize("pairs", [None, 5], ids=["default-budget", "5-per-chunk"])
+def test_sample_chunks_cover_each_sample_once_in_order(monkeypatch, pairs):
+    """`sample(b)` sees probes of x[b] only, one element each; its chunks
+    cover x[b]'s elements once, in order, the last one short, sized from
+    one sample's bytes; and the bits are the scalar loop's."""
+    pool = PoolSpec.square(3, stride=2, pad=1)
+    spec = MomentSpec(n=4, norm="layer")
+    x, up = make_case(101, (2, 2, 11, 11), pool, spec)
+    n_samples = x.nchw.shape[0]
+    size = x.size // n_samples
+    probe_bytes = 16 * (x.size + up.size) // n_samples  # one element's two
+    if pairs is not None:
+        monkeypatch.setattr(grad, "_CHUNK_BYTES", pairs * probe_bytes)
+    per_chunk = grad._CHUNK_BYTES // probe_bytes
+    assert per_chunk < size and size % per_chunk != 0
+
+    forward = check_forward(x, pool, spec)
+    calls = []  # per call: (sample, first element, elements)
+
+    def sample(b):
+        def stacked(probes):
+            rows = probes.data.reshape(-1, size) - x.nchw[b].ravel()
+            hit, cols = np.nonzero(rows)
+            first, m = int(cols[0]), len(rows) // 2
+            assert hit.tolist() == list(range(2 * m))  # one element per probe
+            assert cols.tolist() == [j for j in range(first, first + m)
+                                     for _ in "+-"]
+            assert (rows[hit, cols][0::2] > 0).all()
+            assert (rows[hit, cols][1::2] < 0).all()
+            calls.append((b, first, m))
+            return forward.sample(b)(probes)
+        return stacked
+
+    counted = lambda t: forward(t)  # noqa: E731
+    counted.sample = sample
+    got = numeric_gradient(counted, x, up)
+    full, rest = divmod(size, per_chunk)
+    starts = range(0, size, per_chunk)
+    assert calls == [call for b in range(n_samples) for call in
+                     [(b, j, per_chunk) for j in starts[:full]]
+                     + [(b, full * per_chunk, rest)]]
+    assert got.tobytes() == scalar_finite_diff(forward, x, up).tobytes()
+
+
 def test_training_batch_norm_probes_one_forward_each():
     """Batch statistics couple samples: each probe is a separate forward call
     of x's own batch size, the report is the scalar loop's, the state stays."""
@@ -375,6 +448,7 @@ def test_training_batch_norm_probes_one_forward_each():
     mean, var = state.mean.tobytes(), state.var.tobytes()
     forward = check_forward(x, pool, spec, bn_state=state)
     assert not hasattr(forward, "stacked")
+    assert not hasattr(forward, "sample")
     batches = []
 
     def counted(t):
@@ -454,6 +528,40 @@ def test_constant_operator_passes():
     with pytest.raises(ValueError, match="upstream size"):
         finite_diff_check(const_forward, const_backward, x,
                           Tensor((3,), [1.0, 1.0, 1.0]))
+
+
+@pytest.mark.parametrize("h", [0.0, float("nan"), -1e-6, float("inf")])
+def test_numeric_gradient_rejects_a_bad_step(h):
+    """Before any probe: h = 0 used to divide by zero, h = nan to return
+    NaNs."""
+    x = Tensor((3,), [1.0, 2.0, 3.0])
+    calls = []
+
+    def forward(t):
+        calls.append(t)
+        return Tensor((1,), [t.data.sum()])
+
+    with pytest.raises(ValueError, match="step size must be finite and positive"):
+        numeric_gradient(forward, x, Tensor((1,), [1.0]), h)
+    assert calls == []
+
+
+@pytest.mark.parametrize("extra", [-1, 1, 4])
+@pytest.mark.parametrize("path", ["per-sample", "whole-batch", "one-by-one"])
+def test_numeric_gradient_rejects_an_upstream_of_the_wrong_size(path, extra):
+    """An upstream that is not forward(x)'s size is named, on every probe
+    path, instead of failing in a reshape."""
+    pool = PoolSpec.square(3, stride=2, pad=1)
+    spec = MomentSpec(n=4, norm="layer")
+    x, up = make_case(107, (4, 2, 6, 6), pool, spec)
+    forward = check_forward(x, pool, spec)
+    probed = {"per-sample": forward, "whole-batch": lambda t: forward(t),
+              "one-by-one": lambda t: forward(t)}[path]
+    if path == "whole-batch":
+        probed.stacked = forward.stacked
+    wrong = Tensor((up.size + extra,), np.ones(up.size + extra))
+    with pytest.raises(ValueError, match="upstream size does not match"):
+        numeric_gradient(probed, x, wrong)
 
 
 @pytest.mark.parametrize("n_grad", [2, 5])

@@ -1,6 +1,7 @@
 """Interleaved wall time and traced peak of smp_forward and smp_backward on
 the three named geometries, a large stride-1 plane and the CLI's strided
-pool geometry, for one or more source trees.
+pool geometry, and of the finite-difference check at the CLI's gradcheck
+geometry, for one or more source trees.
 
     python3 tools/bench_geometries.py --tree parent=DIR --tree change=DIR \
         > BENCH_<tag>.json
@@ -12,6 +13,8 @@ Reported per tree and geometry: the median over all timed calls of the
 forward and of forward plus backward (on the forward's cache), the median
 of each round alone, which shows the drift between rounds, and the
 tracemalloc peak of one forward and of one fresh forward plus backward.
+A gradcheck row times one `finite_diff_check` of `check_forward` against
+`smp_backward` instead, at 3x3 stride 1, as `momentpool gradcheck` runs it.
 Inputs are uniform(-1, 1) from numpy's default_rng(0); the layer is n=4
 with layer norm.
 """
@@ -32,6 +35,8 @@ GEOMETRIES = {
     "8x16x64x64 8x8 s8": ((8, 16, 64, 64), (8, 8, 0)),
     "1x3x256x256 3x3 s1 p1": ((1, 3, 256, 256), (3, 1, 1)),
     "1x3x256x256 3x3 s2 p1": ((1, 3, 256, 256), (3, 2, 1)),
+    "gradcheck 2x3x8x8 3x3 s1": ((2, 3, 8, 8), "gradcheck"),
+    "gradcheck 4x3x8x8 3x3 s1": ((4, 3, 8, 8), "gradcheck"),
 }
 REPEATS, ROUNDS = 9, 7
 
@@ -39,8 +44,11 @@ CHILD = r"""
 import json, sys, time, tracemalloc
 import numpy as np
 import momentpool as mp
+from momentpool.grad import finite_diff_check
+from momentpool.smp import check_forward
 shape, geom, repeats = json.loads(sys.argv[1])
 pool = (mp.PoolSpec(shape[2], shape[3]) if geom == "global"
+        else mp.PoolSpec.square(3) if geom == "gradcheck"
         else mp.PoolSpec.square(geom[0], geom[1], geom[2]))
 spec = mp.MomentSpec(n=4, norm="layer")
 rng = np.random.default_rng(0)
@@ -56,8 +64,14 @@ def fwd_bwd():
     fwd()
     mp.smp_backward(x, pool, spec, up)
 
+def gradcheck():
+    finite_diff_check(check_forward(x, pool, spec),
+                      lambda t, u: mp.smp_backward(t, pool, spec, u), x, up)
+
 out = {}
-for name, f in (("fwd", fwd), ("fwd_bwd", fwd_bwd)):
+timed = ((("gradcheck", gradcheck),) if geom == "gradcheck"
+         else (("fwd", fwd), ("fwd_bwd", fwd_bwd)))
+for name, f in timed:
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
@@ -102,7 +116,7 @@ def main(argv=None) -> int:
     for name, per in runs.items():
         for g, rs in per.items():
             row = summary[name][g] = {}
-            for k in ("fwd", "fwd_bwd"):
+            for k in rs[0]:
                 times = [t for one in rs for t in one[k]["ms"]]
                 row[f"{k}_median_ms"] = statistics.median(times)
                 row[f"{k}_round_medians_ms"] = [statistics.median(one[k]["ms"])
