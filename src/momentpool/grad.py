@@ -1,35 +1,10 @@
 """Finite-difference gradient checker and per-order gradient profile.
 
-`finite_diff_check` verifies any forward/backward pair against central
-differences. The probe <forward(x), upstream> is accumulated with exact
-summation of per-element product differences, so unperturbed outputs cancel
-bitwise and the check's noise floor comes only from the forward pass's own
-rounding. Errors are reported relative to the gradient scale: the per
-element error |analytic - numeric| is divided by
+`finite_diff_check` verifies any forward/backward pair against the central
+differences of `numeric_gradient`. Errors are reported relative to the
+gradient scale: the per element error |analytic - numeric| is divided by
 max(max|analytic|, max|numeric|, 1e-12), which keeps elements whose true
 derivative happens to vanish from drowning the report in 0/0 noise.
-
-Probes run in stacked chunks, one block of the input at a time. A forward
-separable by sample carries `sample(b)`, and each sample is its own block:
-probes of x[b] alone, against its slice of the upstream. Any other forward
-is one block of the whole batch, evaluated by its `stacked` attribute, or
-by a default that calls it once per probe, which is the only correct
-choice for a forward that couples samples (training-mode batch norm).
-`smp.check_forward` states which of its forwards carry which. Within a
-block, elements are taken in order, a chunk at a time; the x + h and x - h
-copies of the block for each element of a chunk are stacked on the sample
-axis, and one call evaluates them all. A chunk holds as many elements as
-keep its probe inputs plus outputs within `_CHUNK_BYTES` (256 KiB), so the
-check's memory stays small whatever the input size, and per-sample blocks
-make the whole check O(N) sample-forwards in place of O(N^2).
-
-Only the nonzero product differences reach `math.fsum`. Most of them are
-exact zeros (outputs of the other samples and of windows the probe does
-not touch cancel bitwise), and because `fsum` is exactly rounded, and so
-independent of term order, dropping terms that add nothing leaves every
-numeric derivative bit-identical; an all-zero row gives 0.0 either way.
-The per-sample blocks drop only the other samples' terms, so they give
-the same bits as the whole batch.
 
 `gradient_magnitude_profile` measures how strongly each moment order drives
 the input gradient of `smp.smp_backward`.
@@ -47,7 +22,7 @@ from .smp import MomentSpec, output_shape, smp_backward
 from .tensor import Tensor
 from .windows import PoolSpec
 
-_CHUNK_BYTES = 256 * 1024  # probe inputs plus outputs of one stacked call
+_CHUNK_BYTES = 256 * 1024  # probe inputs plus outputs of one chunk
 
 
 @dataclass(frozen=True)
@@ -66,16 +41,16 @@ class GradCheckReport:
 
 def _one_by_one(forward: Callable[[Tensor], Tensor],
                 shape) -> Callable[[Tensor], Tensor]:
-    """Default `stacked`: `forward` once per probe of `shape`, outputs joined."""
+    """`forward` once per probe of `shape`, outputs joined."""
     size = prod(shape)
 
-    def stacked(probes: Tensor) -> Tensor:
+    def each(probes: Tensor) -> Tensor:
         outs = [forward(Tensor._adopt(shape, p)).data
                 for p in probes.data.reshape(-1, size)]
         out = np.concatenate(outs)
         return Tensor._adopt(out.shape, out)
 
-    return stacked
+    return each
 
 
 def _check_step(h: float) -> None:
@@ -92,24 +67,33 @@ def numeric_gradient(forward: Callable[[Tensor], Tensor], x: Tensor,
                      upstream: Tensor, h: float = 1e-6) -> np.ndarray:
     """Central differences of <forward(x), upstream> for every element of x.
 
-    If `forward` has a `sample` attribute, `sample(b)` is called with K
-    probes of x[b] stacked on the sample axis, shape (K, C, H, W) for x's
-    rank-4 (N, C, H, W); else its `stacked` attribute, if any, with K
-    probes of x, shape (K*N, C, H, W). Either must return the K outputs in
-    probe order. `h` must be finite and positive and `upstream` the size of
-    forward(x). Blocks, chunking and summation per the module docstring.
+    `h` must be finite and positive and `upstream` the size of forward(x).
+    Elements are probed in order, a chunk at a time: the x + h and x - h
+    probes of each element of a chunk, interleaved on the sample axis, go
+    to one call, and a chunk holds as many elements as keep its probes
+    plus outputs within `_CHUNK_BYTES`. A forward separable by sample
+    carries `sample`: each sample b is then a block of its own, and
+    `sample(b)` takes a chunk's K probes of x[b], shape (K, C, H, W) for
+    x's (N, C, H, W), and returns their K outputs in order, so the check
+    costs O(N) sample-forwards, not O(N^2). Any other forward is called
+    once per probe, on a whole copy of x.
+
+    An element's product differences, out(x + h) * u - out(x - h) * u,
+    are summed by `math.fsum`, so unperturbed outputs cancel bitwise and
+    the noise floor is the forward's own rounding. Only the nonzero terms
+    reach it: `fsum` is exactly rounded, so dropping the exact zeros (other
+    samples, windows the probe does not touch) leaves every derivative
+    bit-identical.
     """
     _check_step(h)
     n_samples, *cell = x.nchw.shape
     if hasattr(forward, "sample"):
         parts, forwards = n_samples, map(forward.sample, range(n_samples))
     else:
-        parts = 1
-        forwards = [getattr(forward, "stacked", None)
-                    or _one_by_one(forward, x.shape)]
+        parts, forwards = 1, [_one_by_one(forward, x.shape)]
     numeric = np.empty(x.size)
     # array_split never raises, so a wrong-size upstream reaches the check
-    for stacked, base, u, grad in zip(
+    for call, base, u, grad in zip(
             forwards, np.split(x.data, parts),
             np.array_split(upstream.data, parts), np.split(numeric, parts)):
         per_chunk = max(1, _CHUNK_BYTES // (16 * (base.size + u.size)))
@@ -120,7 +104,7 @@ def numeric_gradient(forward: Callable[[Tensor], Tensor], x: Tensor,
             probes[rows, cols] = base[cols] + h
             probes[rows + 1, cols] = base[cols] - h
             shape = (2 * cols.size * n_samples // parts, *cell)
-            out = stacked(Tensor._adopt(shape, probes)).data
+            out = call(Tensor._adopt(shape, probes)).data
             _check_upstream(out.size, 2 * cols.size * u.size)
             out = out.reshape(2 * cols.size, u.size)
             terms = out[0::2] * u - out[1::2] * u

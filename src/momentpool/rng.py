@@ -32,20 +32,11 @@ Bulk draws in lockstep lanes
 ----------------------------
 The xoshiro256++ state update is linear over GF(2): one step is a fixed
 256x256 bit matrix T applied to the state's 256 bits (bit b of word w is
-bit 64w + b). `fill_uniform(count)` uses this to draw in parallel without
-changing a single output:
-
-- it picks B = 2**k steps per lane, about sqrt(count) but at most 64, and
-  L = ceil(count/B) lanes;
-- lane l starts at T**(l*B) applied to the current state, i.e. exactly
-  l*B draws ahead. The lane states come from doubling: lanes m..2m-1 are
-  T**(m*B) applied to lanes 0..m-1, with T**(2**i) taken from a ladder of
-  repeated squares that is built lazily, once per process;
-- all lanes then step together B times with numpy uint64 arithmetic, and
-  step j of lane l is draw l*B + j, written with the same per-draw float
-  expression as above (numpy does not fuse the multiply and the add);
-- the generator is left at the state after exactly ``count`` draws, which
-  is the last lane's state after count - (L - 1)*B of its steps.
+bit 64w + b). `fill_uniform` uses this to draw in lanes: lane l of B steps
+starts at T**(l*B) applied to the current state, with T**(2**i) taken
+from a ladder of repeated squares built once per process, and all lanes
+step together in numpy uint64 arithmetic. Each draw goes through the same
+float expression as above (numpy does not fuse the multiply and the add).
 
 Each ladder matrix is kept as a byte table (the "method of Four Russians"):
 for each of the state's 32 bytes, the images of all 256 values that byte

@@ -24,13 +24,7 @@ upstream weights u it satisfies
 
     <smp_backward(u), dx>  ==  d/de <smp_forward(x + e*dx), u> at e = 0.
 
-It reads what the forward of its input saved, takes the normalization
-VJP's group terms once, then per chunk of planes chains the VJP's rest
-(orders >= 3), the pre-norm standardization VJP when enabled, and the
-coefficients of each cell's gradient, a polynomial in its deviation from
-the window mean, built into the chunk's maps in the walk's layout.
-`check_forward` is the matching finite-difference target: the true
-forward, except that max norm holds its peak divisor fixed.
+`check_forward` is the matching finite-difference target.
 
 Saved forward
 -------------
@@ -38,15 +32,15 @@ Each `smp_forward` saves, read-only in a one-entry cache, what the
 backward reads: the entry (walk, stats, block, divisor) holds the walk
 with its per-axis counts, the raw maps m1..m_(n-1) (m1 and m2 as views of
 the output), the normalized orders >= 3 (a view of the output) and their
-per-group divisor. Order k's cell gradient reads m_(k-1); only the
-standardization VJP reads raw mn, so it is kept only under
-`standardize_pre_norm`. The key is the input `Tensor`'s identity through a
-weakref (tensors are immutable), `pool`, the whole `spec` and `training`,
-since the divisor depends on every normalization field. On a miss the
-backward runs the forward itself, without the running state in training
-mode, so a hit and a miss share one formula. Eval-mode batch norm divides
-by the backward's own running state. The entry goes when its input dies or
-the next input is pooled.
+per-group divisor, so output and entry hold no map twice. Order k's cell
+gradient reads m_(k-1); only the standardization VJP reads raw mn, so it
+is kept only under `standardize_pre_norm`. The key is the input
+`Tensor`'s identity through a weakref (tensors are immutable), `pool`,
+the whole `spec` and `training`, since the divisor depends on every
+normalization field. On a miss the backward runs the forward itself,
+without the running state in training mode, so a hit and a miss share one
+formula. Eval-mode batch norm divides by the backward's own running
+state. The entry goes when its input dies or the next input is pooled.
 
 Operation-count model
 ---------------------
@@ -288,10 +282,7 @@ def _cell_grads(x4: np.ndarray, walk: Walk, m1: np.ndarray, coefficients):
     return grad
 
 
-# What the last forward saved, for the backward of the same input:
-# (weakref to the input Tensor, pool, spec, training, entry) or None, with
-# entry = (walk, stats, normalized orders >= 3, divisor). Tensors
-# are immutable, so the input's identity pins its bytes.
+# (weakref to the input, pool, spec, training, entry) or None: "Saved forward"
 _cached = None
 
 
@@ -345,12 +336,7 @@ def _pooled(t: Tensor, pool: PoolSpec, spec: MomentSpec,
     """(output, entry): moment channels m1..mn, the orders >= 3 divided by
     sigma^p + eps when `spec.standardize_pre_norm` is set and then normalized
     in place in their groups; the read-only entry is what `_saved` returns
-    for `t`.
-
-    The entry keeps m1, m2 and the normalized block as views of the output
-    and the raw orders >= 3 that the backward reads (see "Saved forward"),
-    so the two together hold no map twice.
-    """
+    for `t`."""
     walk = window_walk(t.nchw.shape, pool)
     kept = spec.n if spec.standardize_pre_norm else max(2, spec.n - 1)
     stats, out = _walk_stats(t.nchw, walk, spec.n, kept)
@@ -445,20 +431,11 @@ def check_forward(x: Tensor, pool: PoolSpec, spec: MomentSpec,
     read `bn_state`, so only eval-mode probes get it: a check must not fold
     its perturbed batches into the running statistics.
 
-    Every configuration except training-mode batch norm is separable by
-    sample: no norm, layer and max norm in all three `norm_axis` groupings,
-    with or without `standardize_pre_norm`, and eval-mode batch norm. Its
-    forward carries two entries for `grad.numeric_gradient`, which
-    evaluates a chunk of probes in one call of either:
-
-    - `stacked` takes any whole number of copies of x's batch stacked on
-      the sample axis (fixed-peak max norm repeats its peaks once per copy);
-    - `sample(b)` returns a forward over any number of stacked copies of
-      sample b alone. It is the forward itself, except that fixed-peak max
-      norm divides by sample b's own peaks.
-
-    Training-mode batch statistics couple the samples, so that forward has
-    neither entry and is called once per probe.
+    Training-mode batch statistics couple the samples. Every other
+    forward is separable by sample and carries `sample(b)` for
+    `grad.numeric_gradient`: a forward over copies of sample b, the
+    forward itself except that fixed-peak max norm divides by sample b's
+    own peaks.
     """
     if spec.norm == "max" and spec.n >= 3:
         peaks = _saved(x, pool, spec, bn_state, training)[3]
@@ -481,7 +458,6 @@ def check_forward(x: Tensor, pool: PoolSpec, spec: MomentSpec,
 
         sample = lambda b: forward  # noqa: E731
     if spec.norm != "batch" or not training:
-        forward.stacked = forward
         forward.sample = sample
     return forward
 

@@ -8,20 +8,15 @@ tensors.
 
 A walk (`Walk`) visits every in-bounds (window, kernel cell) pair exactly
 once, in a fixed order, for the forward statistics and the backward's cell
-gradients alike. It is a tuple of chunks, each a run of planes (a plane is
-one channel of one sample) sized by `_STEP_BYTES`, inside one sample or
-of whole samples, with the steps that complete every window of those
-planes; a step is one block of cells, viewed over the buffer of the
-chunk's planes. `window_walk` builds it one of two ways:
+gradients alike. `window_walk` builds it one of two ways:
 
 - `window_steps` reads the planes in place: strided blocks of the unpadded
   input that never touch a padding cell and hold no input cell twice, so
   the backward adds a block of cell gradients into the input gradient with
-  a plain `+=`. Each block is indexed by (samples, channels) of its chunk.
-  At stride 1 each block is one kernel cell, and numpy's per-row overhead
-  dominates it: neither the input block nor the output slice can merge
-  rows, so a block of eight 63x63 planes runs 504 inner loops of 63
-  elements.
+  a plain `+=`. At stride 1 each block is one kernel cell, and numpy's
+  per-row overhead dominates it: neither the input block nor the output
+  slice can merge rows, so a block of eight 63x63 planes runs 504 inner
+  loops of 63 elements.
 - `flat_walk`, for overlapping stride-1 windows, copies the planes into a
   zero-padded scratch and lays the outputs out in the scratch's own row
   layout, so each kernel cell is one contiguous run and each elementwise
@@ -30,17 +25,6 @@ chunk's planes. `window_walk` builds it one of two ways:
   or padding, and each is made to add an exact +0.0, so every output sees
   the same additions in the same order as on the strided walk and the bits
   do not move.
-
-The flat walk is taken at stride 1 on both axes when one padded plane
-fits `_STEP_BYTES` and at most a quarter of its outputs are junk (junk =
-1 - H'W' / (Hp Wp) on a padded Hp x Wp plane). The size bound keeps the
-scratch, the per-chunk maps and the cached masks within the step budget, as
-on the strided walk; a larger plane keeps the strided walk even where the
-flat one is faster, and cutting such planes into row bands is left open.
-The junk bound lies between the timed geometries: the flat statistics pass
-was faster at 2-11% junk and slower at 44%. Strided and global pooling,
-and small planes such as the gradient check's stacked 8x8 probes, keep the
-strided walk.
 """
 
 from __future__ import annotations
@@ -318,7 +302,13 @@ def flat_walk(shape: tuple, spec: PoolSpec) -> Walk:
 def window_walk(shape: tuple, spec: PoolSpec) -> Walk:
     """The walk that the forward and the backward take for `shape`, cached:
     `flat_walk` at stride 1 when one padded plane fits `_STEP_BYTES` and at
-    most a quarter of the outputs are junk, else `window_steps`."""
+    most a quarter of the outputs are junk, else `window_steps`.
+
+    The size bound keeps the scratch, the per-chunk maps and the cached
+    masks within the step budget, as on the strided walk. The junk bound
+    lies between the timed geometries: the flat statistics pass was faster
+    at 2-11% junk and slower at 44%.
+    """
     h, w = shape[2:]
     hp, wp = h + 2 * spec.pad_h, w + 2 * spec.pad_w
     if (spec.stride_h, spec.stride_w) == (1, 1) and hp * wp * 8 <= _STEP_BYTES:

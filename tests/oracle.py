@@ -35,8 +35,8 @@ Finite differences
 on a Tensor forward: two forwards per input element, each on a fresh
 `Tensor`, and every product difference of the probe <forward(x), upstream>
 summed with math.fsum. The package's `grad.numeric_gradient` evaluates the
-same probes in stacked chunks, per sample where the forward allows it, and
-must reproduce this loop bit for bit.
+same probes in chunks of one sample where the forward carries `sample`,
+else one probe per call, and must reproduce this loop bit for bit.
 
 Seeded uniforms
 ---------------

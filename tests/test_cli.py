@@ -342,6 +342,8 @@ class TestToytrainCommand:
      "--kernel"),
     (("gradcheck", "--shape", "a,b"), "--shape"),
     (("toytrain", "--seed", "1", "--feature-shape", "a,b"), "--feature-shape"),
+    (("pool", "--input", "{src}", "--out", "{dst}", "--stride", "1xq"),
+     "--stride"),
 ])
 def test_usage_errors_name_the_flag(tmp_path, capsys, args, flag):
     """Bad flag values exit 2 before any output and name the flag."""

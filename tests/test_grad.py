@@ -215,10 +215,10 @@ def test_frozen_peak_forward_same_with_and_without_a_hit(axis):
         assert stats.call_count == 1
     probes = Tensor((4, 2, 6, 6), np.concatenate([x.nchw, 2.0 * x.nchw]))
     assert hit(x) == cold(x)
-    assert hit.stacked(probes) == cold.stacked(probes)
+    assert hit(probes) == cold(probes)
 
 
-# sha256 of check_forward's stacked max-norm output bytes: three probes of
+# sha256 of check_forward's max-norm output bytes on three probes of
 # x + 1e-3 * uniform(-1, 1) stacked on the sample axis, x and the probes from
 # default_rng(1234), the peaks held at x; keyed "<walk> n<order> <norm_axis>"
 # with " std" for standardize_pre_norm. Peaks, divisions and the walk's sums
@@ -290,20 +290,16 @@ def test_frozen_peak_stacked_forward_bytes_are_frozen(name):
     x = Tensor(shape, rng.uniform(-1.0, 1.0, shape))
     probes = np.concatenate([x.nchw + 1e-3 * rng.uniform(-1.0, 1.0, shape)
                              for _ in range(3)])
-    out = check_forward(x, pool, spec).stacked(Tensor(probes.shape, probes))
+    out = check_forward(x, pool, spec)(Tensor(probes.shape, probes))
     assert hashlib.sha256(out.data.tobytes()).hexdigest() == FROZEN_PEAK[name]
 
 
 def _assert_bits_match_oracle(forward, x, up):
-    """Per-sample, whole-batch stacked and one-probe-per-call numeric
-    gradients all equal the scalar loop."""
+    """Per-sample and one-probe-per-call numeric gradients both equal the
+    scalar loop."""
     want = scalar_finite_diff(forward, x, up).tobytes()
     assert numeric_gradient(forward, x, up).tobytes() == want
-    if hasattr(forward, "stacked"):
-        whole = lambda t: forward(t)  # noqa: E731
-        whole.stacked = forward.stacked  # no `sample`: whole-batch probes
-        assert numeric_gradient(whole, x, up).tobytes() == want
-    # a plain lambda has no `stacked`, so every probe is its own call
+    # a plain lambda has no `sample`, so every probe is its own call
     assert numeric_gradient(lambda t: forward(t), x, up).tobytes() == want
 
 
@@ -312,7 +308,6 @@ def test_stacked_probes_match_scalar_loop(spec):
     pool = PoolSpec.square(3, stride=2, pad=1)
     x, up = make_case(1000 + spec.n, (4, 2, 6, 6), pool, spec)
     forward = check_forward(x, pool, spec)
-    assert hasattr(forward, "stacked") == (spec.norm != "batch")
     assert hasattr(forward, "sample") == (spec.norm != "batch")
     _assert_bits_match_oracle(forward, x, up)
 
@@ -322,8 +317,8 @@ def test_per_sample_max_norm_divides_by_its_own_peaks(axis):
     """Samples with different peaks: sample b is x[b] scaled by b + 1.
 
     Each `sample(b)` must hold sample b's own peak divisor. A per-sample
-    forward that divides by the whole batch's tiled peaks, as `stacked`
-    does, divides the x + h and x - h probes of one element by two
+    forward that divides by the whole batch's tiled peaks, as the forward
+    itself does, divides the x + h and x - h probes of one element by two
     different samples' peaks, and its numeric gradient is far off.
     """
     pool = PoolSpec.square(3, stride=2, pad=1)
@@ -334,7 +329,7 @@ def test_per_sample_max_norm_divides_by_its_own_peaks(axis):
     want = scalar_finite_diff(forward, x, up)
     assert numeric_gradient(forward, x, up).tobytes() == want.tobytes()
     tiled = lambda t: forward(t)  # noqa: E731
-    tiled.sample = lambda b: forward.stacked
+    tiled.sample = lambda b: forward
     assert rel_gap(numeric_gradient(tiled, x, up), want) > 1e-3
 
 
@@ -357,14 +352,15 @@ def test_stacked_probes_match_scalar_loop_eval_batch_norm():
                            var=rng.uniform(0.5, 2.0, 4))
     x, up = make_case(68, (2, 2, 6, 6), pool, spec)
     forward = check_forward(x, pool, spec, bn_state=state, training=False)
-    assert hasattr(forward, "stacked")
+    assert hasattr(forward, "sample")
     _assert_bits_match_oracle(forward, x, up)
 
 
 @pytest.mark.parametrize("pairs", [None, 5], ids=["default-budget", "5-per-chunk"])
 def test_chunks_cover_every_element_once_in_order(monkeypatch, pairs):
-    """A forward with `stacked` and no `sample` keeps whole-batch probes:
-    one stacked call per chunk, the last one short, and the same bits."""
+    """A forward with no `sample` sees each probe alone, at x's batch size:
+    every element's x + h probe, then its x - h probe, once each and in
+    order, however many chunks the budget makes; and the same bits."""
     pool = PoolSpec.square(3, stride=2, pad=1)
     spec = MomentSpec(n=4, norm="layer")
     x, up = make_case(101, (4, 2, 6, 6), pool, spec)
@@ -375,22 +371,18 @@ def test_chunks_cover_every_element_once_in_order(monkeypatch, pairs):
     assert per_chunk < x.size and x.size % per_chunk != 0
 
     forward = check_forward(x, pool, spec)
-    firsts = []  # first probe of each call, as (element, +h or -h)
+    probes = []  # per call: (element, +h or -h)
 
-    def stacked(probes):
-        rows = probes.data.reshape(-1, x.size) - x.data
-        assert (np.count_nonzero(rows, axis=1) == 1).all()  # whole batches
-        j = int(np.flatnonzero(rows[0])[0])
-        firsts.append((j, len(rows) // 2, rows[0, j] > 0, rows[1, j] < 0))
-        return forward.stacked(probes)
+    def counted(t):
+        assert t.shape == x.shape
+        moved = t.data - x.data
+        j = int(np.flatnonzero(moved)[0])
+        assert np.count_nonzero(moved) == 1
+        probes.append((j, moved[j] > 0))
+        return forward(t)
 
-    counted = lambda t: forward(t)  # noqa: E731
-    counted.stacked = stacked
     got = numeric_gradient(counted, x, up)
-    full, rest = divmod(x.size, per_chunk)
-    starts = range(0, x.size, per_chunk)
-    assert firsts == [(j, per_chunk, True, True) for j in starts[:full]] \
-        + [(full * per_chunk, rest, True, True)]
+    assert probes == [(j, plus) for j in range(x.size) for plus in (True, False)]
     assert got.tobytes() == scalar_finite_diff(forward, x, up).tobytes()
 
 
@@ -447,7 +439,6 @@ def test_training_batch_norm_probes_one_forward_each():
     state = BatchNormState.fresh(4)
     mean, var = state.mean.tobytes(), state.var.tobytes()
     forward = check_forward(x, pool, spec, bn_state=state)
-    assert not hasattr(forward, "stacked")
     assert not hasattr(forward, "sample")
     batches = []
 
@@ -547,7 +538,7 @@ def test_numeric_gradient_rejects_a_bad_step(h):
 
 
 @pytest.mark.parametrize("extra", [-1, 1, 4])
-@pytest.mark.parametrize("path", ["per-sample", "whole-batch", "one-by-one"])
+@pytest.mark.parametrize("path", ["per-sample", "one-by-one"])
 def test_numeric_gradient_rejects_an_upstream_of_the_wrong_size(path, extra):
     """An upstream that is not forward(x)'s size is named, on every probe
     path, instead of failing in a reshape."""
@@ -555,10 +546,7 @@ def test_numeric_gradient_rejects_an_upstream_of_the_wrong_size(path, extra):
     spec = MomentSpec(n=4, norm="layer")
     x, up = make_case(107, (4, 2, 6, 6), pool, spec)
     forward = check_forward(x, pool, spec)
-    probed = {"per-sample": forward, "whole-batch": lambda t: forward(t),
-              "one-by-one": lambda t: forward(t)}[path]
-    if path == "whole-batch":
-        probed.stacked = forward.stacked
+    probed = forward if path == "per-sample" else lambda t: forward(t)
     wrong = Tensor((up.size + extra,), np.ones(up.size + extra))
     with pytest.raises(ValueError, match="upstream size does not match"):
         numeric_gradient(probed, x, wrong)

@@ -144,6 +144,16 @@ def test_tensor_is_immutable():
         t.shape = (1,)
 
 
+def test_equal_bytes_hash_equal_and_one_element_breaks_equality():
+    a, b = (Tensor((2, 3), [0.0, 1.0, np.nan, 3.0, 4.0, 5.0]) for _ in "ab")
+    assert a is not b and a == b and hash(a) == hash(b)  # NaN bytes match
+    assert {a: "found"}[b] == "found"
+    moved = a.data.copy()
+    moved[4] = np.nextafter(4.0, 5.0)
+    c = Tensor((2, 3), moved)
+    assert c != a and c not in {a: "found"}
+
+
 def test_header_shape_preserved_as_given(tmp_path):
     # rank is part of the wire format, not normalized to 4
     p = tmp_path / "r2.tensor"
