@@ -64,7 +64,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -220,8 +220,10 @@ def _frames(walk: Walk, x4: np.ndarray, maps=(), fill=None, sums=(), grad=None):
             grad[planes] = cells[1]
 
 
-def _moments(x4: np.ndarray, walk: Walk, maps: list) -> None:
-    """Add m1..mn over `walk` into the n (N, C, H', W') `maps`.
+def _walk_stats(x4: np.ndarray, walk: Walk, n: int):
+    """(maps, output): the (N, C, H', W') maps m1..mn over `walk`, as views
+    of an array of `output_shape` that holds them in its moment-major
+    channels, into which the walk adds them.
 
     Where every strided step is one kernel cell, as at stride 1 with
     H', W' >= 2, each output adds its in-bounds cells one at a time in
@@ -229,7 +231,8 @@ def _moments(x4: np.ndarray, walk: Walk, maps: list) -> None:
     one scaling by 1 / cell count. The flat walk does the same with an exact
     +0.0 for every other cell, so there the two walks agree bit for bit.
     """
-    n = len(maps)
+    orders = np.empty((len(x4), n, x4.shape[1]) + tuple(a.size for a in walk.counts))
+    maps = list(orders.swapaxes(0, 1))
     for steps, x, acc, _, inv, (e, e2) in _frames(walk, x4, sums=maps):
         for st in steps:
             acc[0][st.out] += _cell_sum(st.block(x))
@@ -244,19 +247,7 @@ def _moments(x4: np.ndarray, walk: Walk, maps: list) -> None:
                 acc[3][st.out] += _cell_sum(np.multiply(d2, d2, out=d2))
         for a in acc[1:]:
             a *= inv
-
-
-def _walk_stats(x4: np.ndarray, walk: Walk, n: int, kept: int | None = None):
-    """(maps, output): the first `kept` (default all) of the (N, C, H', W')
-    maps m1..mn over `walk`, and an array of `output_shape` holding all n in
-    its moment-major channels, into which the walk adds them; m1 and m2 are
-    views of the output, a kept order >= 3 a copy.
-    """
-    orders = np.empty((len(x4), n, x4.shape[1]) + tuple(a.size for a in walk.counts))
-    maps = list(orders.swapaxes(0, 1))
-    _moments(x4, walk, maps)
-    maps[2:kept] = [m.copy() for m in maps[2:kept]]
-    return maps[:kept], orders.reshape(len(x4), -1, *orders.shape[3:])
+    return maps, orders.reshape(len(x4), -1, *orders.shape[3:])
 
 
 def _cell_grads(x4: np.ndarray, walk: Walk, m1: np.ndarray, coefficients):
@@ -332,14 +323,17 @@ def _grouped(block: np.ndarray, spec: MomentSpec):
 
 
 def _pooled(t: Tensor, pool: PoolSpec, spec: MomentSpec,
-            bn_state: BatchNormState | None, training: bool):
+            bn_state: BatchNormState | None, training: bool, held=None):
     """(output, entry): moment channels m1..mn, the orders >= 3 divided by
     sigma^p + eps when `spec.standardize_pre_norm` is set and then normalized
-    in place in their groups; the read-only entry is what `_saved` returns
-    for `t`."""
+    in place in their groups, or divided by the `held` max-norm peaks (of
+    `check_forward`), tiled over stacked copies; the read-only entry is what
+    `_saved` returns for `t`."""
     walk = window_walk(t.nchw.shape, pool)
     kept = spec.n if spec.standardize_pre_norm else max(2, spec.n - 1)
-    stats, out = _walk_stats(t.nchw, walk, spec.n, kept)
+    stats, out = _walk_stats(t.nchw, walk, spec.n)
+    # the kept raw orders >= 3 are copied once the walk has freed its scratch
+    stats[2:] = [m.copy() for m in stats[2:kept]]
     block = divisor = None
     if spec.n >= 3:
         block = out[:, 2 * stats[0].shape[1]:]
@@ -349,8 +343,12 @@ def _pooled(t: Tensor, pool: PoolSpec, spec: MomentSpec,
                 order /= denom
         if spec.norm != "none":
             x, axis = _grouped(block, spec)
-            divisor = normalize._normalized(spec.norm, x, spec.eps_norm, axis,
-                                            bn_state, training, out=x)[1]
+            if held is None:
+                divisor = normalize._normalized(spec.norm, x, spec.eps_norm, axis,
+                                                bn_state, training, out=x)[1]
+            else:
+                divisor = np.concatenate([held] * (len(x) // len(held)))
+                x /= divisor
     for a in (*stats, block, divisor):
         if a is not None:
             a.setflags(write=False)
@@ -362,9 +360,10 @@ def smp_forward(t: Tensor, pool: PoolSpec, spec: MomentSpec,
                 training: bool = True) -> Tensor:
     """Pool `t` to (N, n*C, H', W') moment channels.
 
-    With `spec.norm != "none"`, channels of orders >= 3 are normalized;
-    batch norm reads/updates `bn_state` (a fresh transient state is used
-    when none is given in training mode).
+    With `spec.norm != "none"`, channels of orders >= 3 are normalized.
+    Training-mode batch norm uses the batch statistics and folds them into
+    `bn_state` when one is given; eval mode divides by `bn_state`, which it
+    requires.
     """
     global _cached
     out, entry = _pooled(t, pool, spec, bn_state, training)
@@ -431,34 +430,28 @@ def check_forward(x: Tensor, pool: PoolSpec, spec: MomentSpec,
     read `bn_state`, so only eval-mode probes get it: a check must not fold
     its perturbed batches into the running statistics.
 
+    The forwards are pure: they neither read nor write the saved forward,
+    and only fetching max norm's peaks at `x` goes through it.
+
     Training-mode batch statistics couple the samples. Every other
     forward is separable by sample and carries `sample(b)` for
     `grad.numeric_gradient`: a forward over copies of sample b, the
     forward itself except that fixed-peak max norm divides by sample b's
     own peaks.
     """
-    if spec.norm == "max" and spec.n >= 3:
-        peaks = _saved(x, pool, spec, bn_state, training)[3]
-        raw = replace(spec, norm="none", unsafe_no_norm=True)
+    state = None if training else bn_state
+    held = (_saved(x, pool, spec, bn_state, training)[3]
+            if spec.norm == "max" and spec.n >= 3 else None)
 
-        def divided_by(held: np.ndarray) -> Callable[[Tensor], Tensor]:
-            def forward(t: Tensor) -> Tensor:
-                out, _ = _pooled(t, pool, raw, None, training)
-                block, _ = _grouped(out[:, 2 * t.nchw.shape[1]:], spec)
-                block /= np.concatenate([held] * (len(out) // len(held)))
-                return Tensor._adopt(out.shape, out)
-            return forward
-
-        forward = divided_by(peaks)
-        sample = lambda b: divided_by(peaks[b:b + 1])  # noqa: E731
-    else:
+    def over(peaks) -> Callable[[Tensor], Tensor]:
         def forward(t: Tensor) -> Tensor:
-            return smp_forward(t, pool, spec, None if training else bn_state,
-                               training)
+            out, _ = _pooled(t, pool, spec, state, training, peaks)
+            return Tensor._adopt(out.shape, out)
+        return forward
 
-        sample = lambda b: forward  # noqa: E731
+    forward = over(held)
     if spec.norm != "batch" or not training:
-        forward.sample = sample
+        forward.sample = lambda b: forward if held is None else over(held[b:b + 1])
     return forward
 
 

@@ -222,6 +222,52 @@ class TestGradcheckCommand:
                              "--shape", "4,2,6,6", "--seed", "2")
         assert rc == 0 and json.loads(out)["passed"] is True
 
+    def test_batch_of_one_exits_2(self, capsys):
+        rc, out, err = run_cli(capsys, "gradcheck", "--shape", "1,3,8,8",
+                               "--n", "3", "--norm", "batch")
+        assert (rc, out) == (2, "")
+        assert "batch size >= 2" in err
+
+
+# the JSON line gradcheck prints on 2,3,8,8 for each set of flags, and its
+# exit code: the probes' summation order is fixed, so each report is a
+# fixed function of the forward's and the backward's bits
+GRADCHECK_REPORTS = {
+    "layer": (
+        ("--n", "4", "--norm", "layer"), 0,
+        '{"max_rel_error":1.538285733873744e-10,"max_abs_error":3.369376555539816e-09'
+        ',"worst_index":236,"n_checked":384,"passed":true}'),
+    "layer seed 5": (
+        ("--n", "4", "--norm", "layer", "--seed", "5"), 0,
+        '{"max_rel_error":2.5006934914635193e-10,"max_abs_error":4.583766255450428e-09'
+        ',"worst_index":82,"n_checked":384,"passed":true}'),
+    "max location strided": (
+        ("--n", "4", "--norm", "max", "--norm-axis", "location",
+         "--stride", "2", "--pad", "1"), 0,
+        '{"max_rel_error":1.8328675079042925e-10,"max_abs_error":1.1803544808230981e-09'
+        ',"worst_index":327,"n_checked":384,"passed":true}'),
+    "batch": (
+        ("--n", "4", "--norm", "batch"), 0,
+        '{"max_rel_error":2.0974479374907014e-10,"max_abs_error":3.95226651406233e-09'
+        ',"worst_index":314,"n_checked":384,"passed":true}'),
+    "max perturbed": (
+        ("--n", "4", "--norm", "max", "--perturb-backward"), 1,
+        '{"max_rel_error":0.0009990009657097185,"max_abs_error":0.006306703873257824'
+        ',"worst_index":28,"n_checked":384,"passed":false}'),
+    "n3 max joint std": (
+        ("--n", "3", "--norm", "max", "--norm-axis", "joint",
+         "--standardize-pre-norm"), 0,
+        '{"max_rel_error":3.743751112269622e-10,"max_abs_error":8.408401752646455e-10'
+        ',"worst_index":235,"n_checked":384,"passed":true}'),
+}
+
+
+@pytest.mark.parametrize("name", list(GRADCHECK_REPORTS))
+def test_gradcheck_report_bytes_are_frozen(name, capsys):
+    flags, code, line = GRADCHECK_REPORTS[name]
+    assert run_cli(capsys, "gradcheck", "--shape", "2,3,8,8", *flags) == (
+        code, line + "\n", "")
+
 
 class TestBenchCommand:
     def test_reports_costs_and_ratio(self, capsys):

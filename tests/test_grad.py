@@ -201,6 +201,25 @@ def test_cache_hit_gradients_are_bit_identical_eval_batch_norm():
     assert hit.data.tobytes() == cold.data.tobytes()
 
 
+@pytest.mark.parametrize("spec", [
+    MomentSpec(n=4, norm="layer"),
+    MomentSpec(n=4, norm="max", norm_axis="location"),
+], ids=spec_id)
+def test_gradient_check_leaves_the_saved_forward_alone(spec):
+    """Check forwards never write the saved forward, so a backward after a
+    check of x still reads the entry x's own forward saved."""
+    pool = PoolSpec.square(3, stride=2, pad=1)
+    x, up = make_case(97, (2, 2, 6, 6), pool, spec)
+    report = finite_diff_check(
+        check_forward(x, pool, spec),
+        lambda t, u: smp_backward(t, pool, spec, u),
+        x, up)
+    assert report.passed, report
+    with _count_stats() as stats:
+        smp_backward(x, pool, spec, up)
+    assert stats.call_count == 0
+
+
 @pytest.mark.parametrize("axis", ["order", "joint", "location"])
 def test_frozen_peak_forward_same_with_and_without_a_hit(axis):
     """check_forward's max-norm peaks come from the cache when it holds x."""

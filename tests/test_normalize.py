@@ -136,6 +136,17 @@ class TestBatchNorm:
         with pytest.raises(ValueError):
             batch_norm(np.ones((2, 2, 3, 3)), training=False)
 
+    def test_training_batch_of_one_message(self):
+        with pytest.raises(ValueError, match="batch size >= 2"):
+            batch_norm(np.ones((1, 2, 3, 3)), training=True)
+        with pytest.raises(ValueError, match="batch size >= 2"):
+            smp_forward(Tensor((1, 2, 4, 4), np.ones(32)), PoolSpec.square(2),
+                         MomentSpec(n=3, norm="batch"))
+
+    def test_eval_without_state_message(self):
+        with pytest.raises(ValueError, match="needs running state"):
+            batch_norm(np.ones((2, 2, 3, 3)), training=False)
+
     def test_running_state_update_momentum(self):
         state = BatchNormState(mean=np.zeros(2), var=np.ones(2), momentum=0.1)
         rng = np.random.default_rng(43)
@@ -230,6 +241,11 @@ def test_norm_backward_dispatcher():
                                   u / (np.abs(x).max() + EPS))
     with pytest.raises(ValueError):
         norm_backward("group", x, u)
+
+
+def test_unknown_kind_message():
+    with pytest.raises(ValueError, match="unknown normalization kind 'bogus'"):
+        norm_backward("bogus", np.ones(3), np.ones(3))
 
 
 @pytest.mark.parametrize("kind, shape, axis", [
