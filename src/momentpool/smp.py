@@ -9,7 +9,9 @@ Order 1 with no normalization is exactly average pooling, bit for bit.
 
 Padding is exclusive: padded cells never enter a window's statistics, and
 each window divides by its true in-bounds count. Zero-padding would bias
-the mean and every higher moment, so there is no inclusive mode.
+the mean and every higher moment, so there is no inclusive mode. How the
+windows are laid out and walked is for `windows` alone to decide (see its
+docstring); this module keeps the moment arithmetic.
 
 Channels of orders >= 3 can be rescaled by one of the strategies in
 `normalize`; orders 1 and 2 are never normalized. Requesting order >= 3
@@ -69,10 +71,10 @@ from typing import Callable
 
 import numpy as np
 
-from . import normalize
+from . import normalize, windows
 from .normalize import BatchNormState
 from .tensor import Tensor, _is_int, _is_real, nchw_shape
-from .windows import PoolSpec, Walk, _planes, output_dims, window_walk
+from .windows import PoolSpec, Walk, output_dims, window_walk
 
 NORM_KINDS = ("none", "layer", "max", "batch")
 NORM_AXES = ("order", "joint", "location")
@@ -140,86 +142,6 @@ def _by_order(a: np.ndarray, shape: tuple) -> list:
     return list(a.reshape(shape[0], -1, *shape[1:]).swapaxes(0, 1))
 
 
-def _cell_sum(a: np.ndarray) -> np.ndarray:
-    """Sum over a block's kernel axes; a one-cell block or a run has none."""
-    return a if a.ndim <= 4 else a.sum(axis=(4, 5))
-
-
-def _deviation(step, x: np.ndarray, mean: np.ndarray, out) -> np.ndarray:
-    """The step's cells less their window means, into `out`, or into a fresh
-    array in the block's own layout when `out` is None (the kernel-axis sums
-    then run in that layout's order). Each invalid pair's deviation is
-    zeroed, so it adds an exact +0.0 when raised and never overflows."""
-    dev = np.subtract(step.block(x), mean[step.win], out=out)
-    if step.bad is not None:
-        np.copyto(dev, 0.0, where=step.bad)
-    return dev
-
-
-def _frames(walk: Walk, x4: np.ndarray, maps=(), fill=None, sums=(), grad=None):
-    """Each chunk of `walk` in the layout its steps index, as (steps, x,
-    maps, grad, inv, work): the chunk's input, its planes of the
-    (N, C, H', W') `maps`, the k maps that `fill` = (k, f) builds by
-    f(planes, out) into `out`, its zeroed planes of the `sums` and of the
-    gradient to add into, 1 / cell count, and two buffers for a step's
-    deviation and its powers, or None.
-
-    An in-place walk hands out the arrays' own planes, except that a chunk
-    of several samples adds `sums` in contiguous buffers, copied out once
-    the chunk is done. A padded walk copies the chunk's planes of x4 and of
-    `maps` into zeroed scratch planes, the maps in the scratch's row layout
-    with 0 at junk outputs, where f writes too, and copies `sums` and
-    `grad` back out once the chunk is done.
-    """
-    k_fill, build = fill or (0, lambda planes, out: None)
-    per = max(_planes(planes) for planes, _ in walk.chunks)
-    if walk.pad is None:
-        # an output channel's planes of several samples are strided, which
-        # slows every step's add: such chunks, which the first chunk (from
-        # sample 0) shows, add their sums in buffers
-        spill = len(sums) if walk.chunks[0][0][0].stop > 1 else 0
-        bufs = [np.empty((per,) + walk.inv.shape) for _ in range(k_fill + spill)]
-        for planes, steps in walk.chunks:
-            x, g = x4[planes], None if grad is None else grad[planes]
-            chunk = [b[:_planes(planes)].reshape(x.shape[:2] + walk.inv.shape)
-                     for b in bufs]
-            build(planes, chunk[:k_fill])
-            acc = chunk[k_fill:] if spill else [a[planes] for a in sums]
-            for a in acc if g is None else (*acc, g):
-                a.fill(0.0)
-            yield steps, x, [*(m[planes] for m in maps), *chunk[:k_fill], *acc], g, \
-                walk.inv, (None, None)
-            for a, src in zip(sums, chunk[k_fill:]):
-                a[planes] = src
-        return
-    (ph, pw), (h, w) = walk.pad, x4.shape[2:]
-    h_out, w_out = (sums or maps)[0].shape[2:]
-    k_read = len(maps) + k_fill
-    k = k_read + len(sums)
-    # maps, built maps, sums, then the input and the gradient
-    layers = np.zeros((k + 1 + (grad is not None), per, h + 2 * ph, w + 2 * pw))
-    flat = layers.reshape(len(layers), -1)
-    work = np.empty((2, walk.inv.size))
-    for planes, steps in walk.chunks:
-        x = x4[planes]
-        q, size = _planes(planes), steps[0].shape[0]
-        cells = layers[k:, :q, ph:ph + h, pw:pw + w].reshape((-1,) + x.shape)
-        outs = layers[:k, :q, :h_out, :w_out].reshape(
-            (k,) + x.shape[:2] + (h_out, w_out))
-        cells[0] = x
-        for dst, m in zip(outs, maps):
-            dst[...] = m[planes]
-        build(planes, outs[len(maps):k_read])
-        flat[k_read:k].fill(0.0)
-        flat[k + 1:].fill(0.0)
-        g = flat[k + 1] if grad is not None else None
-        yield steps, flat[k], list(flat[:k, :size]), g, walk.inv[:size], work[:, :size]
-        for a, src in zip(sums, outs[k_read:]):
-            a[planes] = src
-        if grad is not None:
-            grad[planes] = cells[1]
-
-
 def _walk_stats(x4: np.ndarray, walk: Walk, n: int):
     """(maps, output): the (N, C, H', W') maps m1..mn over `walk`, as views
     of an array of `output_shape` that holds them in its moment-major
@@ -233,18 +155,22 @@ def _walk_stats(x4: np.ndarray, walk: Walk, n: int):
     """
     orders = np.empty((len(x4), n, x4.shape[1]) + tuple(a.size for a in walk.counts))
     maps = list(orders.swapaxes(0, 1))
-    for steps, x, acc, _, inv, (e, e2) in _frames(walk, x4, sums=maps):
+    for steps, x, acc, _, inv, (e, e2) in windows.frames(walk, x4, sums=maps):
         for st in steps:
-            acc[0][st.out] += _cell_sum(st.block(x))
-        acc[0] *= inv
+            acc[0][st.out] += windows.cell_sum(st.block(x))
+        # a junk output's sum may be inf and its 1 / count 0: it reaches no
+        # result, so its invalid product warns nothing; a real output's 1 /
+        # count is finite and positive, which raises nothing
+        with np.errstate(invalid="ignore"):
+            acc[0] *= inv
         for st in steps if n >= 2 else ():
-            dev = _deviation(st, x, acc[0], e)
+            dev = windows.deviation(st, x, acc[0], e)
             d2 = np.multiply(dev, dev, out=e2)
-            acc[1][st.out] += _cell_sum(d2)
+            acc[1][st.out] += windows.cell_sum(d2)
             if n >= 3:  # the powers reuse the deviation's and the square's buffers
-                acc[2][st.out] += _cell_sum(np.multiply(d2, dev, out=dev))
+                acc[2][st.out] += windows.cell_sum(np.multiply(d2, dev, out=dev))
             if n >= 4:
-                acc[3][st.out] += _cell_sum(np.multiply(d2, d2, out=d2))
+                acc[3][st.out] += windows.cell_sum(np.multiply(d2, d2, out=d2))
         for a in acc[1:]:
             a *= inv
     return maps, orders.reshape(len(x4), -1, *orders.shape[3:])
@@ -252,17 +178,15 @@ def _walk_stats(x4: np.ndarray, walk: Walk, n: int):
 
 def _cell_grads(x4: np.ndarray, walk: Walk, m1: np.ndarray, coefficients):
     """Cell gradients over `walk`, added onto the input grid, for the n
-    coefficient maps `coefficients` = (n, f) builds (see `_frames`). A
-    step's block holds no input cell twice, so `+=` is safe; a junk pair
-    adds an exact +0.0 wherever it lands, its coefficients being 0, and a
-    padding pair lands in the scratch's padding, which is dropped."""
+    coefficient maps `coefficients` = (n, f) builds (see `windows.frames`);
+    a step's block holds no input cell twice, so `+=` is safe."""
     grad = np.empty(x4.shape)
-    for steps, x, (mean, *coef), g, _, (e, t) in _frames(
+    for steps, x, (mean, *coef), g, _, (e, t) in windows.frames(
             walk, x4, maps=[m1], fill=coefficients, grad=grad):
         for st in steps:
             h = coef[-1][st.win]
             if len(coef) > 1:  # Horner, highest order first
-                dev = _deviation(st, x, mean, e)
+                dev = windows.deviation(st, x, mean, e)
                 h = np.multiply(h, dev, out=t)
                 for c in coef[-2:0:-1]:
                     h += c[st.win]

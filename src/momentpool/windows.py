@@ -1,4 +1,5 @@
-"""Pooling-window geometry and the window walk shared by forward and backward.
+"""Pooling-window geometry, and the one place that decides how the
+windows are laid out and walked.
 
 Window placement follows the standard convolution rule: with input extent
 `in`, padding `p`, dilation `d`, kernel `k` and stride `s`, the output
@@ -8,7 +9,11 @@ tensors.
 
 A walk (`Walk`) visits every in-bounds (window, kernel cell) pair exactly
 once, in a fixed order, for the forward statistics and the backward's cell
-gradients alike. `window_walk` builds it one of two ways:
+gradients alike. `frames` hands each chunk of planes to that arithmetic in
+the layout its steps index, in five roles: the input, the maps it reads,
+the maps it builds, and the sums and the gradient it adds into; staged
+sums and gradients are copied out once the chunk is done. `deviation` and
+`cell_sum` read a step's block. `window_walk` builds one of two walks:
 
 - `window_steps` reads the planes in place: strided blocks of the unpadded
   input that never touch a padding cell and hold no input cell twice, so
@@ -16,15 +21,19 @@ gradients alike. `window_walk` builds it one of two ways:
   a plain `+=`. At stride 1 each block is one kernel cell, and numpy's
   per-row overhead dominates it: neither the input block nor the output
   slice can merge rows, so a block of eight 63x63 planes runs 504 inner
-  loops of 63 elements.
-- `flat_walk`, for overlapping stride-1 windows, copies the planes into a
-  zero-padded scratch and lays the outputs out in the scratch's own row
+  loops of 63 elements. Its frames hand over the arrays' own planes, and
+  stage only the built maps and, in a chunk of several samples, whose
+  planes of one output channel are strided, the sums.
+- `flat_walk`, for overlapping stride-1 windows, stages every role in a
+  chunk's zero-padded scratch, with the outputs in the scratch's own row
   layout, so each kernel cell is one contiguous run and each elementwise
   operation one ufunc call. It also computes junk outputs past the last
   output row and column. A step's `bad` mask marks its invalid pairs, junk
-  or padding, and each is made to add an exact +0.0, so every output sees
-  the same additions in the same order as on the strided walk and the bits
-  do not move.
+  or padding, and each adds an exact +0.0: a padding cell is 0,
+  `deviation` zeroes the pair's deviation, the maps hold 0 at junk outputs,
+  and a padding cell's gradient is dropped. So every output sees the same
+  additions in the same order as on the strided walk, and the bits do not
+  move. Scaling a junk output by its 1 / count of 0 warns nothing.
 """
 
 from __future__ import annotations
@@ -142,10 +151,9 @@ class Walk(NamedTuple):
     that complete every window of those planes. `inv` is 1 / cell count in
     the layout the steps feed, read-only. `counts` is a read-only pair: the
     in-bounds kernel rows per output row and columns per output column,
-    whose product is a window's cell count. `pad` is None where the steps
-    read and feed a chunk's planes in place; else they are copied into a
-    scratch with (pad_h, pad_w) zeros around each plane, and `inv` spans
-    the flattened outputs of the largest chunk with 0 at junk.
+    whose product is a window's cell count. `pad` is None on the strided
+    walk, else the flat walk's (pad_h, pad_w) scratch padding, and `inv`
+    spans the flattened outputs of the largest chunk with 0 at junk.
     """
 
     chunks: tuple
@@ -316,3 +324,74 @@ def window_walk(shape: tuple, spec: PoolSpec) -> Walk:
         if 4 * h_out * w_out >= 3 * hp * wp:
             return flat_walk(shape, spec)
     return window_steps(shape, spec)
+
+
+def cell_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over a block's kernel axes; a one-cell block or a run has none."""
+    return a if a.ndim <= 4 else a.sum(axis=(4, 5))
+
+
+def deviation(step: WindowStep, x: np.ndarray, mean: np.ndarray, out) -> np.ndarray:
+    """The step's cells less their window means, into `out`, or into a fresh
+    array in the block's own layout when `out` is None (the kernel-axis sums
+    then run in that layout's order). Each invalid pair's deviation is
+    zeroed, so it adds an exact +0.0 when raised and never overflows."""
+    dev = np.subtract(step.block(x), mean[step.win], out=out)
+    if step.bad is not None:
+        np.copyto(dev, 0.0, where=step.bad)
+    return dev
+
+
+def frames(walk: Walk, x4: np.ndarray, maps=(), fill=None, sums=(), grad=None):
+    """Each chunk of `walk` as (steps, x, maps, grad, inv, work), staged as
+    the module docstring says: the chunk's input, its planes of the `maps`,
+    the k maps that `fill` = (k, f) builds by f(planes, out) into `out`,
+    its zeroed planes of the `sums` and of the gradient to add into, 1 /
+    cell count, and two buffers for a step's deviation and its powers, or
+    None."""
+    k_fill, build = fill or (0, lambda planes, out: None)
+    per = max(_planes(planes) for planes, _ in walk.chunks)
+    if walk.pad is None:
+        # an output channel's planes of several samples are strided, which
+        # slows every step's add: such chunks, which the first chunk (from
+        # sample 0) shows, add their sums in buffers
+        spill = len(sums) if walk.chunks[0][0][0].stop > 1 else 0
+        bufs = [np.empty((per,) + walk.inv.shape) for _ in range(k_fill + spill)]
+        for planes, steps in walk.chunks:
+            x, g = x4[planes], None if grad is None else grad[planes]
+            chunk = [b[:_planes(planes)].reshape(x.shape[:2] + walk.inv.shape)
+                     for b in bufs]
+            build(planes, chunk[:k_fill])
+            acc = chunk[k_fill:] if spill else [a[planes] for a in sums]
+            for a in acc if g is None else (*acc, g):
+                a.fill(0.0)
+            yield steps, x, [*(m[planes] for m in maps), *chunk[:k_fill], *acc], g, \
+                walk.inv, (None, None)
+            for a, src in zip(sums, chunk[k_fill:]):
+                a[planes] = src
+        return
+    (ph, pw), (h, w) = walk.pad, x4.shape[2:]
+    h_out, w_out = (sums or maps)[0].shape[2:]
+    k_read = len(maps) + k_fill
+    k = k_read + len(sums)
+    # maps, built maps, sums, then the input and the gradient
+    layers = np.zeros((k + 1 + (grad is not None), per, h + 2 * ph, w + 2 * pw))
+    flat = layers.reshape(len(layers), -1)
+    work = np.empty((2, walk.inv.size))
+    for planes, steps in walk.chunks:
+        x = x4[planes]
+        q, size = _planes(planes), steps[0].shape[0]
+        cells = layers[k:, :q, ph:ph + h, pw:pw + w].reshape((-1,) + x.shape)
+        outs = layers[:k, :q, :h_out, :w_out].reshape((k, *x.shape[:2], h_out, w_out))
+        cells[0] = x
+        for dst, m in zip(outs, maps):
+            dst[...] = m[planes]
+        build(planes, outs[len(maps):k_read])
+        flat[k_read:k].fill(0.0)
+        flat[k + 1:].fill(0.0)
+        g = flat[k + 1] if grad is not None else None
+        yield steps, flat[k], list(flat[:k, :size]), g, walk.inv[:size], work[:, :size]
+        for a, src in zip(sums, outs[k_read:]):
+            a[planes] = src
+        if grad is not None:
+            grad[planes] = cells[1]

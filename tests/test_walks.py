@@ -12,13 +12,14 @@ walk computes add nothing and never overflow.
 import hashlib
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from momentpool import smp
+from momentpool import smp, windows
 from momentpool.normalize import BatchNormState
 from momentpool.smp import MomentSpec, smp_backward, smp_forward
 from momentpool.tensor import Tensor
@@ -287,6 +288,28 @@ def test_flat_walk_makes_each_inbounds_pair_valid_once(case):
     assert np.array_equal(visits, np.broadcast_to(inbounds, visits.shape))
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(stride_one_cases(), st.data())
+def test_walks_cut_at_small_budgets_match_the_default_strided_walk(case, data):
+    """Cut at a budget of one padded plane up to four, so into chunks of a
+    few planes with a short last one, both walks give the output bytes and
+    cell gradients of the strided walk at the default budget."""
+    shape, pool, n, seed = case
+    x4 = uniform(shape, seed)
+    poly = uniform((n,) + shape[:2] + output_dims(*shape[2:], pool), seed + 1)
+
+    def run(walk):
+        maps, out = smp._walk_stats(x4, walk, n)
+        return out.tobytes(), smp._cell_grads(x4, walk, maps[0], ready(poly)).tobytes()
+
+    want = run(window_steps(shape, pool))
+    plane = 8 * (shape[2] + 2 * pool.pad_h) * (shape[3] + 2 * pool.pad_w)
+    budget = data.draw(st.integers(plane, 4 * plane), label="budget")
+    with mock.patch.object(windows, "_STEP_BYTES", budget):
+        walks = flat_walk(shape, pool), window_steps(shape, pool)
+    assert [run(walk) for walk in walks] == [want, want]
+
+
 @pytest.mark.parametrize("shape, pool", [
     ((1, 1, 4, 4), PoolSpec.square(3, 1, 1)),
     ((2, 2, 16, 16), PoolSpec.square(3, 1, 1)),
@@ -331,6 +354,26 @@ def test_non_finite_cells_spread_alike_on_both_walks(bad):
                             smp._cell_grads(x4, walk, maps[0], ready(poly)).tobytes()))
     assert results[0] == results[1]
     assert np.isfinite(np.frombuffer(results[0][0])).mean() > 0.9
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_cells_warn_alike_on_both_walks(bad):
+    """The same non-finite cells raise the same RuntimeWarnings on both
+    walks: a flat walk's junk output, whose sum may be inf and whose
+    1 / count is 0, adds none of its own."""
+    shape, pool = (2, 2, 16, 16), PoolSpec.square(3, 1, 1)
+    x4 = uniform(shape, 8)
+    x4[0, 1, 0, 15] = x4[1, 0, 15, 0] = bad
+    messages = []
+    for builder in (window_steps, flat_walk):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            walk = builder(shape, pool)
+            maps, _ = smp._walk_stats(x4, walk, 4)
+            smp._cell_grads(x4, walk, maps[0], ready(uniform((4,) + maps[0].shape, 9)))
+        messages.append({str(w.message) for w in caught
+                         if issubclass(w.category, RuntimeWarning)})
+    assert messages[0] == messages[1]
 
 
 @pytest.mark.parametrize("shape, pool", [
