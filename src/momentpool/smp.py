@@ -150,19 +150,14 @@ def _walk_stats(x4: np.ndarray, walk: Walk, n: int):
     Where every strided step is one kernel cell, as at stride 1 with
     H', W' >= 2, each output adds its in-bounds cells one at a time in
     raster order onto +0.0, and so do the powers of their deviations, before
-    one scaling by 1 / cell count. The flat walk does the same with an exact
-    +0.0 for every other cell, so there the two walks agree bit for bit.
+    one scaling by 1 / cell count, as on the flat walk (see `windows`).
     """
     orders = np.empty((len(x4), n, x4.shape[1]) + tuple(a.size for a in walk.counts))
     maps = list(orders.swapaxes(0, 1))
     for steps, x, acc, _, inv, (e, e2) in windows.frames(walk, x4, sums=maps):
         for st in steps:
             acc[0][st.out] += windows.cell_sum(st.block(x))
-        # a junk output's sum may be inf and its 1 / count 0: it reaches no
-        # result, so its invalid product warns nothing; a real output's 1 /
-        # count is finite and positive, which raises nothing
-        with np.errstate(invalid="ignore"):
-            acc[0] *= inv
+        acc[0] *= inv
         for st in steps if n >= 2 else ():
             dev = windows.deviation(st, x, acc[0], e)
             d2 = np.multiply(dev, dev, out=e2)

@@ -29,11 +29,12 @@ sums and gradients are copied out once the chunk is done. `deviation` and
   layout, so each kernel cell is one contiguous run and each elementwise
   operation one ufunc call. It also computes junk outputs past the last
   output row and column. A step's `bad` mask marks its invalid pairs, junk
-  or padding, and each adds an exact +0.0: a padding cell is 0,
-  `deviation` zeroes the pair's deviation, the maps hold 0 at junk outputs,
-  and a padding cell's gradient is dropped. So every output sees the same
-  additions in the same order as on the strided walk, and the bits do not
-  move. Scaling a junk output by its 1 / count of 0 warns nothing.
+  or padding. A padding pair adds an exact +0.0: its cell is 0, `deviation`
+  zeroes its deviation and its cell gradient is dropped; so every real
+  output sees the strided walk's additions in its order, bit for bit. A
+  junk output's sums start at NaN and scale by a 1 / count of NaN, so
+  nothing done there warns or reaches a result; the maps read and built
+  hold 0 there, and with its zeroed deviations its cell gradients add +0.0.
 """
 
 from __future__ import annotations
@@ -153,7 +154,7 @@ class Walk(NamedTuple):
     in-bounds kernel rows per output row and columns per output column,
     whose product is a window's cell count. `pad` is None on the strided
     walk, else the flat walk's (pad_h, pad_w) scratch padding, and `inv`
-    spans the flattened outputs of the largest chunk with 0 at junk.
+    spans the flattened outputs of the largest chunk with NaN at junk.
     """
 
     chunks: tuple
@@ -290,7 +291,7 @@ def flat_walk(shape: tuple, spec: PoolSpec) -> Walk:
     for bad, (di, dj) in zip(invalid, cells):
         bad[:] = junk | ~(((ph <= row + di) & (row + di < ph + h))
                           & ((pw <= col + dj) & (col + dj < pw + w)))
-    inv = np.zeros((per, hp, wp))
+    inv = np.full((per, hp, wp), np.nan)
     inv[:, :h_out, :w_out] = 1.0 / np.multiply.outer(*counts)
     invalid = invalid.reshape(len(cells), -1)[:, :outputs(per)]
     inv = inv.reshape(-1)[:outputs(per)]
@@ -387,7 +388,7 @@ def frames(walk: Walk, x4: np.ndarray, maps=(), fill=None, sums=(), grad=None):
         for dst, m in zip(outs, maps):
             dst[...] = m[planes]
         build(planes, outs[len(maps):k_read])
-        flat[k_read:k].fill(0.0)
+        np.multiply(walk.inv[:size], 0.0, out=flat[k_read:k, :size])
         flat[k + 1:].fill(0.0)
         g = flat[k + 1] if grad is not None else None
         yield steps, flat[k], list(flat[:k, :size]), g, walk.inv[:size], work[:, :size]

@@ -10,6 +10,7 @@ walk computes add nothing and never overflow.
 """
 
 import hashlib
+import itertools
 import tracemalloc
 import warnings
 from unittest import mock
@@ -246,7 +247,7 @@ def test_flat_walk_makes_each_inbounds_pair_valid_once(case):
     """Every in-bounds (window, cell) pair is valid in exactly one chunk at
     the cell's offset, reading its own cell; every other (output, cell) pair
     is marked bad by the cell's step, and `inv` is 1 / cell count at real
-    outputs and 0 at junk."""
+    outputs and NaN at junk."""
     shape, pool, _, _ = case
     n_s, c_s, h, w = shape
     h_out, w_out = output_dims(h, w, pool)
@@ -263,7 +264,7 @@ def test_flat_walk_makes_each_inbounds_pair_valid_once(case):
         plane, rest = np.divmod(np.arange(size), hp * wp)
         row, col = np.divmod(rest, wp)
         real = (row < h_out) & (col < w_out)
-        assert np.array_equal(walk.inv[:size][~real], np.zeros((~real).sum()))
+        assert np.isnan(walk.inv[:size][~real]).all()
         np.testing.assert_array_equal(
             walk.inv[:size][real], np.tile(1.0 / np.multiply.outer(*walk.counts).ravel(),
                                            stop - start))
@@ -356,24 +357,79 @@ def test_non_finite_cells_spread_alike_on_both_walks(bad):
     assert np.isfinite(np.frombuffer(results[0][0])).mean() > 0.9
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_non_finite_cells_warn_alike_on_both_walks(bad):
+def walked(builder, pool, x4, n, seed):
+    """The `_walk_stats` output and the `_cell_grads` gradient, for
+    coefficients drawn from `seed`, on the walk that `builder` makes for `x4`,
+    and the messages of the RuntimeWarnings they raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        walk = builder(x4.shape, pool)
+        maps, out = smp._walk_stats(x4, walk, n)
+        g = smp._cell_grads(x4, walk, maps[0], ready(uniform((n,) + maps[0].shape, seed)))
+    return out, g, {str(w.message) for w in caught
+                    if issubclass(w.category, RuntimeWarning)}
+
+
+@pytest.mark.parametrize("shape, pool, n, cells, quiet", [
+    *(pytest.param((2, 2, 16, 16), PoolSpec.square(3, 1, 1), 4,
+                   {(0, 1, 0, 15): bad, (1, 0, 15, 0): bad}, False, id=str(bad))
+      for bad in (np.nan, np.inf, -np.inf)),
+    # cells that no window holds together, but a flat walk's junk window
+    # does: one that runs off a row's end into the next row, and one that
+    # runs off a plane's last row into the next plane
+    pytest.param((2, 2, 16, 16), PoolSpec.square(2, 1, 0), 1,
+                 {(0, 0, 3, 15): np.inf, (0, 0, 4, 0): -np.inf}, True, id="row wrap"),
+    pytest.param((1, 2, 16, 16), PoolSpec.square(2, 1, 0), 1,
+                 {(0, 0, 15, 4): np.inf, (0, 1, 0, 4): -np.inf}, True, id="plane wrap"),
+])
+def test_non_finite_cells_warn_alike_on_both_walks(shape, pool, n, cells, quiet):
     """The same non-finite cells raise the same RuntimeWarnings on both
-    walks: a flat walk's junk output, whose sum may be inf and whose
-    1 / count is 0, adds none of its own."""
-    shape, pool = (2, 2, 16, 16), PoolSpec.square(3, 1, 1)
+    walks, and none where no window holds two of them: a flat walk's junk
+    output, whose sums start at NaN, adds none of its own."""
     x4 = uniform(shape, 8)
-    x4[0, 1, 0, 15] = x4[1, 0, 15, 0] = bad
-    messages = []
-    for builder in (window_steps, flat_walk):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            walk = builder(shape, pool)
-            maps, _ = smp._walk_stats(x4, walk, 4)
-            smp._cell_grads(x4, walk, maps[0], ready(uniform((4,) + maps[0].shape, 9)))
-        messages.append({str(w.message) for w in caught
-                         if issubclass(w.category, RuntimeWarning)})
+    for cell, bad in cells.items():
+        x4[cell] = bad
+    messages = [walked(builder, pool, x4, n, 9)[2] for builder in (window_steps, flat_walk)]
     assert messages[0] == messages[1]
+    assert not quiet or messages[0] == set()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(stride_one_cases(), st.data())
+def test_non_finite_cells_reach_the_same_outputs_with_the_same_warnings(case, data):
+    """1-3 cells of +-inf or NaN, each leaning to cancel the one before,
+    among those that a junk window of the flat walk's row layout reads (it
+    may run off a row's or a plane's end), raise the same RuntimeWarnings on
+    both walks and leave NaN, +inf and -inf at the same places of the output
+    and the gradient. Bytes are not compared: IEEE 754 leaves the sign bit
+    of a NaN result unspecified."""
+    shape, pool, n, seed = case
+    planes, h, w = shape[0] * shape[1], shape[2], shape[3]
+    hp, wp = h + 2 * pool.pad_h, w + 2 * pool.pad_w
+    h_out, w_out = output_dims(h, w, pool)
+    junk = [(r, c) for r in range(hp) for c in range(wp) if r >= h_out or c >= w_out]
+    # a 1x1 kernel leaves no junk output, and its first output stands in
+    r, c = data.draw(st.sampled_from(junk or [(0, 0)]), label="junk output")
+    at = (data.draw(st.integers(0, planes - 1), label="plane") * hp + r) * wp + c
+    reads = []
+    for i, j in itertools.product(range(pool.kernel_h), range(pool.kernel_w)):
+        plane, rest = divmod(at + i * pool.dilation_h * wp + j * pool.dilation_w, hp * wp)
+        y, x = rest // wp - pool.pad_h, rest % wp - pool.pad_w
+        if plane < planes and 0 <= y < h and 0 <= x < w:
+            reads.append((plane, y, x))
+    if not reads:
+        reject()  # a window of padding alone
+    x4 = uniform(shape, seed)
+    value = data.draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+    for cell in data.draw(st.permutations(reads))[:data.draw(st.integers(1, 3))]:
+        x4.reshape(planes, h, w)[cell] = value
+        value = data.draw(st.sampled_from([-value, np.nan, value]))
+    strided, flat = (walked(builder, pool, x4, n, seed + 1)
+                     for builder in (window_steps, flat_walk))
+    assert strided[2] == flat[2]
+    for a, b in zip(strided[:2], flat[:2]):
+        for where in (np.isnan, np.isposinf, np.isneginf):
+            assert np.array_equal(where(a), where(b))
 
 
 @pytest.mark.parametrize("shape, pool", [

@@ -12,7 +12,8 @@ warm calls.
 Reported per tree and geometry: the median over all timed calls of the
 forward and of forward plus backward (on the forward's cache), the median
 of each round alone, which shows the drift between rounds, and the
-tracemalloc peak of one forward and of one fresh forward plus backward.
+tracemalloc peak of one forward and of one fresh forward plus backward,
+and each tree's git commit and whether its work tree has changes.
 A gradcheck row times one `finite_diff_check` of `check_forward` against
 `smp_backward` instead, at 3x3 stride 1, as `momentpool gradcheck` runs it.
 Inputs are uniform(-1, 1) from numpy's default_rng(0); the layer is n=4
@@ -94,6 +95,18 @@ def _cpu_model() -> str:
         return platform.machine()
 
 
+def _revision(src: str) -> dict:
+    """The git HEAD of the checkout at `src` and whether its work tree has
+    changes, or nulls where `src` is not the root of a git checkout."""
+    def git(*args):
+        return subprocess.run(["git", "-C", src, *args], capture_output=True, text=True)
+    found = git("rev-parse", "--show-toplevel", "HEAD")
+    if found.returncode or len(lines := found.stdout.split()) != 2 \
+            or os.path.realpath(lines[0]) != os.path.realpath(src):
+        return {"commit": None, "dirty": None}
+    return {"commit": lines[1], "dirty": bool(git("status", "--porcelain").stdout)}
+
+
 def run(src: str, shape, geom) -> dict:
     env = dict(os.environ, PYTHONPATH=os.path.join(src, "src"), OMP_NUM_THREADS="1",
                OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
@@ -129,6 +142,7 @@ def main(argv=None) -> int:
         "rounds": ROUNDS,
         "machine": f"{_cpu_model()}, {os.cpu_count()} CPUs, {platform.system()}, "
                    f"Python {platform.python_version()}",
+        "trees": {name: _revision(src) for name, src in trees},
         "results": summary,
     }
     print(json.dumps(result, indent=2))
