@@ -319,6 +319,7 @@ def smp_backward(t: Tensor, pool: PoolSpec, spec: MomentSpec, upstream: Tensor,
     # poly[j] is the coefficient of dev**j in the sum over k
     def coefs(planes, poly):
         v, m = ([a[planes] for a in maps] for maps in (w, stats))
+        scale = inv[planes[2:]]  # a band's output rows
         std = spec.standardize_pre_norm and _standardize_terms(m[1], spec)
         for i in range(2, n):  # order i + 1 passes through its own poly[i]
             vi = v[i] if norm is None else normalize._vjp_apply(
@@ -327,9 +328,9 @@ def smp_backward(t: Tensor, pool: PoolSpec, spec: MomentSpec, upstream: Tensor,
                 half_p, root, denom = next(std)
                 v[1] = v[1] + vi * (-m[i] * half_p * root / (denom * denom))
                 vi = np.divide(vi, denom, out=poly[i])
-            np.multiply(vi, (i + 1.0) * inv, out=poly[i])
+            np.multiply(vi, (i + 1.0) * scale, out=poly[i])
         for k in range(min(n, 2)):
-            np.multiply(v[k], (k + 1.0) * inv, out=poly[k])
+            np.multiply(v[k], (k + 1.0) * scale, out=poly[k])
         for k in range(2, n):
             poly[0] -= poly[k] * m[k - 1]
 

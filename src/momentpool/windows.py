@@ -24,17 +24,41 @@ sums and gradients are copied out once the chunk is done. `deviation` and
   loops of 63 elements. Its frames hand over the arrays' own planes, and
   stage only the built maps and, in a chunk of several samples, whose
   planes of one output channel are strided, the sums.
-- `flat_walk`, for overlapping stride-1 windows, stages every role in a
-  chunk's zero-padded scratch, with the outputs in the scratch's own row
-  layout, so each kernel cell is one contiguous run and each elementwise
-  operation one ufunc call. It also computes junk outputs past the last
-  output row and column. A step's `bad` mask marks its invalid pairs, junk
-  or padding. A padding pair adds an exact +0.0: its cell is 0, `deviation`
-  zeroes its deviation and its cell gradient is dropped; so every real
-  output sees the strided walk's additions in its order, bit for bit. A
-  junk output's sums start at NaN and scale by a 1 / count of NaN, so
-  nothing done there warns or reaches a result; the maps read and built
-  hold 0 there, and with its zeroed deviations its cell gradients add +0.0.
+- `flat_walk`, for overlapping windows, stages every role in a chunk's
+  zero-padded scratch, with the outputs in the scratch's own row layout,
+  so each group of kernel cells is one run and each elementwise operation
+  one ufunc call.
+  - *Phases.* At stride (s_h, s_w) the polyphase decomposition splits the
+    padded plane into s_h * s_w phases: phase (a, b) holds padded cell
+    (t * s_h + a, u * s_w + b) at (t, u), in rows of W_q = W' + (eff_kw - 1)
+    div s_w. The input and the gradient are staged phase-major, (s_h, s_w,
+    planes, rows, W_q), and the maps and sums in one phase's (planes, rows,
+    W_q). Output (r, c) sits at o = (plane * rows + r) * W_q + c and reads
+    kernel cell (i, j) in phase ((i * d_h) mod s_h, (j * d_w) mod s_w) at
+    o + ((i * d_h) div s_h) * W_q + (j * d_w) div s_w. At stride 1 there is
+    one phase: the zero-padded planes themselves.
+  - *Groups.* A step adds the sum of the cells of one `window_steps` step,
+    a run's kernel rows as cut there, into the outputs. An offset is a row
+    part plus a column part, so a group of at most two cells per axis, in
+    two phases, is a strided (L, kr, kc) view with its one-cell axes
+    dropped, and `cell_sum` sums each kernel row first, as numpy sums the
+    strided block. `_flat_groups` names the geometries it cannot match.
+  - *Bands.* Where one plane's phases exceed `_STEP_BYTES`, a chunk is a
+    band of one plane's output rows; it stages their phase rows and a halo
+    of (eff_kh - 1) div s_h phase rows below them, the next band's first
+    rows. A plane's bands run last to first. In the backward a halo row
+    takes terms from both bands, the lower band's from earlier kernel
+    cells: so a band starts its halo rows from the lower band's partial
+    sums there, adds its own terms and copies out all its rows, its first
+    rows again once the band above has completed them.
+  - *Junk and padding.* Outputs past the last output row and column are
+    junk. A step's `bad` mask marks its invalid pairs, junk or padding. A
+    padding pair adds an exact +0.0: its cell is 0, `deviation` zeroes its
+    deviation and its cell gradient is dropped; so every real output sees
+    the strided walk's additions in its order, bit for bit. A junk
+    output's sums start at NaN and scale by a 1 / count of NaN, so nothing
+    done there warns or reaches a result; the maps read and built hold 0
+    there, and with its zeroed deviations its cell gradients add +0.0.
 """
 
 from __future__ import annotations
@@ -148,19 +172,24 @@ class Walk(NamedTuple):
     """A window walk, cached per shape and geometry by `window_walk`.
 
     `chunks` holds (planes, steps) pairs: the (samples, channels) index of
-    a run of planes, inside one sample or of whole samples, and the steps
-    that complete every window of those planes. `inv` is 1 / cell count in
-    the layout the steps feed, read-only. `counts` is a read-only pair: the
-    in-bounds kernel rows per output row and columns per output column,
-    whose product is a window's cell count. `pad` is None on the strided
-    walk, else the flat walk's (pad_h, pad_w) scratch padding, and `inv`
-    spans the flattened outputs of the largest chunk with NaN at junk.
+    a run of planes, inside one sample or of whole samples, or a flat
+    walk's band, which adds its output rows; and the steps that complete
+    every window there. `inv` is 1 / cell count in the layout the steps
+    feed, read-only. `counts` is a read-only pair: the in-bounds kernel rows
+    per output row and columns per output column, whose product is a
+    window's cell count. `pad` is None on the strided walk. A flat walk,
+    laid out as the module docstring says, has its (pad_h, pad_w), its
+    scratch (s_h, s_w, planes, rows, W_q), its band halo in phase rows, and
+    an `inv` over the largest chunk's outputs, or a plane's where chunks
+    are bands, with NaN at junk.
     """
 
     chunks: tuple
     inv: np.ndarray
     counts: tuple
     pad: tuple | None = None
+    scratch: tuple = ()
+    halo: int = 0
 
 
 def _runs(size: int, out: int, k: int, s: int, d: int, p: int):
@@ -261,75 +290,163 @@ def window_steps(shape: tuple, spec: PoolSpec) -> Walk:
                       for ch in chunks), inv, counts)
 
 
-def flat_walk(shape: tuple, spec: PoolSpec) -> Walk:
-    """The flat walk for an (N, C, H, W) `shape` at stride 1.
+def _halo(spec: PoolSpec) -> tuple:
+    """The phase rows and columns that a window reads past its output's own
+    in the flat walk's layout."""
+    return (spec.eff_kernel_h - 1) // spec.stride_h, (spec.eff_kernel_w - 1) // spec.stride_w
 
-    A chunk holds as many padded planes as fit in `_STEP_BYTES`, at least
-    one. Copied into a zero-padded (planes, Hp, Wp) scratch, output o of
-    the chunk sits at o = (plane * Hp + row) * Wp + col, the scratch's own
-    row layout, and reads kernel cell k at o + offset(k); outputs at
-    row >= H' or col >= W' are junk. A chunk has one step per kernel cell,
-    a run over its outputs up to the last real one, and the step's `bad`
-    marks the outputs for which the cell is junk or padding.
+
+def _kernel_runs(size: int, out: int, k: int, s: int, d: int, p: int) -> list:
+    """(first kernel index, cells, outputs in bounds) per run of `_runs`, in
+    kernel order, with each kernel index that no output holds in bounds a
+    run of its own."""
+    runs, i = [], 0
+    for out_slice, first, cells in _runs(size, out, k, s, d, p):
+        i0 = (first + p - out_slice.start * s) // d
+        runs += [(j, 1, 0) for j in range(i, i0)]
+        runs.append((i0, cells, out_slice.stop - out_slice.start))
+        i = i0 + cells
+    return runs + [(j, 1, 0) for j in range(i, k)]
+
+
+def _flat_groups(h: int, w: int, spec: PoolSpec) -> list | None:
+    """The kernel cells that each flat step sums, in walk order, as (first
+    kernel row, rows, first kernel column, columns): the cells of each
+    `window_steps` step, and each kernel row or column that no output holds
+    in bounds on its own. None where the flat walk cannot give the strided
+    walk's sums: a run of more than two cells on an axis; two cells of one
+    phase (a run over one output, whose dilation is a multiple of the
+    stride), whose block would hold a cell twice; or a 2x2 step over one
+    output column, whose four cells numpy adds in sequence, not each kernel
+    row first, as it does where output columns lie between them."""
+    h_out, w_out = output_dims(h, w, spec)
+    rows = _kernel_runs(h, h_out, spec.kernel_h, spec.stride_h, spec.dilation_h,
+                        spec.pad_h)
+    cols = _kernel_runs(w, w_out, spec.kernel_w, spec.stride_w, spec.dilation_w,
+                        spec.pad_w)
+    one_phase = spec.dilation_h % spec.stride_h == 0, spec.dilation_w % spec.stride_w == 0
+    groups = []
+    for (i, kr, oh), (j, kc, ow) in itertools.product(rows, cols):
+        per_r = max(1, _STEP_BYTES // max(1, oh * ow * kc * 8))  # as window_steps
+        for r in range(0, kr, per_r):
+            n_r = min(per_r, kr - r)
+            if (max(n_r, kc) > 2 or (n_r == 2 and one_phase[0])
+                    or (kc == 2 and one_phase[1]) or (n_r, kc, ow) == (2, 2, 1)):
+                return None
+            groups.append((i + r, n_r, j, kc))
+    return groups
+
+
+def flat_walk(shape: tuple, spec: PoolSpec) -> Walk:
+    """The flat walk for an (N, C, H, W) `shape`, laid out as the module
+    docstring says; a ValueError where `_flat_groups` refuses the geometry.
+
+    A chunk holds as many planes as fit their phases in `_STEP_BYTES`, at
+    least one, or where one plane does not fit, a band of as many output
+    rows as fit with their halo, at least one. It has a step per group, a
+    run over its outputs up to the last real one, and the step's `bad`
+    marks the outputs for which the group is junk or padding.
     """
     n, c, h, w = shape
     _, _, counts = _runs_and_counts(h, w, spec)
-    ph, pw, (h_out, w_out) = spec.pad_h, spec.pad_w, (a.size for a in counts)
-    hp, wp = h + 2 * ph, w + 2 * pw
-    chunks = _plane_chunks(n, c, max(1, _STEP_BYTES // (hp * wp * 8)))
-    per = max(_planes(ch) for ch in chunks)
+    groups = _flat_groups(h, w, spec)
+    if groups is None:
+        raise ValueError(f"{spec} on input {h}x{w} has a step that the flat walk "
+                         f"cannot sum in the strided walk's order")
+    (ph, pw), (h_out, w_out) = (spec.pad_h, spec.pad_w), (a.size for a in counts)
+    sh, sw, dh, dw = spec.stride_h, spec.stride_w, spec.dilation_h, spec.dilation_w
+    halo, halo_w = _halo(spec)
+    hq, wq = h_out + halo, w_out + halo_w
+    row_bytes = sh * sw * wq * 8  # one phase row of every phase
+    if hq * row_bytes <= _STEP_BYTES:
+        chunks, rows = _plane_chunks(n, c, _STEP_BYTES // (hq * row_bytes)), h_out
+    else:
+        rows = max(1, _STEP_BYTES // row_bytes - halo)
+        rows = -(-h_out // -(-h_out // rows))
+        bands = [slice(r, min(h_out, r + rows)) for r in range(0, h_out, rows)]
+        chunks = [(*planes, band) for planes in _plane_chunks(n, c, 1)
+                  for band in bands[::-1]]
+    per = max(_planes(ch[:2]) for ch in chunks)
+    hb = rows + halo
+    phase = per * hb * wq
 
-    def outputs(planes: int) -> int:
+    def offset(i: int, j: int) -> int:
+        (qi, a), (qj, b) = divmod(i * dh, sh), divmod(j * dw, sw)
+        return 8 * ((a * sw + b) * phase + qi * wq + qj)
+
+    def outputs(planes: int, rows: int) -> int:
         """Flat outputs of a chunk, up to its last real one."""
-        return ((planes - 1) * hp + h_out - 1) * wp + w_out
+        return ((planes - 1) * hb + rows - 1) * wq + w_out
 
-    row, col = np.arange(hp)[:, None], np.arange(wp)
+    row, col = np.arange(hq)[:, None], np.arange(wq)
     junk = (row >= h_out) | (col >= w_out)
-    cells = [(i * spec.dilation_h, j * spec.dilation_w)
-             for i in range(spec.kernel_h) for j in range(spec.kernel_w)]
-    invalid = np.empty((len(cells), per, hp, wp), dtype=bool)
-    for bad, (di, dj) in zip(invalid, cells):
-        bad[:] = junk | ~(((ph <= row + di) & (row + di < ph + h))
-                          & ((pw <= col + dj) & (col + dj < pw + w)))
-    inv = np.full((per, hp, wp), np.nan)
+    invalid = np.empty((len(groups), per, hq, wq), dtype=bool)
+    for bad, (i, _, j, _) in zip(invalid, groups):
+        bad[:] = junk | ~(((ph <= row * sh + i * dh) & (row * sh + i * dh < ph + h))
+                          & ((pw <= col * sw + j * dw) & (col * sw + j * dw < pw + w)))
+    inv = np.full((per, hq, wq), np.nan)
     inv[:, :h_out, :w_out] = 1.0 / np.multiply.outer(*counts)
-    invalid = invalid.reshape(len(cells), -1)[:, :outputs(per)]
-    inv = inv.reshape(-1)[:outputs(per)]
+    size = outputs(per, h_out)
+    invalid = invalid.reshape(len(groups), -1)[:, :size]
+    inv = inv.reshape(-1)[:size]
     for a in (invalid, inv):
         a.setflags(write=False)
 
-    def steps(size: int) -> tuple:
-        return tuple(WindowStep((slice(None),), (slice(None),), 8 * (di * wp + dj),
-                                (size,), (8,), bad[:size])
-                     for (di, dj), bad in zip(cells, invalid))
+    @lru_cache(maxsize=None)
+    def steps(planes: int, start: int, rows: int) -> tuple:
+        size, first = outputs(planes, rows), start * wq
+        built = []
+        for (i, kr, j, kc), bad in zip(groups, invalid):
+            axes = [(k, st - offset(i, j)) for k, st in
+                    ((kr, offset(i + 1, j)), (kc, offset(i, j + 1))) if k > 1]
+            rank = 1 + len(axes)
+            built.append(WindowStep(
+                (slice(None),), (slice(None),) + (None,) * (rank - 1), offset(i, j),
+                (size, *(k for k, _ in axes)), (8, *(st for _, st in axes)),
+                bad[first:first + size].reshape((size,) + (1,) * (rank - 1))))
+        return tuple(built)
 
-    return Walk(tuple((ch, steps(outputs(_planes(ch)))) for ch in chunks),
-                inv, counts, (ph, pw))
+    return Walk(tuple((ch, steps(_planes(ch[:2]), *(
+        (ch[2].start, ch[2].stop - ch[2].start) if len(ch) > 2 else (0, h_out))))
+        for ch in chunks), inv, counts, (ph, pw), (sh, sw, per, hb, wq), halo)
 
 
 @lru_cache(maxsize=64)
 def window_walk(shape: tuple, spec: PoolSpec) -> Walk:
     """The walk that the forward and the backward take for `shape`, cached:
-    `flat_walk` at stride 1 when one padded plane fits `_STEP_BYTES` and at
-    most a quarter of the outputs are junk, else `window_steps`.
+    `flat_walk` where `_flat_groups` allows it and at most a quarter of a
+    phase plane's outputs are junk, at stride 1 when one padded plane fits
+    `_STEP_BYTES`, at a larger stride when windows overlap on some axis;
+    else `window_steps`.
 
-    The size bound keeps the scratch, the per-chunk maps and the cached
-    masks within the step budget, as on the strided walk. The junk bound
-    lies between the timed geometries: the flat statistics pass was faster
-    at 2-11% junk and slower at 44%.
+    The junk bound lies between the timed geometries: the flat statistics
+    pass was faster at 2-11% junk and slower at 44%. Without overlap the
+    strided walk reads each cell once anyway. At stride 1 a padded plane
+    larger than the budget stays strided: bands are untimed there.
     """
     h, w = shape[2:]
-    hp, wp = h + 2 * spec.pad_h, w + 2 * spec.pad_w
-    if (spec.stride_h, spec.stride_w) == (1, 1) and hp * wp * 8 <= _STEP_BYTES:
-        h_out, w_out = output_dims(h, w, spec)
-        if 4 * h_out * w_out >= 3 * hp * wp:
-            return flat_walk(shape, spec)
+    h_out, w_out = output_dims(h, w, spec)
+    halo_h, halo_w = _halo(spec)
+    hq, wq = h_out + halo_h, w_out + halo_w
+    if (spec.stride_h, spec.stride_w) == (1, 1):
+        taken = hq * wq * 8 <= _STEP_BYTES
+    else:
+        taken = spec.eff_kernel_h > spec.stride_h or spec.eff_kernel_w > spec.stride_w
+    if taken and 4 * h_out * w_out >= 3 * hq * wq and _flat_groups(h, w, spec):
+        return flat_walk(shape, spec)
     return window_steps(shape, spec)
 
 
 def cell_sum(a: np.ndarray) -> np.ndarray:
-    """Sum over a block's kernel axes; a one-cell block or a run has none."""
-    return a if a.ndim <= 4 else a.sum(axis=(4, 5))
+    """Sum over a block's kernel axes: a strided block's two at once, a flat
+    block's last axis first, so each kernel row of at most two cells is
+    summed before the rows are, as numpy sums a strided block; a one-cell
+    block or a run has none."""
+    if a.ndim == 6:
+        return a.sum(axis=(4, 5))
+    while a.ndim in (2, 3):
+        a = a.sum(axis=-1)
+    return a
 
 
 def deviation(step: WindowStep, x: np.ndarray, mean: np.ndarray, out) -> np.ndarray:
@@ -343,6 +460,15 @@ def deviation(step: WindowStep, x: np.ndarray, mean: np.ndarray, out) -> np.ndar
     return dev
 
 
+def _span(size: int, pad: int, s: int, a: int, start: int, stop: int):
+    """(lo, hi, cells): the phase-a indices t in [start, stop) of a padded
+    axis whose cell t*s + a - pad lies in the input, [lo, hi), and the slice
+    of the input that holds those cells."""
+    lo = max(start, -((a - pad) // s))
+    hi = max(lo, min(stop, (size - 1 + pad - a) // s + 1))
+    return lo, hi, slice(lo * s + a - pad, hi * s + a - pad, s)
+
+
 def frames(walk: Walk, x4: np.ndarray, maps=(), fill=None, sums=(), grad=None):
     """Each chunk of `walk` as (steps, x, maps, grad, inv, work), staged as
     the module docstring says: the chunk's input, its planes of the `maps`,
@@ -351,8 +477,8 @@ def frames(walk: Walk, x4: np.ndarray, maps=(), fill=None, sums=(), grad=None):
     cell count, and two buffers for a step's deviation and its powers, or
     None."""
     k_fill, build = fill or (0, lambda planes, out: None)
-    per = max(_planes(planes) for planes, _ in walk.chunks)
     if walk.pad is None:
+        per = max(_planes(planes) for planes, _ in walk.chunks)
         # an output channel's planes of several samples are strided, which
         # slows every step's add: such chunks, which the first chunk (from
         # sample 0) shows, add their sums in buffers
@@ -371,28 +497,54 @@ def frames(walk: Walk, x4: np.ndarray, maps=(), fill=None, sums=(), grad=None):
             for a, src in zip(sums, chunk[k_fill:]):
                 a[planes] = src
         return
-    (ph, pw), (h, w) = walk.pad, x4.shape[2:]
+    (ph, pw), (sh, sw, per, hb, wq), halo = walk.pad, walk.scratch, walk.halo
+    h, w = x4.shape[2:]
     h_out, w_out = (sums or maps)[0].shape[2:]
     k_read = len(maps) + k_fill
     k = k_read + len(sums)
-    # maps, built maps, sums, then the input and the gradient
-    layers = np.zeros((k + 1 + (grad is not None), per, h + 2 * ph, w + 2 * pw))
-    flat = layers.reshape(len(layers), -1)
-    work = np.empty((2, walk.inv.size))
+    layers = np.zeros((k, per, hb, wq))  # maps, built maps, then sums
+    cells = np.zeros((1 + (grad is not None), sh, sw, per, hb, wq))  # x, grad
+    flat, cells_flat = layers.reshape(k, -1), cells.reshape(len(cells), -1)
+    # grouped steps' blocks differ in shape, so their deviations and powers
+    # take fresh arrays of each block's own shape
+    one_cell = all(len(st.shape) == 1 for _, steps in walk.chunks for st in steps)
+    work = np.empty((2, walk.inv.size)) if one_cell else None
+    phases = list(itertools.product(range(sh), range(sw)))
+    cols = [_span(w, pw, sw, b, 0, wq) for b in range(sw)]
     for planes, steps in walk.chunks:
-        x = x4[planes]
-        q, size = _planes(planes), steps[0].shape[0]
-        cells = layers[k:, :q, ph:ph + h, pw:pw + w].reshape((-1,) + x.shape)
-        outs = layers[:k, :q, :h_out, :w_out].reshape((k, *x.shape[:2], h_out, w_out))
-        cells[0] = x
+        x = x4[planes[:2]]
+        band = planes[2] if len(planes) > 2 else slice(0, h_out)
+        q, size = _planes(planes[:2]), steps[0].shape[0]
+        r0, r = band.start, band.stop - band.start
+        for a, b in phases:
+            lo, hi, ys = _span(h, ph, sh, a, r0, r0 + r + halo)
+            (c0, c1, xs), dst = cols[b], cells[0, a, b, :q]
+            dst[:, :lo - r0] = 0.0
+            dst[:, hi - r0:r + halo] = 0.0
+            dst[:, lo - r0:hi - r0, c0:c1] = x.reshape(q, h, w)[:, ys, xs]
+        outs = layers[:, :q, :r, :w_out].reshape((k, *x.shape[:2], r, w_out))
         for dst, m in zip(outs, maps):
             dst[...] = m[planes]
         build(planes, outs[len(maps):k_read])
-        np.multiply(walk.inv[:size], 0.0, out=flat[k_read:k, :size])
-        flat[k + 1:].fill(0.0)
-        g = flat[k + 1] if grad is not None else None
-        yield steps, flat[k], list(flat[:k, :size]), g, walk.inv[:size], work[:, :size]
+        inv = walk.inv[r0 * wq:r0 * wq + size]
+        np.multiply(inv, 0.0, out=flat[k_read:k, :size])
+        if grad is not None:
+            if band.stop < h_out:  # carry the halo rows of the band below
+                cells[1, :, :, :q, r:r + halo] = cells[1, :, :, :q, :halo]
+                cells[1, :, :, :q, :r] = 0.0
+            else:
+                cells[1].fill(0.0)
+        yield steps, cells_flat[0], list(flat[:k, :size]), \
+            None if grad is None else cells_flat[1], inv, \
+            (None, None) if work is None else work[:, :size]
         for a, src in zip(sums, outs[k_read:]):
             a[planes] = src
         if grad is not None:
-            grad[planes] = cells[1]
+            g = grad[planes[:2]].reshape(q, h, w)
+            # no window reads the cells past the last phase row or column
+            g[:, (h_out + halo) * sh - ph:] = 0.0
+            g[:, :, wq * sw - pw:] = 0.0
+            for a, b in phases:  # the band above, which runs next, completes the halo
+                lo, hi, ys = _span(h, ph, sh, a, r0, r0 + r + halo)
+                c0, c1, xs = cols[b]
+                g[:, ys, xs] = cells[1, a, b, :q, lo - r0:hi - r0, c0:c1]

@@ -16,7 +16,7 @@ from momentpool.normalize import BatchNormState
 from momentpool.smp import MomentSpec, check_forward, smp_backward, smp_forward
 from momentpool.synth import solid
 from momentpool.tensor import Tensor
-from momentpool.windows import GeometryError, PoolSpec, window_walk
+from momentpool.windows import GeometryError, PoolSpec, flat_walk, window_walk
 
 from gradutil import rel_gap
 from oracle import scalar_finite_diff
@@ -336,9 +336,25 @@ FROZEN_PEAK = {
 
 @pytest.mark.parametrize("name", list(FROZEN_PEAK))
 def test_frozen_peak_stacked_forward_bytes_are_frozen(name):
-    walk, n, axis, *std = name.split()
+    walk = name.split()[0]
     shape, pool = FROZEN_PEAK_GEOMETRY[walk]
     assert (window_walk(shape, pool).pad is not None) == (walk == "flat")
+    assert_frozen_peak(name)
+
+
+@pytest.mark.parametrize("name", [k for k in FROZEN_PEAK if k.startswith("strided")])
+def test_frozen_peak_strided_bytes_hold_on_the_flat_walk(name):
+    """The strided digests hold with the forward patched onto the flat
+    walk, which the junk rule declines at 2x3x9x9, 3x3 s2 p1 (31%)."""
+    with mock.patch.object(smp, "window_walk", flat_walk):
+        assert_frozen_peak(name)
+
+
+def assert_frozen_peak(name):
+    """`check_forward`'s held-peak forward on FROZEN_PEAK's stacked probes
+    gives the digest for `name`."""
+    walk, n, axis, *std = name.split()
+    shape, pool = FROZEN_PEAK_GEOMETRY[walk]
     spec = MomentSpec(n=int(n[1:]), norm="max", norm_axis=axis,
                       standardize_pre_norm=bool(std))
     rng = np.random.default_rng(1234)

@@ -2,11 +2,12 @@
 and their bits.
 
 The flat walk (`windows.flat_walk`) must reproduce the strided walk
-(`windows.window_steps`) bit for bit wherever it is taken, so these tests
-run both through the same moment and cell-gradient loops on the same
-geometry, pin the bytes of both public entry points to digests taken before
-the flat walk existed, and check that the junk and padding pairs the flat
-walk computes add nothing and never overflow.
+(`windows.window_steps`) bit for bit wherever it is taken, at stride 1 and,
+through its phase-major layout, at larger strides, so these tests run both
+through the same moment and cell-gradient loops on the same geometry, pin
+the bytes of both public entry points to digests taken before the flat walk
+existed, and check that the junk and padding pairs the flat walk computes
+add nothing and never overflow.
 """
 
 import hashlib
@@ -77,10 +78,16 @@ class TestChoice:
         ((2, 16, 128, 128), PoolSpec.square(5, 1, 2), True),    # 11%
         ((52, 3, 8, 8), PoolSpec.square(3, 1, 0), False),       # 44%
         ((2, 3, 8, 8), PoolSpec.square(3, 1, 1), False),        # 36%
-        ((1, 3, 256, 256), PoolSpec.square(3, 2, 1), False),    # stride 2
+        ((1, 3, 256, 256), PoolSpec.square(3, 2, 1), True),     # stride 2, 1.5%
         ((8, 4, 16, 16), PoolSpec(16, 16), False),              # global
-        ((8, 16, 64, 64), PoolSpec.square(8, 8), False),        # 8x8 s8
-        ((1, 1, 9, 9), PoolSpec(3, 3, 1, 2), False),            # stride 1 x 2
+        ((8, 16, 64, 64), PoolSpec.square(8, 8), False),        # 8x8 s8, no overlap
+        ((1, 1, 9, 9), PoolSpec(3, 3, 1, 2), False),            # stride 1 x 2, 38%
+        ((2, 3, 9, 9), PoolSpec.square(3, 2, 1), False),        # stride 2, 31%
+        ((1, 3, 65, 65), PoolSpec.square(5, 3, 0), False),      # 3-cell runs, 9%
+        ((1, 2, 41, 2), PoolSpec(3, 2, 2, 2), False),           # 2x2 in 1 column, 5%
+        ((8, 16, 64, 64), PoolSpec.square(3, 2, 1), True),      # stride 2, 6%
+        ((1, 3, 540, 960), PoolSpec.square(3, 2, 1), True),     # stride 2, bands
+        ((2, 3, 17, 19), PoolSpec(3, 2, 2, 3, 1, 1), True),     # stride 2 x 3, 20%
     ])
     def test_flat_walk_at_stride_one_on_budget_planes_with_little_junk(
             self, shape, pool, flat):
@@ -89,6 +96,67 @@ class TestChoice:
         assert window_walk(shape, pool) is walk
         builder = flat_walk if flat else window_steps
         assert layout(builder(shape, pool)) == layout(walk)
+
+    @pytest.mark.parametrize("shape, pool", [
+        ((1, 3, 256, 256), PoolSpec.square(3, 2, 1)),
+        ((1, 3, 540, 960), PoolSpec.square(3, 2, 1)),
+        ((8, 16, 64, 64), PoolSpec.square(3, 2, 1)),
+        ((8, 16, 64, 64), PoolSpec.square(3, 1, 1)),
+    ])
+    def test_every_chunk_stages_its_scratch_within_the_budget(self, shape, pool):
+        """A chunk's phase-major scratch (every phase of its planes' rows and
+        halo) fits `_STEP_BYTES`; one padded 258x258 plane would not, so at
+        256x256 stride 2 the chunks are bands of one plane, last to first."""
+        walk = window_walk(shape, pool)
+        sh, sw, per, rows, cols = walk.scratch
+        assert walk.pad is not None and 8 * sh * sw * per * rows * cols <= 1 << 18
+        for planes, _ in walk.chunks:
+            band = planes[2] if len(planes) > 2 else slice(0, walk.counts[0].size)
+            assert windows._planes(planes[:2]) <= per
+            assert band.stop - band.start + walk.halo <= rows
+        if shape[2] >= 256:
+            bands = [planes[2] for planes, _ in walk.chunks[:len(walk.chunks) // 3]]
+            assert per == 1 and bands[0].stop == walk.counts[0].size
+            assert all(a.start == b.stop for a, b in zip(bands, bands[1:]))
+            assert bands[-1].start == 0
+
+    @pytest.mark.parametrize("shape, pool", [
+        ((1, 3, 65, 65), PoolSpec.square(5, 3, 0)),
+        ((1, 2, 41, 2), PoolSpec(3, 2, 2, 2)),
+    ], ids=["3-cell runs", "2x2 run over one column"])
+    def test_flat_walk_refuses_steps_it_cannot_sum_in_the_strided_order(
+            self, shape, pool):
+        """A run of three cells on an axis, or a 2x2 run over one output
+        column (numpy sums such a strided block's four cells in sequence),
+        has no flat step with the strided walk's sum."""
+        assert windows._flat_groups(*shape[2:], pool) is None
+        with pytest.raises(ValueError, match="cannot sum"):
+            flat_walk(shape, pool)
+
+    @pytest.mark.parametrize("width, pool, rows_first", [
+        (2, PoolSpec(3, 2, 2, 2), False),
+        (3, PoolSpec(3, 2, 2, 2), False),
+        (4, PoolSpec(3, 2, 2, 3, 0, 0, 1, 2), False),
+        (5, PoolSpec(3, 2, 2, 2), True),
+        (64, PoolSpec.square(3, 2, 1), True),
+    ])
+    def test_numpy_sums_a_strided_2x2_block_each_row_first_over_columns(
+            self, width, pool, rows_first):
+        """The strided walk's `cell_sum` of a 2x2 block adds each kernel row
+        first where the block spans several output columns, whose axis lies
+        between the kernel columns' and rows' in memory; over one output
+        column numpy adds the four cells in sequence, which no flat step
+        matches, so the flat walk refuses it."""
+        shape = (1, 4, 200, width)
+        x4 = uniform(shape, 31)
+        planes, steps = window_steps(shape, pool).chunks[0]
+        b = next(st for st in steps if st.shape[4:] == (2, 2)).block(x4[planes])
+        rows = (b[..., 0, 0] + b[..., 0, 1]) + (b[..., 1, 0] + b[..., 1, 1])
+        in_turn = ((b[..., 0, 0] + b[..., 0, 1]) + b[..., 1, 0]) + b[..., 1, 1]
+        got = windows.cell_sum(b)
+        assert np.array_equal(got, rows) == rows_first
+        assert np.array_equal(got, in_turn) != rows_first
+        assert (windows._flat_groups(*shape[2:], pool) is None) != rows_first
 
     def test_flat_chunks_split_no_sample_and_respect_the_budget(self):
         walk = flat_walk((8, 16, 64, 64), PoolSpec.square(3, 1, 1))
@@ -131,8 +199,25 @@ FROZEN = {
 
 @pytest.mark.parametrize("name", list(FROZEN))
 def test_forward_and_backward_bytes_are_frozen(name):
-    shape, pool, flat, y_digest, g_digest = FROZEN[name]
+    shape, pool, flat = FROZEN[name][:3]
     assert (window_walk(shape, pool).pad is not None) == flat
+    assert_frozen(name)
+
+
+@pytest.mark.parametrize("name", ["stride 2 padded"])
+def test_frozen_strided_bytes_hold_on_the_flat_walk(name):
+    """The strided walk's digests hold with the forward and the backward
+    patched onto the flat walk, which the junk rule declines here (31%)."""
+    shape, pool, flat = FROZEN[name][:3]
+    assert not flat and windows._flat_groups(*shape[2:], pool) is not None
+    with mock.patch.object(smp, "window_walk", flat_walk):
+        assert_frozen(name)
+
+
+def assert_frozen(name):
+    """`smp_forward` and `smp_backward`, on a cache hit and a miss, give the
+    FROZEN digests for `name`."""
+    shape, pool, _, y_digest, g_digest = FROZEN[name]
     rng = np.random.default_rng(1234)
     x = Tensor(shape, rng.uniform(-1.0, 1.0, shape))
     y = smp_forward(x, pool, UNSAFE4)
@@ -241,6 +326,150 @@ def test_flat_walk_matches_the_strided_walk_bit_for_bit(case):
     assert g.tobytes() == smp._cell_grads(x4, flat, maps[0], ready(poly)).tobytes()
 
 
+@st.composite
+def strided_cases(draw):
+    """Geometry at strides 1-3, dilation 1-3, with rectangular kernels and
+    padding, whose strided runs hold at most two cells per axis (stride <=
+    2 * dilation), that `flat_walk` takes, a shape that fits it, n and a
+    seed."""
+    def axis():
+        d = draw(st.integers(1, 3))
+        return draw(st.integers(1, 4)), draw(st.integers(1, min(3, 2 * d))), d
+
+    row, col = axis(), axis()
+    if draw(st.booleans()):  # square: 2x2 runs as often as runs of two
+        col = row
+    (kh, sh, dh), (kw, sw, dw) = row, col
+    pool = PoolSpec(kh, kw, sh, sw, draw(st.integers(0, dh * (kh - 1))),
+                    draw(st.integers(0, dw * (kw - 1))), dh, dw)
+    h = draw(st.integers(max(1, pool.eff_kernel_h - 2 * pool.pad_h), 16))
+    w = draw(st.integers(max(1, pool.eff_kernel_w - 2 * pool.pad_w), 16))
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 4)), h, w)
+    try:
+        window_steps(shape, pool)
+    except GeometryError:
+        reject()  # a dilated window that misses the input has no statistics
+    if windows._flat_groups(h, w, pool) is None:
+        reject()  # as `_flat_groups` says: such steps stay strided
+    return shape, pool, draw(st.integers(1, 4)), draw(st.integers(0, 2**32 - 1))
+
+
+def phase_plane(shape, pool):
+    """Bytes of one phase row of every phase, and phase rows, of a plane's
+    phase-major scratch."""
+    (h_out, w_out), (halo_h, halo_w) = output_dims(*shape[2:], pool), windows._halo(pool)
+    return 8 * pool.stride_h * pool.stride_w * (w_out + halo_w), h_out + halo_h
+
+
+def walk_bytes(walk, x4, n, seed):
+    """The `_walk_stats` maps and output and the `_cell_grads` gradient over
+    `walk`, as bytes, for coefficients drawn from `seed` that carry -0.0."""
+    maps, out = smp._walk_stats(x4, walk, n)
+    poly = uniform((n,) + maps[0].shape, seed)
+    poly.reshape(-1)[::7] = -0.0
+    g = smp._cell_grads(x4, walk, maps[0], ready(poly))
+    return [a.tobytes() for a in maps] + [out.tobytes(), g.tobytes()]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(strided_cases(), st.data())
+def test_flat_walk_matches_the_strided_walk_at_any_stride(case, data):
+    """Maps, output bytes and cell gradients from the flat walk equal the
+    strided walk's at strides 1-3, at the default budget and with both walks
+    cut at one drawn budget, from one phase row up to three planes: so in
+    bands of a few rows, a short last band among them, whose backward
+    carries each band's halo rows to the band above."""
+    shape, pool, n, seed = case
+    x4 = uniform(shape, seed)
+    x4[x4 > 0.8] = 0.0
+    assert walk_bytes(flat_walk(shape, pool), x4, n, seed + 1) \
+        == walk_bytes(window_steps(shape, pool), x4, n, seed + 1)
+    row, rows = phase_plane(shape, pool)
+    budget = data.draw(st.integers(row, 3 * row * rows), label="budget")
+    with mock.patch.object(windows, "_STEP_BYTES", budget):
+        walks = flat_walk(shape, pool), window_steps(shape, pool)
+    assert walk_bytes(walks[0], x4, n, seed + 1) == walk_bytes(walks[1], x4, n, seed + 1)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(strided_cases(), st.data())
+def test_phase_walk_makes_each_inbounds_pair_valid_once(case, data):
+    """Cut at a drawn budget, so into bands where one plane does not fit,
+    a flat walk at any stride makes every in-bounds (window, cell) pair
+    valid in exactly one step of one chunk, reading its own cell of the
+    phase-major scratch; every other pair of a step's cells is marked bad.
+    `inv` is 1 / cell count at a chunk's real outputs and NaN at junk, and
+    where one phase row and its halo fit the budget, so does the scratch."""
+    shape, pool, _, _ = case
+    n_s, c_s, h, w = shape
+    h_out, w_out = output_dims(h, w, pool)
+    row_bytes, rows = phase_plane(shape, pool)
+    budget = data.draw(st.integers(row_bytes, 3 * row_bytes * rows), label="budget")
+    with mock.patch.object(windows, "_STEP_BYTES", budget):
+        walk = flat_walk(shape, pool)
+    (ph, pw), (sh, sw, per, hb, wq) = walk.pad, walk.scratch
+    if budget >= row_bytes * (1 + walk.halo):
+        assert 8 * sh * sw * per * hb * wq <= budget
+    phase = per * hb * wq
+    counts = np.multiply.outer(*walk.counts)
+    visits = np.zeros((n_s * c_s, h_out, w_out, pool.kernel_h, pool.kernel_w), int)
+    for planes, steps in walk.chunks:
+        start, stop = plane_range(planes[:2], c_s)
+        band = planes[2] if len(planes) > 2 else slice(0, h_out)
+        size = steps[0].shape[0]
+        plane, rest = np.divmod(np.arange(size), hb * wq)
+        out_row, col = np.divmod(rest, wq)
+        real = (out_row < band.stop - band.start) & (col < w_out)
+        out_row += band.start
+        inv = walk.inv[band.start * wq:band.start * wq + size]
+        assert np.isnan(inv[~real]).all()
+        assert np.array_equal(inv[real],
+                              1.0 / np.tile(counts[band], (stop - start, 1, 1)).ravel())
+        for step in steps:
+            assert step.shape[0] == size and step.strides[0] == 8
+            valid = ~step.bad.reshape(size)
+            for cell in itertools.product(*(range(k) for k in step.shape[1:])):
+                at = (step.offset + sum(np.multiply(cell, step.strides[1:]))) // 8
+                src_phase, src = np.divmod(np.arange(size) + at, phase)
+                src_plane, src = np.divmod(src, hb * wq)
+                t, u = np.divmod(src, wq)
+                (a, b), t = divmod(src_phase, sw), t + band.start
+                y, x = t * sh + a - ph, u * sw + b - pw
+                i, i_rem = np.divmod(t * sh + a - out_row * sh, pool.dilation_h)
+                j, j_rem = np.divmod(u * sw + b - col * sw, pool.dilation_w)
+                assert real[valid].all() and (src_plane[valid] == plane[valid]).all()
+                assert not i_rem[valid].any() and not j_rem[valid].any()
+                inside = real & (0 <= y) & (y < h) & (0 <= x) & (x < w)
+                assert np.array_equal(valid, inside)
+                np.add.at(visits, (start + plane[valid], out_row[valid], col[valid],
+                                   i[valid], j[valid]), 1)
+    rows = (np.arange(h_out)[:, None] * pool.stride_h
+            + np.arange(pool.kernel_h) * pool.dilation_h - pool.pad_h)
+    cols = (np.arange(w_out)[:, None] * pool.stride_w
+            + np.arange(pool.kernel_w) * pool.dilation_w - pool.pad_w)
+    inbounds = (((0 <= rows) & (rows < h))[:, None, :, None]
+                & ((0 <= cols) & (cols < w))[None, :, None, :])
+    assert np.array_equal(visits, np.broadcast_to(inbounds, visits.shape))
+
+
+@pytest.mark.parametrize("shape, pool", [
+    ((1, 3, 256, 256), PoolSpec.square(3, 2, 1)),
+    ((2, 3, 9, 9), PoolSpec.square(3, 2, 1)),
+    ((8, 16, 64, 64), PoolSpec.square(3, 2, 1)),
+    ((2, 3, 17, 19), PoolSpec(3, 2, 2, 3, 1, 1)),
+    ((1, 3, 540, 960), PoolSpec.square(3, 2, 1)),
+    ((4, 8, 96, 96), PoolSpec.square(5, 2, 2)),
+], ids=["256 s2", "9 s2", "64 s2", "17x19 s2x3", "540x960 s2", "96 5x5 s2"])
+def test_flat_walk_keeps_the_strided_bits_at_stride_two(shape, pool):
+    """At the strided geometries that a throwaway prototype first timed, the
+    flat walk's maps, output and cell gradients, n=4, keep the strided
+    walk's bytes: 2x2 runs whole (64x64) or cut by rows (256x256, whose
+    chunks are bands)."""
+    x4 = uniform(shape, 21)
+    assert walk_bytes(flat_walk(shape, pool), x4, 4, 22) \
+        == walk_bytes(window_steps(shape, pool), x4, 4, 22)
+
+
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(stride_one_cases())
 def test_flat_walk_makes_each_inbounds_pair_valid_once(case):
@@ -292,9 +521,10 @@ def test_flat_walk_makes_each_inbounds_pair_valid_once(case):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(stride_one_cases(), st.data())
 def test_walks_cut_at_small_budgets_match_the_default_strided_walk(case, data):
-    """Cut at a budget of one padded plane up to four, so into chunks of a
-    few planes with a short last one, both walks give the output bytes and
-    cell gradients of the strided walk at the default budget."""
+    """Cut at a budget of one padded row up to four padded planes, so into
+    bands of a few rows with a short last one, or into chunks of a few
+    planes with a short last one, both walks give the output bytes and cell
+    gradients of the strided walk at the default budget."""
     shape, pool, n, seed = case
     x4 = uniform(shape, seed)
     poly = uniform((n,) + shape[:2] + output_dims(*shape[2:], pool), seed + 1)
@@ -304,8 +534,9 @@ def test_walks_cut_at_small_budgets_match_the_default_strided_walk(case, data):
         return out.tobytes(), smp._cell_grads(x4, walk, maps[0], ready(poly)).tobytes()
 
     want = run(window_steps(shape, pool))
-    plane = 8 * (shape[2] + 2 * pool.pad_h) * (shape[3] + 2 * pool.pad_w)
-    budget = data.draw(st.integers(plane, 4 * plane), label="budget")
+    row = 8 * (shape[3] + 2 * pool.pad_w)
+    plane = row * (shape[2] + 2 * pool.pad_h)
+    budget = data.draw(st.integers(row, 4 * plane), label="budget")
     with mock.patch.object(windows, "_STEP_BYTES", budget):
         walks = flat_walk(shape, pool), window_steps(shape, pool)
     assert [run(walk) for walk in walks] == [want, want]
@@ -423,6 +654,47 @@ def test_non_finite_cells_reach_the_same_outputs_with_the_same_warnings(case, da
     value = data.draw(st.sampled_from([np.inf, -np.inf, np.nan]))
     for cell in data.draw(st.permutations(reads))[:data.draw(st.integers(1, 3))]:
         x4.reshape(planes, h, w)[cell] = value
+        value = data.draw(st.sampled_from([-value, np.nan, value]))
+    strided, flat = (walked(builder, pool, x4, n, seed + 1)
+                     for builder in (window_steps, flat_walk))
+    assert strided[2] == flat[2]
+    for a, b in zip(strided[:2], flat[:2]):
+        for where in (np.isnan, np.isposinf, np.isneginf):
+            assert np.array_equal(where(a), where(b))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(strided_cases(), st.data())
+def test_non_finite_cells_reach_the_same_outputs_at_any_stride(case, data):
+    """As above at strides 1-3: 1-3 cells of +-inf or NaN among those that
+    one junk output of the flat walk's first chunk reads through its steps'
+    groups raise the same RuntimeWarnings on both walks and leave NaN, +inf
+    and -inf at the same places of the output and the gradient."""
+    shape, pool, n, seed = case
+    walk = flat_walk(shape, pool)
+    (ph, pw), (sh, sw, per, hb, wq) = walk.pad, walk.scratch
+    h_out, w_out = output_dims(*shape[2:], pool)
+    planes, steps = walk.chunks[0]
+    row, col = np.divmod(np.arange(steps[0].shape[0]) % (hb * wq), wq)
+    junk = np.flatnonzero((row >= h_out) | (col >= w_out))
+    if not junk.size:
+        reject()  # no junk output to read through
+    at = int(data.draw(st.sampled_from(list(junk)), label="junk output"))
+    reads = []
+    for step in steps:
+        for cell in itertools.product(*(range(k) for k in step.shape[1:])):
+            offset = step.offset + sum(np.multiply(cell, step.strides[1:]), 0)
+            phase, rest = divmod(at + int(offset) // 8, per * hb * wq)
+            plane, (t, u) = rest // (hb * wq), divmod(rest % (hb * wq), wq)
+            y, x = t * sh + phase // sw - ph, u * sw + phase % sw - pw
+            if plane < windows._planes(planes) and 0 <= y < shape[2] and 0 <= x < shape[3]:
+                reads.append((plane, y, x))
+    if not reads:
+        reject()  # a window of padding alone
+    x4 = uniform(shape, seed)
+    value = data.draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+    for cell in data.draw(st.permutations(reads))[:data.draw(st.integers(1, 3))]:
+        x4.reshape(-1, *shape[2:])[cell] = value
         value = data.draw(st.sampled_from([-value, np.nan, value]))
     strided, flat = (walked(builder, pool, x4, n, seed + 1)
                      for builder in (window_steps, flat_walk))
