@@ -188,7 +188,12 @@ def _cell_grads(x4: np.ndarray, walk: Walk, m1: np.ndarray, coefficients):
                     h *= dev
                 h += coef[0][st.win]
             gb = st.block(g)
-            gb += h
+            if len(coef) > 1 and not gb.flags.c_contiguous:
+                # a ufunc copies a strided output that it cannot prove free
+                # of internal overlap: add into h, which is ours, and copy it
+                np.copyto(gb, np.add(gb, h, out=h))
+            else:
+                gb += h
     return grad
 
 

@@ -193,11 +193,13 @@ class Walk(NamedTuple):
 
 
 def _runs(size: int, out: int, k: int, s: int, d: int, p: int):
-    """[output slice, first input index, cells] per run of kernel indices.
+    """[output slice, first input index, first kernel index, cells] per run
+    of kernel indices, in kernel order.
 
     Consecutive indices share a run while they share one in-bounds output
     range and their cells cannot collide: the range is one position, or the
-    run's span (len-1)*d stays below the stride s.
+    run's span (len-1)*d stays below the stride s. An index that no output
+    holds in bounds is a run of its own, over an empty output slice.
     """
     runs, prev = [], None
     for i in range(k):
@@ -205,10 +207,11 @@ def _runs(size: int, out: int, k: int, s: int, d: int, p: int):
         hi = min(out, (size - 1 + p - i * d) // s + 1)
         if lo >= hi:
             prev = None
-        elif prev and prev[0] == slice(lo, hi) and (hi - lo == 1 or prev[2] * d < s):
-            prev[2] += 1
+            runs.append([slice(0, 0), None, i, 1])
+        elif prev and prev[0] == slice(lo, hi) and (hi - lo == 1 or prev[3] * d < s):
+            prev[3] += 1
         else:
-            prev = [slice(lo, hi), lo * s + i * d - p, 1]
+            prev = [slice(lo, hi), lo * s + i * d - p, i, 1]
             runs.append(prev)
     return runs
 
@@ -223,7 +226,7 @@ def _runs_and_counts(h: int, w: int, spec: PoolSpec):
     cols = _runs(w, w_out, spec.kernel_w, spec.stride_w, spec.dilation_w, spec.pad_w)
     counts = np.zeros(h_out), np.zeros(w_out)
     for count, runs in zip(counts, (rows, cols)):
-        for out_slice, _, cells in runs:
+        for out_slice, _, _, cells in runs:
             count[out_slice] += cells
         if not count.all():
             raise GeometryError(f"{spec} leaves windows with no input cell on "
@@ -250,6 +253,14 @@ def _planes(index: tuple) -> int:
     return math.prod(s.stop - s.start for s in index)
 
 
+def _kernel_rows(outputs: int, kr: int, kc: int) -> range:
+    """The first kernel row of each step that cuts a run of kr x kc kernel
+    cells over `outputs` outputs of a plane. The range's step is the rows a
+    step takes: as many as fit one plane's block in `_STEP_BYTES`, at least
+    one."""
+    return range(0, kr, max(1, _STEP_BYTES // max(1, outputs * kc * 8)))
+
+
 def window_steps(shape: tuple, spec: PoolSpec) -> Walk:
     """The strided walk for an (N, C, H, W) `shape`.
 
@@ -267,14 +278,16 @@ def window_steps(shape: tuple, spec: PoolSpec) -> Walk:
                                         spec.stride_w, spec.dilation_h * w,
                                         spec.dilation_w))
         steps = []
-        for (out_h, y0, kr), (out_w, x0, kc) in itertools.product(rows, cols):
+        for (out_h, y0, _, kr), (out_w, x0, _, kc) in itertools.product(rows, cols):
             hw = (out_h.stop - out_h.start, out_w.stop - out_w.start)
-            row = hw[0] * hw[1] * kc * 8  # one plane's kernel row
-            per_r = max(1, _STEP_BYTES // row)
-            blocks = _plane_chunks(n, c, max(1, _STEP_BYTES // (row * kr)))
-            for (bs, cs), r0 in itertools.product(blocks, range(0, kr, per_r)):
+            if not all(hw):
+                continue  # kernel cells that no output holds in bounds
+            cut = _kernel_rows(hw[0] * hw[1], kr, kc)
+            run = hw[0] * hw[1] * kr * kc * 8  # one plane's block of the whole run
+            blocks = _plane_chunks(n, c, max(1, _STEP_BYTES // run))
+            for (bs, cs), r0 in itertools.product(blocks, cut):
                 out = (bs, cs, out_h, out_w)
-                cells = (min(per_r, kr - r0), kc)
+                cells = (min(cut.step, kr - r0), kc)
                 rank = 4 if cells == (1, 1) else 6
                 offset = ((bs.start * c + cs.start) * h * w
                           + (y0 + r0 * spec.dilation_h) * w + x0) * 8
@@ -296,19 +309,6 @@ def _halo(spec: PoolSpec) -> tuple:
     return (spec.eff_kernel_h - 1) // spec.stride_h, (spec.eff_kernel_w - 1) // spec.stride_w
 
 
-def _kernel_runs(size: int, out: int, k: int, s: int, d: int, p: int) -> list:
-    """(first kernel index, cells, outputs in bounds) per run of `_runs`, in
-    kernel order, with each kernel index that no output holds in bounds a
-    run of its own."""
-    runs, i = [], 0
-    for out_slice, first, cells in _runs(size, out, k, s, d, p):
-        i0 = (first + p - out_slice.start * s) // d
-        runs += [(j, 1, 0) for j in range(i, i0)]
-        runs.append((i0, cells, out_slice.stop - out_slice.start))
-        i = i0 + cells
-    return runs + [(j, 1, 0) for j in range(i, k)]
-
-
 def _flat_groups(h: int, w: int, spec: PoolSpec) -> list | None:
     """The kernel cells that each flat step sums, in walk order, as (first
     kernel row, rows, first kernel column, columns): the cells of each
@@ -319,17 +319,14 @@ def _flat_groups(h: int, w: int, spec: PoolSpec) -> list | None:
     stride), whose block would hold a cell twice; or a 2x2 step over one
     output column, whose four cells numpy adds in sequence, not each kernel
     row first, as it does where output columns lie between them."""
-    h_out, w_out = output_dims(h, w, spec)
-    rows = _kernel_runs(h, h_out, spec.kernel_h, spec.stride_h, spec.dilation_h,
-                        spec.pad_h)
-    cols = _kernel_runs(w, w_out, spec.kernel_w, spec.stride_w, spec.dilation_w,
-                        spec.pad_w)
+    rows, cols, _ = _runs_and_counts(h, w, spec)
     one_phase = spec.dilation_h % spec.stride_h == 0, spec.dilation_w % spec.stride_w == 0
     groups = []
-    for (i, kr, oh), (j, kc, ow) in itertools.product(rows, cols):
-        per_r = max(1, _STEP_BYTES // max(1, oh * ow * kc * 8))  # as window_steps
-        for r in range(0, kr, per_r):
-            n_r = min(per_r, kr - r)
+    for (out_h, _, i, kr), (out_w, _, j, kc) in itertools.product(rows, cols):
+        ow = out_w.stop - out_w.start
+        cut = _kernel_rows((out_h.stop - out_h.start) * ow, kr, kc)
+        for r in cut:
+            n_r = min(cut.step, kr - r)
             if (max(n_r, kc) > 2 or (n_r == 2 and one_phase[0])
                     or (kc == 2 and one_phase[1]) or (n_r, kc, ow) == (2, 2, 1)):
                 return None
@@ -419,10 +416,17 @@ def window_walk(shape: tuple, spec: PoolSpec) -> Walk:
     `_STEP_BYTES`, at a larger stride when windows overlap on some axis;
     else `window_steps`.
 
-    The junk bound lies between the timed geometries: the flat statistics
-    pass was faster at 2-11% junk and slower at 44%. Without overlap the
-    strided walk reads each cell once anyway. At stride 1 a padded plane
-    larger than the budget stays strided: bands are untimed there.
+    Both bounds are timed (n=4 layer norm, forward / forward plus backward,
+    2-vCPU Xeon). At stride 1 the flat statistics pass was faster at 2-11%
+    junk and slower at 44%; a padded plane larger than the budget stays
+    strided, as bands are untimed there. At stride 2 the junk bound keeps
+    2x3x9x9 3x3 p1 (31% junk) strided, where the flat walk took 0.83 / 1.37
+    ms against 0.59 / 1.12, but also 8x16x8x8 3x3 p1 (36%), where it took
+    1.0 / 1.9 ms against 1.8 / 2.6: past stride 1 the bound stands in for
+    a small input. Without overlap neither walk wins at every kernel: on
+    8x16x64x64 s2 the flat walk took 5.0 / 13.4 ms against 4.0 / 8.9 at
+    1x1, and 7.4 / 18.3 against 35.3 / 38.8 at 2x2. At 8x8 s8 the runs
+    have 8 cells, which `_flat_groups` refuses.
     """
     h, w = shape[2:]
     h_out, w_out = output_dims(h, w, spec)

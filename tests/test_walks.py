@@ -80,7 +80,7 @@ class TestChoice:
         ((2, 3, 8, 8), PoolSpec.square(3, 1, 1), False),        # 36%
         ((1, 3, 256, 256), PoolSpec.square(3, 2, 1), True),     # stride 2, 1.5%
         ((8, 4, 16, 16), PoolSpec(16, 16), False),              # global
-        ((8, 16, 64, 64), PoolSpec.square(8, 8), False),        # 8x8 s8, no overlap
+        ((8, 16, 64, 64), PoolSpec.square(8, 8), False),        # no overlap, 8-cell runs
         ((1, 1, 9, 9), PoolSpec(3, 3, 1, 2), False),            # stride 1 x 2, 38%
         ((2, 3, 9, 9), PoolSpec.square(3, 2, 1), False),        # stride 2, 31%
         ((1, 3, 65, 65), PoolSpec.square(5, 3, 0), False),      # 3-cell runs, 9%
@@ -704,11 +704,11 @@ def test_non_finite_cells_reach_the_same_outputs_at_any_stride(case, data):
             assert np.array_equal(where(a), where(b))
 
 
-@pytest.mark.parametrize("shape, pool", [
-    ((4, 8, 64, 64), PoolSpec.square(3, 2, 1)),
-    ((4, 8, 32, 32), PoolSpec.square(3, 1, 1)),
+@pytest.mark.parametrize("shape, pool, flat", [
+    ((4, 8, 96, 96), PoolSpec.square(5, 3, 1), False),  # overlapping 3-cell runs
+    ((4, 8, 32, 32), PoolSpec.square(3, 1, 1), True),
 ], ids=["strided", "flat"])
-def test_cached_backward_copies_no_upstream_and_no_mean_map(shape, pool):
+def test_cached_backward_copies_no_upstream_and_no_mean_map(shape, pool, flat):
     """A cached n=2 backward holds its gradient, the two coefficient maps
     and the walk's working buffers, with room for numpy's own; a copy of the
     upstream or of the mean map, strided in the output for N > 1, would
@@ -719,7 +719,8 @@ def test_cached_backward_copies_no_upstream_and_no_mean_map(shape, pool):
     up = Tensor(y.shape, uniform(y.shape, 4))
     smp_backward(x, pool, spec, up)  # warm: the walk is cached per geometry
     walk = window_walk(shape, pool)
-    if walk.pad is not None:  # input, mean, coefficients, padded grad, dev, g
+    assert (walk.pad is not None) == flat
+    if flat:  # input, mean, coefficients, padded grad, dev, g
         per = max(np.prod([s.stop - s.start for s in ch]) for ch, _ in walk.chunks)
         padded = np.add(shape[2:], np.multiply(2, walk.pad))
         work = 8 * (5 * per * np.prod(padded) + 2 * walk.inv.size)
