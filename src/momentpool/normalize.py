@@ -81,12 +81,20 @@ def _by_samples(reduce, x: np.ndarray, axis, *more):
     return reduce(x, *more)
 
 
-def _group_stats(x: np.ndarray, axis):
-    """Group mean and population variance, kept broadcastable against x; the
-    variance over chunks of samples (`_by_samples`), so that x.var's x - mean
-    is chunk-sized where the groups lie inside one sample."""
-    return x.mean(axis=axis, keepdims=True), _by_samples(
-        lambda part: part.var(axis=axis, keepdims=True), x, axis)
+def _group_stats(x: np.ndarray, axis, out=None):
+    """(x - mean, mean, var): x less its group means, written into `out` when
+    given, and the group mean and population variance, kept broadcastable
+    against x. The variance is the mean square of those deviations, over
+    chunks of samples (`_by_samples`), so its squares are chunk-sized where
+    the groups lie inside one sample; it has x.var's bits, as x.var's own
+    mean has x.mean's."""
+    mean = x.mean(axis=axis, keepdims=True)
+    out = np.subtract(x, mean, out=out)
+
+    def mean_square(d):
+        total = np.multiply(d, d).sum(axis=axis, keepdims=True)
+        return np.divide(total, d.size // max(1, total.size), out=total)
+    return out, mean, _by_samples(mean_square, out, axis)
 
 
 def _batch_axes(x: np.ndarray) -> tuple[int, ...]:
@@ -113,28 +121,28 @@ def _normalized(kind: str, x: np.ndarray, eps: float, axis=None,
     """(y, divisor): the `kind` normalization of float64 `x`, written into
     `out` when given, and the per-group divisor, broadcastable against x.
 
-    `out` may be `x` itself: every group statistic is read before the first
-    write.
+    `out` may be `x` itself: the means are read before it is written, and
+    the variances from the deviations written there.
     """
     if kind == "max":
         divisor = _by_samples(lambda part: np.abs(part).max(axis=axis, keepdims=True),
                               x, axis) + eps
         return np.divide(x, divisor, out=out), divisor
     if kind == "layer":
-        mean, var = _group_stats(x, axis)
+        out, _, var = _group_stats(x, axis, out)
     elif kind != "batch":
         raise ValueError(f"unknown normalization kind {kind!r}")
     elif not training:
         mean, var = _running_stats(state, x)
+        out = np.subtract(x, mean, out=out)
     else:
-        mean, var = _group_stats(x, _batch_axes(x))
-        if state is not None:
-            old_mean, old_var = _running_stats(state, x)
+        old = None if state is None else _running_stats(state, x)  # checked first
+        out, mean, var = _group_stats(x, _batch_axes(x), out)
+        if old is not None:
             m = state.momentum
-            state.mean = ((1.0 - m) * old_mean + m * mean).reshape(-1)
-            state.var = ((1.0 - m) * old_var + m * var).reshape(-1)
+            state.mean = ((1.0 - m) * old[0] + m * mean).reshape(-1)
+            state.var = ((1.0 - m) * old[1] + m * var).reshape(-1)
     divisor = np.sqrt(var + eps)
-    out = np.subtract(x, mean, out=out)
     out /= divisor
     return out, divisor
 
@@ -154,10 +162,13 @@ def _vjp_terms(kind: str, y: np.ndarray, divisor, upstream: np.ndarray,
 
 
 def _vjp_apply(upstream: np.ndarray, y: np.ndarray, divisor, mean_u=None,
-               mean_uy=None, out=None) -> np.ndarray:
-    """The VJP's elementwise rest, on any block with `_vjp_terms` broadcast."""
+               mean_uy=None, out=None, tmp=None) -> np.ndarray:
+    """The VJP's elementwise rest, on any block with `_vjp_terms` broadcast,
+    written into `out` with y * mean(u * y) in `tmp`, each a fresh array
+    where None."""
     if mean_u is not None:
-        upstream = upstream - mean_u - y * mean_uy
+        upstream = out = np.subtract(upstream, mean_u, out=out)
+        upstream -= np.multiply(y, mean_uy, out=tmp)
     return np.divide(upstream, divisor, out=out)
 
 

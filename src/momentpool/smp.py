@@ -173,8 +173,9 @@ def _walk_stats(x4: np.ndarray, walk: Walk, n: int):
 
 def _cell_grads(x4: np.ndarray, walk: Walk, m1: np.ndarray, coefficients):
     """Cell gradients over `walk`, added onto the input grid, for the n
-    coefficient maps `coefficients` = (n, f) builds (see `windows.frames`);
-    a step's block holds no input cell twice, so `+=` is safe."""
+    coefficient maps that `coefficients` = (n, f, scratch) builds (see
+    `windows.frames`); a step's block holds no input cell twice, so `+=` is
+    safe."""
     grad = np.empty(x4.shape)
     for steps, x, (mean, *coef), g, _, (e, t) in windows.frames(
             walk, x4, maps=[m1], fill=coefficients, grad=grad):
@@ -322,24 +323,37 @@ def smp_backward(t: Tensor, pool: PoolSpec, spec: MomentSpec, upstream: Tensor,
     # order k adds k * w_k / window count * (dev**(k-1) - m_(k-1)) to a cell,
     # m_0 = m_1 = 0, for the cell's deviation dev from the window mean;
     # poly[j] is the coefficient of dev**j in the sum over k
-    def coefs(planes, poly):
+    def coefs(planes, poly, pair):
         v, m = ([a[planes] for a in maps] for maps in (w, stats))
         scale = inv[planes[2:]]  # a band's output rows
+        if pair is None:  # n <= 2: one multiply per map
+            for k in range(n):
+                np.multiply(v[k], (k + 1.0) * scale, out=poly[k])
+            return
+        # each map is worked in the contiguous pair and copied once to its
+        # slot; a factor (k + 1) / count sits in b's first plane
+        a, b = pair
+
+        def scaled(src, k):  # src * (k + 1) / window count, into a
+            return np.multiply(src, np.multiply(scale, k + 1.0, out=b[0, 0]), out=a)
+
         std = spec.standardize_pre_norm and _standardize_terms(m[1], spec)
-        for i in range(2, n):  # order i + 1 passes through its own poly[i]
+        for i in range(2, n):  # order i + 1's w passes through the norm's VJP
             vi = v[i] if norm is None else normalize._vjp_apply(
-                v[i], *(a[i - 2][planes] for a in norm), out=poly[i])
+                v[i], *(t[i - 2][planes] for t in norm), out=a, tmp=b)
             if std:  # order p = i + 1, through m_p / denom
                 half_p, root, denom = next(std)
                 v[1] = v[1] + vi * (-m[i] * half_p * root / (denom * denom))
-                vi = np.divide(vi, denom, out=poly[i])
-            np.multiply(vi, (i + 1.0) * scale, out=poly[i])
-        for k in range(min(n, 2)):
-            np.multiply(v[k], (k + 1.0) * scale, out=poly[k])
+                vi = np.divide(vi, denom, out=a)
+            poly[i][...] = scaled(vi, i)
+        poly[1][...] = scaled(v[1], 1)
+        p0 = scaled(v[0], 0)
         for k in range(2, n):
-            poly[0] -= poly[k] * m[k - 1]
+            p0 -= np.multiply(poly[k], m[k - 1], out=b)
+        poly[0][...] = p0
 
-    return Tensor._adopt(t.shape, _cell_grads(t.nchw, walk, stats[0], (n, coefs)))
+    return Tensor._adopt(t.shape, _cell_grads(t.nchw, walk, stats[0],
+                                              (n, coefs, n >= 3)))
 
 
 def check_forward(x: Tensor, pool: PoolSpec, spec: MomentSpec,

@@ -476,11 +476,14 @@ def _span(size: int, pad: int, s: int, a: int, start: int, stop: int):
 def frames(walk: Walk, x4: np.ndarray, maps=(), fill=None, sums=(), grad=None):
     """Each chunk of `walk` as (steps, x, maps, grad, inv, work), staged as
     the module docstring says: the chunk's input, its planes of the `maps`,
-    the k maps that `fill` = (k, f) builds by f(planes, out) into `out`,
-    its zeroed planes of the `sums` and of the gradient to add into, 1 /
-    cell count, and two buffers for a step's deviation and its powers, or
-    None."""
-    k_fill, build = fill or (0, lambda planes, out: None)
+    the k maps that `fill` = (k, f, scratch) builds by f(planes, out, pair)
+    into `out`, its zeroed planes of the `sums` and of the gradient to add
+    into, 1 / cell count, and two buffers for a step's deviation and its
+    powers, or None. Where `scratch` is set, `pair` is two contiguous
+    buffers of a built map's shape, else None: on a flat walk of one-cell
+    steps the work pair, idle while f runs, else a fresh pair that is freed
+    before the chunk's steps run."""
+    k_fill, build, scratch = fill or (0, lambda planes, out, pair: None, False)
     if walk.pad is None:
         per = max(_planes(planes) for planes, _ in walk.chunks)
         # an output channel's planes of several samples are strided, which
@@ -490,9 +493,9 @@ def frames(walk: Walk, x4: np.ndarray, maps=(), fill=None, sums=(), grad=None):
         bufs = [np.empty((per,) + walk.inv.shape) for _ in range(k_fill + spill)]
         for planes, steps in walk.chunks:
             x, g = x4[planes], None if grad is None else grad[planes]
-            chunk = [b[:_planes(planes)].reshape(x.shape[:2] + walk.inv.shape)
-                     for b in bufs]
-            build(planes, chunk[:k_fill])
+            shape = x.shape[:2] + walk.inv.shape
+            chunk = [b[:_planes(planes)].reshape(shape) for b in bufs]
+            build(planes, chunk[:k_fill], np.empty((2, *shape)) if scratch else None)
             acc = chunk[k_fill:] if spill else [a[planes] for a in sums]
             for a in acc if g is None else (*acc, g):
                 a.fill(0.0)
@@ -520,16 +523,19 @@ def frames(walk: Walk, x4: np.ndarray, maps=(), fill=None, sums=(), grad=None):
         band = planes[2] if len(planes) > 2 else slice(0, h_out)
         q, size = _planes(planes[:2]), steps[0].shape[0]
         r0, r = band.start, band.stop - band.start
+        rows = [_span(h, ph, sh, a, r0, r0 + r + halo) for a in range(sh)]
         for a, b in phases:
-            lo, hi, ys = _span(h, ph, sh, a, r0, r0 + r + halo)
-            (c0, c1, xs), dst = cols[b], cells[0, a, b, :q]
+            (lo, hi, ys), (c0, c1, xs), dst = rows[a], cols[b], cells[0, a, b, :q]
             dst[:, :lo - r0] = 0.0
             dst[:, hi - r0:r + halo] = 0.0
             dst[:, lo - r0:hi - r0, c0:c1] = x.reshape(q, h, w)[:, ys, xs]
-        outs = layers[:, :q, :r, :w_out].reshape((k, *x.shape[:2], r, w_out))
+        shape = (*x.shape[:2], r, w_out)
+        outs = layers[:, :q, :r, :w_out].reshape((k, *shape))
         for dst, m in zip(outs, maps):
             dst[...] = m[planes]
-        build(planes, outs[len(maps):k_read])
+        build(planes, outs[len(maps):k_read], None if not scratch else
+              np.empty((2, *shape)) if work is None else
+              work[:, :math.prod(shape)].reshape((2, *shape)))
         inv = walk.inv[r0 * wq:r0 * wq + size]
         np.multiply(inv, 0.0, out=flat[k_read:k, :size])
         if grad is not None:
@@ -549,6 +555,5 @@ def frames(walk: Walk, x4: np.ndarray, maps=(), fill=None, sums=(), grad=None):
             g[:, (h_out + halo) * sh - ph:] = 0.0
             g[:, :, wq * sw - pw:] = 0.0
             for a, b in phases:  # the band above, which runs next, completes the halo
-                lo, hi, ys = _span(h, ph, sh, a, r0, r0 + r + halo)
-                c0, c1, xs = cols[b]
+                (lo, hi, ys), (c0, c1, xs) = rows[a], cols[b]
                 g[:, ys, xs] = cells[1, a, b, :q, lo - r0:hi - r0, c0:c1]

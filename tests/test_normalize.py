@@ -280,10 +280,11 @@ def test_vjp_terms_match_one_product_of_the_block(kind, shape, axis):
                          ids=["several-per-chunk", "one-per-chunk"])
 @pytest.mark.parametrize("grouping", ["order", "joint", "location"])
 def test_group_stats_by_sample_chunks_match_the_whole_block(samples, hw, grouping):
-    """Where groups lie inside a sample, the variance and max norm's peaks
-    are reduced over chunks of whole samples, several per chunk where a
-    sample is below `_STEP_BYTES` and one where it is above, with the bits
-    of the whole block's reductions and no full-size temporary."""
+    """Where groups lie inside a sample, the variance, from the deviations
+    written into `out`, and max norm's peaks are reduced over chunks of whole
+    samples, several per chunk where a sample is below `_STEP_BYTES` and one
+    where it is above, with the bits of the whole block's reductions and no
+    full-size temporary."""
     rng = np.random.default_rng(67)
     block = (rng.uniform(-1, 1, (samples, 4, 20, hw)) ** 3)[:, 2:]  # as in smp
     x, axis = {"order": (block.reshape(samples, 2, -1), 2),
@@ -291,14 +292,17 @@ def test_group_stats_by_sample_chunks_match_the_whole_block(samples, hw, groupin
                "location": (block, 2)}[grouping]
     per = max(1, windows._STEP_BYTES // x[0].nbytes)
     assert (per > 1) == (samples == 9) and per < samples
-    want = x.mean(axis, keepdims=True), x.var(axis, keepdims=True)
+    want = x - x.mean(axis, keepdims=True), x.mean(axis, keepdims=True), x.var(
+        axis, keepdims=True)
+    out = np.empty_like(x)
     tracemalloc.start()
     try:
-        got = _group_stats(x, axis)
+        got = _group_stats(x, axis, out)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert got[0] is out
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
     assert (_normalized("max", x, EPS, axis)[1].tobytes()
             == (np.abs(x).max(axis, keepdims=True) + EPS).tobytes())
-    assert peak <= per * x[0].nbytes + 4 * want[1].nbytes + 16384
+    assert peak <= per * x[0].nbytes + 4 * want[2].nbytes + 16384

@@ -282,6 +282,19 @@ class TestNormalizationWiring:
         np.testing.assert_allclose(std[0, 3], raw[0, 3] / (sigma ** 4 + eps),
                                    rtol=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_standardize_pre_norm_leaves_orders_below_3_alone(self, n):
+        """With no order >= 3 to standardize, the flag changes neither the
+        forward nor the backward, bit for bit."""
+        rng = np.random.default_rng(37)
+        x = Tensor((2, 3, 8, 8), rng.uniform(-1, 1, 2 * 3 * 64))
+        pool = PoolSpec.square(3, 1, 1)
+        up = Tensor((2, 3 * n, 8, 8), rng.uniform(-1, 1, 2 * 3 * n * 64))
+        got = [smp_forward(x, pool, spec).nchw.tobytes()
+               + smp_backward(x, pool, spec, up).nchw.tobytes()
+               for spec in (MomentSpec(n=n), MomentSpec(n=n, standardize_pre_norm=True))]
+        assert got[0] == got[1]
+
     def test_batch_norm_state_roundtrip(self):
         from momentpool.normalize import BatchNormState
         rng = np.random.default_rng(33)

@@ -62,10 +62,10 @@ def layout(walk):
 def ready(poly):
     """`smp._cell_grads`' coefficient builder for a ready (n, N, C, H', W')
     array: it copies each chunk's planes."""
-    def fill(planes, out):
+    def fill(planes, out, pair):
         for dst, c in zip(out, poly):
             dst[...] = c[planes]
-    return len(poly), fill
+    return len(poly), fill, False
 
 
 class TestChoice:
@@ -740,9 +740,10 @@ def test_streamed_backward_builds_no_full_size_map():
     """A cached n=4 layer-norm backward on a flat walk whose chunks split each
     sample's channels holds the gradient, one chunk's padded scratch (the
     mean, four coefficient maps, the input and the gradient) and working
-    buffers, a few chunk-sized temporaries of the coefficient builder and
-    the per-group terms, with room for numpy's own. A full-size VJP result
-    or coefficient array would push it past the bound."""
+    buffers, in which the coefficients are built, and the per-group terms,
+    with room for numpy's own. A full-size VJP result or coefficient array,
+    or chunk-sized temporaries of the coefficient builder, would push it
+    past the bound."""
     shape, pool = FROZEN_NORMED_SHAPE, FROZEN_NORMED_POOL
     spec = MomentSpec(n=4, norm="layer")
     x = Tensor(shape, uniform(shape, 5))
@@ -754,9 +755,8 @@ def test_streamed_backward_builds_no_full_size_map():
     assert walk.pad is not None and per < shape[1]
     padded = np.add(shape[2:], np.multiply(2, walk.pad))
     scratch = 8 * (7 * per * np.prod(padded) + 2 * walk.inv.size)
-    temps = 8 * 4 * per * walk.counts[0].size * walk.counts[1].size
     terms = 8 * 3 * shape[0] * (spec.n - 2)
-    bound = x.data.nbytes + scratch + temps + terms
+    bound = x.data.nbytes + scratch + terms
     tracemalloc.start()
     try:
         smp_backward(x, pool, spec, up)
