@@ -173,7 +173,7 @@ def _walk_stats(x4: np.ndarray, walk: Walk, n: int):
 
 def _cell_grads(x4: np.ndarray, walk: Walk, m1: np.ndarray, coefficients):
     """Cell gradients over `walk`, added onto the input grid, for the n
-    coefficient maps that `coefficients` = (n, f, scratch) builds (see
+    coefficient maps that `coefficients` = (n, f, paired) builds (see
     `windows.frames`); a step's block holds no input cell twice, so `+=` is
     safe."""
     grad = np.empty(x4.shape)

@@ -476,14 +476,14 @@ def _span(size: int, pad: int, s: int, a: int, start: int, stop: int):
 def frames(walk: Walk, x4: np.ndarray, maps=(), fill=None, sums=(), grad=None):
     """Each chunk of `walk` as (steps, x, maps, grad, inv, work), staged as
     the module docstring says: the chunk's input, its planes of the `maps`,
-    the k maps that `fill` = (k, f, scratch) builds by f(planes, out, pair)
+    the k maps that `fill` = (k, f, paired) builds by f(planes, out, pair)
     into `out`, its zeroed planes of the `sums` and of the gradient to add
     into, 1 / cell count, and two buffers for a step's deviation and its
-    powers, or None. Where `scratch` is set, `pair` is two contiguous
+    powers, or None. Where `paired` is set, `pair` is two contiguous
     buffers of a built map's shape, else None: on a flat walk of one-cell
     steps the work pair, idle while f runs, else a fresh pair that is freed
     before the chunk's steps run."""
-    k_fill, build, scratch = fill or (0, lambda planes, out, pair: None, False)
+    k_fill, build, paired = fill or (0, lambda planes, out, pair: None, False)
     if walk.pad is None:
         per = max(_planes(planes) for planes, _ in walk.chunks)
         # an output channel's planes of several samples are strided, which
@@ -495,7 +495,7 @@ def frames(walk: Walk, x4: np.ndarray, maps=(), fill=None, sums=(), grad=None):
             x, g = x4[planes], None if grad is None else grad[planes]
             shape = x.shape[:2] + walk.inv.shape
             chunk = [b[:_planes(planes)].reshape(shape) for b in bufs]
-            build(planes, chunk[:k_fill], np.empty((2, *shape)) if scratch else None)
+            build(planes, chunk[:k_fill], np.empty((2, *shape)) if paired else None)
             acc = chunk[k_fill:] if spill else [a[planes] for a in sums]
             for a in acc if g is None else (*acc, g):
                 a.fill(0.0)
@@ -533,7 +533,7 @@ def frames(walk: Walk, x4: np.ndarray, maps=(), fill=None, sums=(), grad=None):
         outs = layers[:, :q, :r, :w_out].reshape((k, *shape))
         for dst, m in zip(outs, maps):
             dst[...] = m[planes]
-        build(planes, outs[len(maps):k_read], None if not scratch else
+        build(planes, outs[len(maps):k_read], None if not paired else
               np.empty((2, *shape)) if work is None else
               work[:, :math.prod(shape)].reshape((2, *shape)))
         inv = walk.inv[r0 * wq:r0 * wq + size]
