@@ -102,7 +102,7 @@ def _cmd_pool(args) -> int:
     if args.mode == "sap":
         out = sap_forward(t, pool)
     else:
-        out = smp_forward(t, pool, _moment_spec(args))
+        out = smp_forward(t, pool, _moment_spec(args), save=False)
     tensor_write(out, args.out)
     print(f"{_fmt_shape(x4.shape)} -> {_fmt_shape(out.shape)}")
     return 0

@@ -31,18 +31,25 @@ upstream weights u it satisfies
 Saved forward
 -------------
 Each `smp_forward` saves, read-only in a one-entry cache, what the
-backward reads: the entry (walk, stats, block, divisor) holds the walk
-with its per-axis counts, the raw maps m1..m_(n-1) (m1 and m2 as views of
-the output), the normalized orders >= 3 (a view of the output) and their
-per-group divisor, so output and entry hold no map twice. Order k's cell
-gradient reads m_(k-1); only the standardization VJP reads raw mn, so it
-is kept only under `standardize_pre_norm`. The key is the input
-`Tensor`'s identity through a weakref (tensors are immutable), `pool`,
-the whole `spec` and `training`, since the divisor depends on every
-normalization field. On a miss the backward runs the forward itself,
-without the running state in training mode, so a hit and a miss share one
-formula. Eval-mode batch norm divides by the backward's own running
-state. The entry goes when its input dies or the next input is pooled.
+backward reads, unless its caller passes `save=False`: the entry (walk,
+stats, block, divisor) holds the walk with its per-axis counts, the raw
+maps m1..m_(n-1) (m1 and m2 as views of the output), the normalized
+orders >= 3 (a view of the output) and their per-group divisor, so output
+and entry hold no map twice. Order k's cell gradient reads m_(k-1); only
+the standardization VJP reads raw mn, so it is kept only under
+`standardize_pre_norm`. The key is the input `Tensor`'s identity through
+a weakref (tensors are immutable), `pool`, the whole `spec` and
+`training`, since the divisor depends on every normalization field. On a
+miss the backward runs the forward itself, without the running state in
+training mode, so a hit and a miss share one formula. Eval-mode batch
+norm divides by the backward's own running state. The entry goes when its
+input dies or the next input is saved.
+
+A forward that no backward follows passes `save=False` and is pure: it
+copies no raw order, neither reads nor writes the entry, and returns the
+saving forward's bytes. The CLI `pool` and both `toytrain` forwards pass
+it, and `check_forward`'s probes run `_pooled` the same way; a default
+`smp_forward`, and the forward that `smp_backward` runs on a miss, save.
 
 Operation-count model
 ---------------------
@@ -248,17 +255,18 @@ def _grouped(block: np.ndarray, spec: MomentSpec):
 
 
 def _pooled(t: Tensor, pool: PoolSpec, spec: MomentSpec,
-            bn_state: BatchNormState | None, training: bool, held=None):
+            bn_state: BatchNormState | None, training: bool, held=None,
+            save: bool = True):
     """(output, entry): moment channels m1..mn, the orders >= 3 divided by
     sigma^p + eps when `spec.standardize_pre_norm` is set and then normalized
     in place in their groups, or divided by the `held` max-norm peaks (of
     `check_forward`), tiled over stacked copies; the read-only entry is what
-    `_saved` returns for `t`."""
+    `_saved` returns for `t`, or None unless `save`."""
     walk = window_walk(t.nchw.shape, pool)
     kept = spec.n if spec.standardize_pre_norm else max(2, spec.n - 1)
     stats, out = _walk_stats(t.nchw, walk, spec.n)
     # the kept raw orders >= 3 are copied once the walk has freed its scratch
-    stats[2:] = [m.copy() for m in stats[2:kept]]
+    stats[2:] = [m.copy() for m in stats[2:kept if save else 2]]
     block = divisor = None
     if spec.n >= 3:
         block = out[:, 2 * stats[0].shape[1]:]
@@ -274,6 +282,8 @@ def _pooled(t: Tensor, pool: PoolSpec, spec: MomentSpec,
             else:
                 divisor = np.concatenate([held] * (len(x) // len(held)))
                 x /= divisor
+    if not save:
+        return out, None
     for a in (*stats, block, divisor):
         if a is not None:
             a.setflags(write=False)
@@ -282,17 +292,19 @@ def _pooled(t: Tensor, pool: PoolSpec, spec: MomentSpec,
 
 def smp_forward(t: Tensor, pool: PoolSpec, spec: MomentSpec,
                 bn_state: BatchNormState | None = None,
-                training: bool = True) -> Tensor:
+                training: bool = True, *, save: bool = True) -> Tensor:
     """Pool `t` to (N, n*C, H', W') moment channels.
 
     With `spec.norm != "none"`, channels of orders >= 3 are normalized.
     Training-mode batch norm uses the batch statistics and folds them into
     `bn_state` when one is given; eval mode divides by `bn_state`, which it
-    requires.
+    requires. `save=False` is for a forward that no `smp_backward` follows:
+    it keeps no entry and leaves the saved forward as it was.
     """
     global _cached
-    out, entry = _pooled(t, pool, spec, bn_state, training)
-    _cached = (weakref.ref(t, _forget), pool, spec, training, entry)
+    out, entry = _pooled(t, pool, spec, bn_state, training, save=save)
+    if save:
+        _cached = (weakref.ref(t, _forget), pool, spec, training, entry)
     return Tensor._adopt(out.shape, out)
 
 
@@ -384,7 +396,7 @@ def check_forward(x: Tensor, pool: PoolSpec, spec: MomentSpec,
 
     def over(peaks) -> Callable[[Tensor], Tensor]:
         def forward(t: Tensor) -> Tensor:
-            out, _ = _pooled(t, pool, spec, state, training, peaks)
+            out, _ = _pooled(t, pool, spec, state, training, peaks, save=False)
             return Tensor._adopt(out.shape, out)
         return forward
 

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from momentpool import cli
+from momentpool import cli, smp
 from momentpool.cli import main
 from momentpool.smp import MomentSpec, smp_forward
 from momentpool.synth import PATTERNS, checkerboard, make_pattern, ramp
@@ -435,6 +435,22 @@ class TestDeterminism:
         a = run_cli(capsys, *args)[1].strip().splitlines()[-1]
         b = run_cli(capsys, *args)[1].strip().splitlines()[-1]
         assert a == b
+
+
+def test_pool_and_toytrain_leave_the_saved_forward_alone(tmp_path, capsys):
+    """No backward follows `pool` or `toytrain`, so neither saves an entry:
+    the one saved for another tensor z outlives them."""
+    src = tmp_path / "noise.tensor"
+    run_cli(capsys, "generate", "--pattern", "uniform-noise", "--shape",
+            "1,3,16,16", "--seed", "7", "--out", str(src))
+    z = ramp((1, 2, 6, 6))
+    smp_forward(z, PoolSpec.square(3), MomentSpec(n=4, norm="layer"))
+    assert run_cli(capsys, "pool", "--input", str(src), "--out",
+                   str(tmp_path / "pooled.tensor"), "--kernel", "3",
+                   "--stride", "2", "--pad", "1", "--n", "4",
+                   "--norm", "layer")[0] == 0
+    assert run_cli(capsys, "toytrain", "--seed", "3", "--steps", "5")[0] == 0
+    assert smp._cached[0]() is z
 
 
 def test_cached_parser_prints_what_a_fresh_parser_prints(tmp_path, capsys,

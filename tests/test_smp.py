@@ -1,5 +1,6 @@
 """Forward moment pooling: oracle equivalence, layout, costs, guards."""
 
+import tracemalloc
 import warnings
 import weakref
 from unittest import mock
@@ -493,6 +494,56 @@ class TestStatsCache:
         hit = smp_backward(x, pool, spec, up)
         miss = smp_backward(Tensor(x.shape, x.data), pool, spec, up)
         assert hit.data.tobytes() == miss.data.tobytes()
+
+
+class TestUnsavedForward:
+    """`smp_forward(save=False)`, for a forward that no backward follows,
+    returns the saving forward's bytes and leaves the saved forward as it
+    was."""
+
+    POOL = PoolSpec.square(3, stride=2, pad=1)
+    SPECS = [MomentSpec(n=n, norm=norm, standardize_pre_norm=std,
+                        unsafe_no_norm=norm == "none")
+             for n in (1, 2, 3, 4) for norm in ("none", "layer", "max", "batch")
+             for std in (False, True)]
+
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"n{s.n}-{s.norm}"
+                             + "-std" * s.standardize_pre_norm)
+    def test_same_bytes_and_the_same_entry(self, spec, training, monkeypatch):
+        """Over every norm in both modes, the saved forward is None or an
+        entry for another tensor; a batch-norm state folds the same."""
+        x, other = TestStatsCache._input(), TestStatsCache._input(seed=3)
+        rng = np.random.default_rng(61)
+        channels = 3 * max(1, spec.n - 2)
+        mean, var = rng.standard_normal(channels), rng.uniform(0.5, 2, channels)
+        folded = BatchNormState(mean=mean.copy(), var=var.copy())
+        saved = smp_forward(x, self.POOL, spec, folded, training)
+        smp_forward(other, self.POOL, spec)
+        for entry in (None, smp._cached):
+            monkeypatch.setattr(smp, "_cached", entry)
+            state = BatchNormState(mean=mean.copy(), var=var.copy())
+            got = smp_forward(x, self.POOL, spec, state, training, save=False)
+            assert smp._cached is entry
+            assert got.data.tobytes() == saved.data.tobytes()
+            assert state.mean.tobytes() == folded.mean.tobytes()
+            assert state.var.tobytes() == folded.var.tobytes()
+
+    def test_forward_traced_peak_holds_no_raw_copy(self):
+        """At the CLI `pool` spec (1x3x256x256, 3x3 s2 p1, n=4 layer), an
+        unsaved forward peaks 0.375 MiB, one (1, 3, 128, 128) map, under
+        a saving one: it copies no raw m3 out of the output."""
+        rng = np.random.default_rng(0)
+        x = Tensor((1, 3, 256, 256), rng.uniform(-1, 1, 3 * 256 * 256))
+        pool, spec = PoolSpec.square(3, 2, 1), MomentSpec(n=4, norm="layer")
+        smp_forward(x, pool, spec, save=False)  # warm: the walk is cached
+        tracemalloc.start()
+        try:
+            smp_forward(x, pool, spec, save=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.3 * 2 ** 20
 
 
 class TestOpCost:

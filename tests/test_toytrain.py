@@ -1,6 +1,7 @@
 """Fast sanity checks on the toy training loop; the full 500-step
 stability comparison lives in the acceptance suite."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -9,6 +10,22 @@ import pytest
 from momentpool.toytrain import ToyTrainConfig, ToyTrainReport, run_toytrain
 
 FAST = dict(steps=30, lr=5e-4, batch=4, feature_shape=(2, 8, 8))
+
+# sha256 of run_toytrain(cfg).to_json(): the benchmark's pinned run (the
+# defaults at seed 17), and an unnormalized n=4 run that diverges at step 86
+PINNED_REPORTS = [
+    (ToyTrainConfig(seed=17, steps=500, lr=5e-4),
+     "0127ed21e8b9337f21ce3b76905287f356792ef7219858b58fbc0a1e6c4a3710"),
+    (ToyTrainConfig(seed=3, n=4, norm="none", unsafe_no_norm=True),
+     "5584e8119cd61ac6bb2822d3977e7adfeb64571fa6eb1e2a32f8673fa0684717"),
+]
+
+
+@pytest.mark.parametrize("cfg, digest", PINNED_REPORTS,
+                         ids=["cli-seeded", "diverging"])
+def test_report_bytes_are_pinned(cfg, digest):
+    text = run_toytrain(cfg).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_mean_pooling_converges():
