@@ -511,8 +511,9 @@ class TestUnsavedForward:
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"n{s.n}-{s.norm}"
                              + "-std" * s.standardize_pre_norm)
     def test_same_bytes_and_the_same_entry(self, spec, training, monkeypatch):
-        """Over every norm in both modes, the saved forward is None or an
-        entry for another tensor; a batch-norm state folds the same."""
+        """For every norm, in both modes, with the saved forward empty or
+        holding an entry for another tensor; a batch-norm state folds the
+        same way."""
         x, other = TestStatsCache._input(), TestStatsCache._input(seed=3)
         rng = np.random.default_rng(61)
         channels = 3 * max(1, spec.n - 2)
