@@ -17,7 +17,7 @@ import time
 
 from .grad import finite_diff_check
 from .smp import (MomentSpec, NORM_AXES, NORM_KINDS, check_forward, op_cost,
-                  output_shape, sap_forward, smp_backward, smp_forward)
+                  output_shape, smp_backward, smp_forward)
 from .synth import PATTERNS, make_pattern, uniform_noise
 from .tensor import Tensor, TensorFileError, nchw_shape, tensor_read, tensor_write
 from .toytrain import ToyTrainConfig, run_toytrain
@@ -99,10 +99,8 @@ def _cmd_pool(args) -> int:
     t = tensor_read(args.input)
     x4 = t.nchw
     pool = _pool_spec(args, x4.shape[2:])
-    if args.mode == "sap":
-        out = sap_forward(t, pool)
-    else:
-        out = smp_forward(t, pool, _moment_spec(args), save=False)
+    spec = MomentSpec(n=1, norm="none") if args.mode == "sap" else _moment_spec(args)
+    out = smp_forward(t, pool, spec, save=False)
     tensor_write(out, args.out)
     print(f"{_fmt_shape(x4.shape)} -> {_fmt_shape(out.shape)}")
     return 0

@@ -411,32 +411,15 @@ def flat_walk(shape: tuple, spec: PoolSpec) -> Walk:
 @lru_cache(maxsize=64)
 def window_walk(shape: tuple, spec: PoolSpec) -> Walk:
     """The walk that the forward and the backward take for `shape`, cached:
-    `flat_walk` where `_flat_groups` allows it and at most a quarter of a
-    phase plane's outputs are junk, at stride 1 when one padded plane fits
-    `_STEP_BYTES`, at a larger stride when windows overlap on some axis;
-    else `window_steps`.
-
-    Both bounds are timed (n=4 layer norm, forward / forward plus backward,
-    2-vCPU Xeon). At stride 1 the flat statistics pass was faster at 2-11%
-    junk and slower at 44%; a padded plane larger than the budget stays
-    strided, as bands are untimed there. At stride 2 the junk bound keeps
-    2x3x9x9 3x3 p1 (31% junk) strided, where the flat walk took 0.83 / 1.37
-    ms against 0.59 / 1.12, but also 8x16x8x8 3x3 p1 (36%), where it took
-    1.0 / 1.9 ms against 1.8 / 2.6: past stride 1 the bound stands in for
-    a small input. Without overlap neither walk wins at every kernel: on
-    8x16x64x64 s2 the flat walk took 5.0 / 13.4 ms against 4.0 / 8.9 at
-    1x1, and 7.4 / 18.3 against 35.3 / 38.8 at 2x2. At 8x8 s8 the runs
-    have 8 cells, which `_flat_groups` refuses.
-    """
+    `flat_walk` where windows overlap on some axis, at most a quarter of a
+    phase plane's outputs are junk and `_flat_groups` allows it; else
+    `window_steps`."""
     h, w = shape[2:]
     h_out, w_out = output_dims(h, w, spec)
     halo_h, halo_w = _halo(spec)
-    hq, wq = h_out + halo_h, w_out + halo_w
-    if (spec.stride_h, spec.stride_w) == (1, 1):
-        taken = hq * wq * 8 <= _STEP_BYTES
-    else:
-        taken = spec.eff_kernel_h > spec.stride_h or spec.eff_kernel_w > spec.stride_w
-    if taken and 4 * h_out * w_out >= 3 * hq * wq and _flat_groups(h, w, spec):
+    if ((spec.eff_kernel_h > spec.stride_h or spec.eff_kernel_w > spec.stride_w)
+            and 4 * h_out * w_out >= 3 * (h_out + halo_h) * (w_out + halo_w)
+            and _flat_groups(h, w, spec)):
         return flat_walk(shape, spec)
     return window_steps(shape, spec)
 

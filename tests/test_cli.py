@@ -313,8 +313,6 @@ class TestBenchCommand:
 
         monkeypatch.setattr("momentpool.cli.smp_forward",
                             lambda x, pool, spec: charge(spec.n))
-        monkeypatch.setattr("momentpool.cli.sap_forward",
-                            lambda x, pool: charge(1))
         monkeypatch.setattr("time.perf_counter_ns", lambda: clock["now"])
         rc, out, _ = run_cli(capsys, "bench", "--shape", "1,2,8,8",
                              "--repeats", str(repeats))
@@ -438,17 +436,17 @@ class TestDeterminism:
 
 
 def test_pool_and_toytrain_leave_the_saved_forward_alone(tmp_path, capsys):
-    """No backward follows `pool` or `toytrain`, so neither saves an entry:
-    the one saved for another tensor z outlives them."""
+    """No backward follows `pool`, in either mode, or `toytrain`, so none
+    saves an entry: the one saved for another tensor z outlives them."""
     src = tmp_path / "noise.tensor"
     run_cli(capsys, "generate", "--pattern", "uniform-noise", "--shape",
             "1,3,16,16", "--seed", "7", "--out", str(src))
     z = ramp((1, 2, 6, 6))
     smp_forward(z, PoolSpec.square(3), MomentSpec(n=4, norm="layer"))
-    assert run_cli(capsys, "pool", "--input", str(src), "--out",
-                   str(tmp_path / "pooled.tensor"), "--kernel", "3",
-                   "--stride", "2", "--pad", "1", "--n", "4",
-                   "--norm", "layer")[0] == 0
+    pool = ("pool", "--input", str(src), "--out", str(tmp_path / "pooled.tensor"),
+            "--kernel", "3", "--stride", "2", "--pad", "1")
+    assert run_cli(capsys, *pool, "--n", "4", "--norm", "layer")[0] == 0
+    assert run_cli(capsys, *pool, "--mode", "sap")[0] == 0
     assert run_cli(capsys, "toytrain", "--seed", "3", "--steps", "5")[0] == 0
     assert smp._cached[0]() is z
 

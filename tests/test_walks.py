@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from momentpool import smp, windows
 from momentpool.normalize import BatchNormState
-from momentpool.smp import MomentSpec, smp_backward, smp_forward
+from momentpool.smp import MomentSpec, output_shape, smp_backward, smp_forward
 from momentpool.tensor import Tensor
 from momentpool.windows import (GeometryError, PoolSpec, flat_walk,
                                 output_dims, window_steps, window_walk)
@@ -72,9 +72,9 @@ class TestChoice:
     @pytest.mark.parametrize("shape, pool, flat", [
         ((8, 16, 64, 64), PoolSpec.square(3, 1, 1), True),      # 6% junk
         ((1, 3, 126, 254), PoolSpec.square(3, 1, 1), True),     # 128x256 padded
-        ((1, 3, 127, 254), PoolSpec.square(3, 1, 1), False),    # one row more
-        ((1, 3, 256, 256), PoolSpec.square(3, 1, 1), False),    # 2%, 520 KiB
-        ((1, 3, 1080, 1920), PoolSpec.square(3, 1, 1), False),  # 0.3%, 16 MiB
+        ((1, 3, 127, 254), PoolSpec.square(3, 1, 1), True),     # one row more: bands
+        ((1, 3, 256, 256), PoolSpec.square(3, 1, 1), True),     # 2%, 520 KiB
+        ((1, 3, 1080, 1920), PoolSpec.square(3, 1, 1), True),   # 0.3%, 16 MiB
         ((2, 16, 128, 128), PoolSpec.square(5, 1, 2), True),    # 11%
         ((52, 3, 8, 8), PoolSpec.square(3, 1, 0), False),       # 44%
         ((2, 3, 8, 8), PoolSpec.square(3, 1, 1), False),        # 36%
@@ -88,9 +88,13 @@ class TestChoice:
         ((8, 16, 64, 64), PoolSpec.square(3, 2, 1), True),      # stride 2, 6%
         ((1, 3, 540, 960), PoolSpec.square(3, 2, 1), True),     # stride 2, bands
         ((2, 3, 17, 19), PoolSpec(3, 2, 2, 3, 1, 1), True),     # stride 2 x 3, 20%
+        ((8, 16, 64, 64), PoolSpec(1, 1), False),               # 1x1: no overlap
     ])
     def test_flat_walk_at_stride_one_on_budget_planes_with_little_junk(
             self, shape, pool, flat):
+        """At any stride and plane size, the flat walk is taken where windows
+        overlap on some axis, at most a quarter of outputs are junk and
+        `_flat_groups` accepts the geometry, and the walk is cached."""
         walk = window_walk(shape, pool)
         assert (walk.pad is not None) == flat
         assert window_walk(shape, pool) is walk
@@ -102,11 +106,13 @@ class TestChoice:
         ((1, 3, 540, 960), PoolSpec.square(3, 2, 1)),
         ((8, 16, 64, 64), PoolSpec.square(3, 2, 1)),
         ((8, 16, 64, 64), PoolSpec.square(3, 1, 1)),
+        ((1, 3, 256, 256), PoolSpec.square(3, 1, 1)),
     ])
     def test_every_chunk_stages_its_scratch_within_the_budget(self, shape, pool):
         """A chunk's phase-major scratch (every phase of its planes' rows and
         halo) fits `_STEP_BYTES`; one padded 258x258 plane would not, so at
-        256x256 stride 2 the chunks are bands of one plane, last to first."""
+        256x256, stride 1 or 2, the chunks are bands of one plane, last to
+        first."""
         walk = window_walk(shape, pool)
         sh, sw, per, rows, cols = walk.scratch
         assert walk.pad is not None and 8 * sh * sw * per * rows * cols <= 1 << 18
@@ -157,6 +163,26 @@ class TestChoice:
         assert np.array_equal(got, rows) == rows_first
         assert np.array_equal(got, in_turn) != rows_first
         assert (windows._flat_groups(*shape[2:], pool) is None) != rows_first
+
+    @pytest.mark.parametrize("pool, digest", [
+        (PoolSpec.square(8, 8),
+         "148803b5b8725e7a61bf2cf8c9ae6275216c6329b09e567b332f379d51d49173"),
+        (PoolSpec(64, 64),
+         "785d240c5d2e85202c4c99a82b322cdfc3a4e72839d76bbd3331772795173e72"),
+    ], ids=["8x8 s8", "global"])
+    def test_numpy_sums_8x8_and_global_blocks_in_a_pinned_order(self, pool, digest):
+        """The strided walk's `cell_sum` of a whole 8x8 s8 block, which numpy
+        sums each 8-cell kernel row first, and of a global 64x64 block, whose
+        contiguous cells it sums as one pairwise run, keeps the bytes taken
+        on numpy 2.4.6: a numpy that reorders these sums moves the pooled
+        bits of both named geometries, and fails here first."""
+        shape = (2, 4, 64, 64)
+        planes, steps = window_steps(shape, pool).chunks[0]
+        assert len(steps) == 1 and steps[0].shape[:2] == shape[:2]
+        got = windows.cell_sum(steps[0].block(uniform(shape, 33)[planes]))
+        assert hashlib.sha256(got.tobytes()).hexdigest() == digest, \
+            f"numpy {np.__version__} sums a {pool.kernel_h}x{pool.kernel_w} " \
+            f"strided block in another order than numpy 2.4.6"
 
     def test_flat_chunks_split_no_sample_and_respect_the_budget(self):
         walk = flat_walk((8, 16, 64, 64), PoolSpec.square(3, 1, 1))
@@ -450,6 +476,27 @@ def test_phase_walk_makes_each_inbounds_pair_valid_once(case, data):
     inbounds = (((0 <= rows) & (rows < h))[:, None, :, None]
                 & ((0 <= cols) & (cols < w))[None, :, None, :])
     assert np.array_equal(visits, np.broadcast_to(inbounds, visits.shape))
+
+
+def test_banded_stride_one_plane_keeps_the_strided_bytes():
+    """1x3x256x256 3x3 s1 p1, whose padded plane exceeds `_STEP_BYTES`, takes
+    the flat walk in bands, and an n=4 layer-norm forward and backward give
+    the bytes they give with the walk patched to `window_steps`."""
+    shape, pool = (1, 3, 256, 256), PoolSpec.square(3, 1, 1)
+    spec = MomentSpec(n=4, norm="layer")
+    walk = window_walk(shape, pool)
+    assert walk.pad is not None and len(walk.chunks) > shape[1]
+    x = Tensor(shape, uniform(shape, 23))
+    y_shape = output_shape(shape, pool, spec)
+    up = Tensor(y_shape, uniform(y_shape, 24))
+
+    def run():
+        y = smp_forward(x, pool, spec)
+        return y.data.tobytes(), smp_backward(x, pool, spec, up).data.tobytes()
+
+    flat = run()
+    with mock.patch.object(smp, "window_walk", window_steps):
+        assert run() == flat
 
 
 @pytest.mark.parametrize("shape, pool", [
@@ -796,14 +843,15 @@ def test_forward_holds_the_output_one_raw_map_and_one_chunk(norm):
 
 
 def test_strided_plane_chunks_bound_the_large_plane_peaks():
-    """On 256x256 planes, too large for the flat walk, each strided chunk is
-    one plane. An n=4 layer-norm forward holds its output (6 MiB), the raw
+    """On 4x16384 planes, which stay strided because a third of the flat
+    walk's outputs would be junk, each strided chunk is one plane of 65,536
+    outputs. An n=4 layer-norm forward holds its output (6 MiB), the raw
     m3 its backward reads (1.5 MiB), one plane's step buffers and the
     normalization's group temporaries; forward plus backward adds the
     gradient and one plane's coefficient maps. Maps of all planes, stacked
     into the output or built as coefficients, would push the peaks past
     their bounds, to 12.00 and 18.51 MiB."""
-    shape, pool = (1, 3, 256, 256), PoolSpec.square(3, 1, 1)
+    shape, pool = (1, 3, 4, 16384), PoolSpec.square(3, 1, 1)
     spec = MomentSpec(n=4, norm="layer")
     x = Tensor(shape, uniform(shape, 5))
     y = smp_forward(x, pool, spec)
