@@ -174,15 +174,15 @@ class TestChoice:
         """The strided walk's `cell_sum` of a whole 8x8 s8 block, which numpy
         sums each 8-cell kernel row first, and of a global 64x64 block, whose
         contiguous cells it sums as one pairwise run, keeps the bytes taken
-        on numpy 2.4.6: a numpy that reorders these sums moves the pooled
-        bits of both named geometries, and fails here first."""
+        on numpy 2.4.6: a numpy that reorders these sums moves pooled bits,
+        and fails here with its version named."""
         shape = (2, 4, 64, 64)
         planes, steps = window_steps(shape, pool).chunks[0]
         assert len(steps) == 1 and steps[0].shape[:2] == shape[:2]
         got = windows.cell_sum(steps[0].block(uniform(shape, 33)[planes]))
         assert hashlib.sha256(got.tobytes()).hexdigest() == digest, \
             f"numpy {np.__version__} sums a {pool.kernel_h}x{pool.kernel_w} " \
-            f"strided block in another order than numpy 2.4.6"
+            f"strided block in an order other than the one pinned on numpy 2.4.6"
 
     def test_flat_chunks_split_no_sample_and_respect_the_budget(self):
         walk = flat_walk((8, 16, 64, 64), PoolSpec.square(3, 1, 1))
