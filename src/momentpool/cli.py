@@ -146,12 +146,13 @@ def _cmd_bench(args) -> int:
           f"stride={args.stride} repeats={args.repeats}")
     # one warmup each, then every repeat times each variant once, so a burst
     # of load lands on all variants instead of inflating one variant's block
-    outs = {name: smp_forward(x, pool, spec) for name, spec in variants.items()}
+    outs = {name: smp_forward(x, pool, spec, save=False)
+            for name, spec in variants.items()}
     times = {name: [] for name in variants}
     for _ in range(args.repeats):
         for name, spec in variants.items():
             t0 = time.perf_counter_ns()
-            smp_forward(x, pool, spec)
+            smp_forward(x, pool, spec, save=False)
             times[name].append(time.perf_counter_ns() - t0)
     costs = {name: op_cost(shape, pool, spec) for name, spec in variants.items()}
     for name, out in outs.items():

@@ -67,34 +67,42 @@ class BatchNormState:
                    momentum=momentum)
 
 
-def _by_samples(reduce, x: np.ndarray, axis, *more):
-    """reduce(x, *more), over chunks of whole samples of at most
-    `windows._STEP_BYTES` of x (and at least one sample) where each group lies
-    inside one sample, an int `axis` > 0; `more` are arrays of x's shape. A
-    group is reduced along the same axis in the same order, so the bits equal
-    reduce(x, *more)'s."""
-    if isinstance(axis, int) and axis > 0:
-        per = max(1, windows._STEP_BYTES // max(1, x[:1].nbytes))
-        if len(x) > per:
-            return np.concatenate([reduce(*(a[b:b + per] for a in (x, *more)))
-                                   for b in range(0, len(x), per)])
-    return reduce(x, *more)
+def _by_groups(reduce, x: np.ndarray, axis, *more):
+    """reduce(x, *more), a reduction over `axis` that keeps it, over chunks
+    of whole groups where each group lies inside one sample, an int `axis`
+    > 0; `more` are arrays of x's shape. A chunk holds whole samples of at
+    most `windows._STEP_BYTES` of x, at least one; where one sample exceeds
+    that and `axis` >= 2, it holds a run of one sample along axis 1, at
+    least one index long. A group is reduced whole, along the same axis in
+    the same order, so the bits equal reduce(x, *more)'s."""
+    if not (isinstance(axis, int) and axis > 0):
+        return reduce(x, *more)
+    cut = int(axis >= 2 and x[:1].nbytes > windows._STEP_BYTES)  # 1: along axis 1
+    per = max(1, windows._STEP_BYTES // max(1, (x[:1, :1] if cut else x[:1]).nbytes))
+    if not cut and per >= len(x):
+        return reduce(x, *more)
+    out = np.empty(x.shape[:axis] + (1,) + x.shape[axis + 1:])
+    for sample in [(slice(b, b + 1),) for b in range(len(x))] if cut else [()]:
+        for b in range(0, x.shape[cut], per):
+            part = (*sample, slice(b, b + per))
+            out[part] = reduce(*(a[part] for a in (x, *more)))
+    return out
 
 
 def _group_stats(x: np.ndarray, axis, out=None):
     """(x - mean, mean, var): x less its group means, written into `out` when
     given, and the group mean and population variance, kept broadcastable
     against x. The variance is the mean square of those deviations, over
-    chunks of samples (`_by_samples`), so its squares are chunk-sized where
-    the groups lie inside one sample; it has x.var's bits, as x.var's own
-    mean has x.mean's."""
+    chunks of whole groups (`_by_groups`), so its squares are chunk-sized
+    where the groups lie inside one sample; it has x.var's bits, as x.var's
+    own mean has x.mean's."""
     mean = x.mean(axis=axis, keepdims=True)
     out = np.subtract(x, mean, out=out)
 
     def mean_square(d):
         total = np.multiply(d, d).sum(axis=axis, keepdims=True)
         return np.divide(total, d.size // max(1, total.size), out=total)
-    return out, mean, _by_samples(mean_square, out, axis)
+    return out, mean, _by_groups(mean_square, out, axis)
 
 
 def _batch_axes(x: np.ndarray) -> tuple[int, ...]:
@@ -125,7 +133,7 @@ def _normalized(kind: str, x: np.ndarray, eps: float, axis=None,
     the variances from the deviations written there.
     """
     if kind == "max":
-        divisor = _by_samples(lambda part: np.abs(part).max(axis=axis, keepdims=True),
+        divisor = _by_groups(lambda part: np.abs(part).max(axis=axis, keepdims=True),
                               x, axis) + eps
         return np.divide(x, divisor, out=out), divisor
     if kind == "layer":
@@ -151,13 +159,13 @@ def _vjp_terms(kind: str, y: np.ndarray, divisor, upstream: np.ndarray,
                axis=None, training: bool = True) -> tuple:
     """The VJP's group terms at output `y` and divisor `divisor` for upstream
     weights of y's shape: (divisor,) where it is u / divisor, else (divisor,
-    mean(u), mean(u * y)), u * y formed over chunks of samples
-    (`_by_samples`)."""
+    mean(u), mean(u * y)), u * y formed over chunks of whole groups
+    (`_by_groups`)."""
     if kind == "max" or (kind == "batch" and not training):
         return (divisor,)
     if kind == "batch":
         axis = _batch_axes(y)
-    return divisor, upstream.mean(axis, keepdims=True), _by_samples(
+    return divisor, upstream.mean(axis, keepdims=True), _by_groups(
         lambda u, v: (u * v).mean(axis, keepdims=True), upstream, axis, y)
 
 

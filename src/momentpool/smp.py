@@ -47,8 +47,8 @@ input dies or the next input is saved.
 
 A forward that no backward follows passes `save=False` and is pure: it
 copies no raw order, neither reads nor writes the entry, and returns the
-saving forward's bytes. The CLI `pool` and both `toytrain` forwards pass
-it, and `check_forward`'s probes run `_pooled` the same way; a default
+saving forward's bytes. The CLI `pool` and `bench` and both `toytrain`
+forwards pass it, and `check_forward`'s probes run `_pooled` the same way; a default
 `smp_forward`, and the forward that `smp_backward` runs on a miss, save.
 
 Operation-count model
@@ -330,14 +330,14 @@ def smp_backward(t: Tensor, pool: PoolSpec, spec: MomentSpec, upstream: Tensor,
             upstream.nchw[:, 2 * shape[1]:], spec)[0], axis, training)
         norm = [_by_order(np.broadcast_to(a, block.shape), shape)
                 for a in (block, *terms)]
-    inv = 1.0 / np.multiply.outer(*walk.counts)
 
     # order k adds k * w_k / window count * (dev**(k-1) - m_(k-1)) to a cell,
     # m_0 = m_1 = 0, for the cell's deviation dev from the window mean;
     # poly[j] is the coefficient of dev**j in the sum over k
     def coefs(planes, poly, pair):
         v, m = ([a[planes] for a in maps] for maps in (w, stats))
-        scale = inv[planes[2:]]  # a band's output rows
+        scale = np.multiply.outer(walk.counts[0][planes[2:]], walk.counts[1])
+        scale = np.divide(1.0, scale, out=scale)  # over a band's output rows
         if pair is None:  # n <= 2: one multiply per map
             for k in range(n):
                 np.multiply(v[k], (k + 1.0) * scale, out=poly[k])
@@ -350,12 +350,18 @@ def smp_backward(t: Tensor, pool: PoolSpec, spec: MomentSpec, upstream: Tensor,
             return np.multiply(src, np.multiply(scale, k + 1.0, out=b[0, 0]), out=a)
 
         std = spec.standardize_pre_norm and _standardize_terms(m[1], spec)
+        term = np.empty(a.shape) if std else None
         for i in range(2, n):  # order i + 1's w passes through the norm's VJP
             vi = v[i] if norm is None else normalize._vjp_apply(
                 v[i], *(t[i - 2][planes] for t in norm), out=a, tmp=b)
             if std:  # order p = i + 1, through m_p / denom
                 half_p, root, denom = next(std)
-                v[1] = v[1] + vi * (-m[i] * half_p * root / (denom * denom))
+                # v[1] + vi * (-m_p * half_p * root / (denom * denom)), summed
+                # in order 2's slot, which is written last
+                np.multiply(np.negative(m[i], out=term), half_p, out=term)
+                term *= root
+                term /= np.multiply(denom, denom, out=b)
+                v[1] = np.add(v[1], np.multiply(vi, term, out=term), out=poly[1])
                 vi = np.divide(vi, denom, out=a)
             poly[i][...] = scaled(vi, i)
         poly[1][...] = scaled(v[1], 1)

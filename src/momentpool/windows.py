@@ -498,7 +498,8 @@ def frames(walk: Walk, x4: np.ndarray, maps=(), fill=None, sums=(), grad=None):
     # grouped steps' blocks differ in shape, so their deviations and powers
     # take fresh arrays of each block's own shape
     one_cell = all(len(st.shape) == 1 for _, steps in walk.chunks for st in steps)
-    work = np.empty((2, walk.inv.size)) if one_cell else None
+    work = np.empty((2, max(steps[0].shape[0] for _, steps in walk.chunks))) \
+        if one_cell else None
     phases = list(itertools.product(range(sh), range(sw)))
     cols = [_span(w, pw, sw, b, 0, wq) for b in range(sw)]
     for planes, steps in walk.chunks:

@@ -312,7 +312,7 @@ class TestBenchCommand:
             return ramp((1, 1, 1, 1))
 
         monkeypatch.setattr("momentpool.cli.smp_forward",
-                            lambda x, pool, spec: charge(spec.n))
+                            lambda x, pool, spec, **_: charge(spec.n))
         monkeypatch.setattr("time.perf_counter_ns", lambda: clock["now"])
         rc, out, _ = run_cli(capsys, "bench", "--shape", "1,2,8,8",
                              "--repeats", str(repeats))

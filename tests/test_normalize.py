@@ -276,22 +276,26 @@ def test_vjp_terms_match_one_product_of_the_block(kind, shape, axis):
     assert peak <= held + 3 * want.nbytes + 4096
 
 
-@pytest.mark.parametrize("samples, hw", [(9, 15 * 15), (3, 31 * 29)],
-                         ids=["several-per-chunk", "one-per-chunk"])
+@pytest.mark.parametrize("samples, hw", [(9, 15 * 15), (3, 31 * 29), (1, 31 * 29)],
+                         ids=["several-per-chunk", "one-per-chunk", "one-sample"])
 @pytest.mark.parametrize("grouping", ["order", "joint", "location"])
 def test_group_stats_by_sample_chunks_match_the_whole_block(samples, hw, grouping):
     """Where groups lie inside a sample, the variance, from the deviations
     written into `out`, and max norm's peaks are reduced over chunks of whole
-    samples, several per chunk where a sample is below `_STEP_BYTES` and one
-    where it is above, with the bits of the whole block's reductions and no
-    full-size temporary."""
+    groups, with the bits of the whole block's reductions and no full-size
+    temporary: several samples per chunk where a sample is below
+    `_STEP_BYTES`, and one where it is above; but where the reduced axis is
+    >= 2 (order and location grouping), a sample above it is cut into its
+    orders, one per chunk, so even one sample holds one order's squares at a
+    time. A joint group is a whole sample."""
     rng = np.random.default_rng(67)
     block = (rng.uniform(-1, 1, (samples, 4, 20, hw)) ** 3)[:, 2:]  # as in smp
     x, axis = {"order": (block.reshape(samples, 2, -1), 2),
                "joint": (block.reshape(samples, -1), 1),
                "location": (block, 2)}[grouping]
     per = max(1, windows._STEP_BYTES // x[0].nbytes)
-    assert (per > 1) == (samples == 9) and per < samples
+    assert (per > 1) == (samples == 9) and per < max(2, samples)
+    chunk = x[0, 0].nbytes if axis >= 2 and per == 1 else per * x[0].nbytes
     want = x - x.mean(axis, keepdims=True), x.mean(axis, keepdims=True), x.var(
         axis, keepdims=True)
     out = np.empty_like(x)
@@ -305,4 +309,4 @@ def test_group_stats_by_sample_chunks_match_the_whole_block(samples, hw, groupin
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
     assert (_normalized("max", x, EPS, axis)[1].tobytes()
             == (np.abs(x).max(axis, keepdims=True) + EPS).tobytes())
-    assert peak <= per * x[0].nbytes + 4 * want[2].nbytes + 16384
+    assert peak <= chunk + 4 * want[2].nbytes + 16384

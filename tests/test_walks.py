@@ -813,6 +813,29 @@ def test_streamed_backward_builds_no_full_size_map():
     assert peak <= bound + x.data.nbytes // 4
 
 
+def test_banded_backward_holds_no_plane_beyond_its_gradient():
+    """A cached n=4 layer-norm backward on 1x1x600x600 at 3x3 s1 p1, a flat
+    walk in bands of one plane, holds less than one plane beyond its
+    gradient at any time: the band's scratch, 1 / count rows and work pair,
+    and before the gradient is made, the VJP's u * y of one norm group (one
+    plane here). A whole-plane 1 / count or work pair would push it past."""
+    shape, pool = (1, 1, 600, 600), PoolSpec.square(3, 1, 1)
+    spec = MomentSpec(n=4, norm="layer")
+    x = Tensor(shape, uniform(shape, 5))
+    y = smp_forward(x, pool, spec)
+    up = Tensor(y.shape, uniform(y.shape, 6))
+    smp_backward(x, pool, spec, up)  # warm: the walk is cached per geometry
+    walk = window_walk(shape, pool)
+    assert walk.pad is not None and len(walk.chunks) > 1
+    tracemalloc.start()
+    try:
+        smp_backward(x, pool, spec, up)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * x.data.nbytes
+
+
 @pytest.mark.parametrize("norm", ["layer", "max"])
 def test_forward_holds_the_output_one_raw_map_and_one_chunk(norm):
     """An n=4 forward on a flat walk whose chunks split each sample's

@@ -1,6 +1,6 @@
 """Interleaved wall time and traced peak of smp_forward and smp_backward on
-the three named geometries, two large stride-1 planes, the CLI's strided pool
-geometry and two more at 3x3 stride 2, and of the finite-difference check
+the three named geometries, three large stride-1 planes, the CLI's strided
+pool geometry and two more at 3x3 stride 2, and of the finite-difference check
 at the CLI's gradcheck geometry, for one or more source trees.
 
     python3 tools/bench_geometries.py --tree parent=DIR --tree change=DIR \
@@ -35,6 +35,7 @@ GEOMETRIES = {
     "dense 8x16x64x64 3x3 s1 p1": ((8, 16, 64, 64), (3, 1, 1)),
     "8x16x64x64 8x8 s8": ((8, 16, 64, 64), (8, 8, 0)),
     "1x3x256x256 3x3 s1 p1": ((1, 3, 256, 256), (3, 1, 1)),
+    "1x3x540x960 3x3 s1 p1": ((1, 3, 540, 960), (3, 1, 1)),
     "1x3x1080x1920 3x3 s1 p1": ((1, 3, 1080, 1920), (3, 1, 1)),
     "1x3x256x256 3x3 s2 p1": ((1, 3, 256, 256), (3, 2, 1)),
     "8x16x64x64 3x3 s2 p1": ((8, 16, 64, 64), (3, 2, 1)),
