@@ -134,7 +134,7 @@ def _normalized(kind: str, x: np.ndarray, eps: float, axis=None,
     """
     if kind == "max":
         divisor = _by_groups(lambda part: np.abs(part).max(axis=axis, keepdims=True),
-                              x, axis) + eps
+                             x, axis) + eps
         return np.divide(x, divisor, out=out), divisor
     if kind == "layer":
         out, _, var = _group_stats(x, axis, out)

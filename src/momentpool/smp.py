@@ -48,8 +48,9 @@ input dies or the next input is saved.
 A forward that no backward follows passes `save=False` and is pure: it
 copies no raw order, neither reads nor writes the entry, and returns the
 saving forward's bytes. The CLI `pool` and `bench` and both `toytrain`
-forwards pass it, and `check_forward`'s probes run `_pooled` the same way; a default
-`smp_forward`, and the forward that `smp_backward` runs on a miss, save.
+forwards pass it, and `check_forward`'s probes run `_pooled` the same
+way; a default `smp_forward`, and the forward that `smp_backward` runs on
+a miss, save.
 
 Operation-count model
 ---------------------
@@ -337,7 +338,7 @@ def smp_backward(t: Tensor, pool: PoolSpec, spec: MomentSpec, upstream: Tensor,
     def coefs(planes, poly, pair):
         v, m = ([a[planes] for a in maps] for maps in (w, stats))
         scale = np.multiply.outer(walk.counts[0][planes[2:]], walk.counts[1])
-        scale = np.divide(1.0, scale, out=scale)  # over a band's output rows
+        np.divide(1.0, scale, out=scale)  # 1 / count over a band's output rows
         if pair is None:  # n <= 2: one multiply per map
             for k in range(n):
                 np.multiply(v[k], (k + 1.0) * scale, out=poly[k])

@@ -295,7 +295,8 @@ def test_group_stats_by_sample_chunks_match_the_whole_block(samples, hw, groupin
                "location": (block, 2)}[grouping]
     per = max(1, windows._STEP_BYTES // x[0].nbytes)
     assert (per > 1) == (samples == 9) and per < max(2, samples)
-    chunk = x[0, 0].nbytes if axis >= 2 and per == 1 else per * x[0].nbytes
+    cut = axis >= 2 and x[0].nbytes > windows._STEP_BYTES
+    chunk = x[0, 0].nbytes if cut else per * x[0].nbytes
     want = x - x.mean(axis, keepdims=True), x.mean(axis, keepdims=True), x.var(
         axis, keepdims=True)
     out = np.empty_like(x)
