@@ -43,7 +43,8 @@ a weakref (tensors are immutable), `pool`, the whole `spec` and
 miss the backward runs the forward itself, without the running state in
 training mode, so a hit and a miss share one formula. Eval-mode batch
 norm divides by the backward's own running state. The entry goes when its
-input dies or the next input is saved.
+input dies or a saving forward starts, so none is held while the next is
+built.
 
 A forward that no backward follows passes `save=False` and is pure: it
 copies no raw order, neither reads nor writes the entry, and returns the
@@ -150,6 +151,16 @@ def _by_order(a: np.ndarray, shape: tuple) -> list:
     return list(a.reshape(shape[0], -1, *shape[1:]).swapaxes(0, 1))
 
 
+def _add_sum(acc: np.ndarray, blocks: list, work) -> None:
+    """Add the sum of a group's 1, 2 or 4 blocks into `acc`, in pairs,
+    (a + b) + (c + d), as numpy sums a strided 2x2 block each kernel row
+    first; the pairs' sums go into the `work` runs, which may be the
+    blocks'."""
+    while len(blocks) > 1:
+        blocks = [np.add(a, b, out=w) for a, b, w in zip(blocks[::2], blocks[1::2], work)]
+    acc += windows.cell_sum(blocks[0])
+
+
 def _walk_stats(x4: np.ndarray, walk: Walk, n: int):
     """(maps, output): the (N, C, H', W') maps m1..mn over `walk`, as views
     of an array of `output_shape` that holds them in its moment-major
@@ -158,22 +169,29 @@ def _walk_stats(x4: np.ndarray, walk: Walk, n: int):
     Where every strided step is one kernel cell, as at stride 1 with
     H', W' >= 2, each output adds its in-bounds cells one at a time in
     raster order onto +0.0, and so do the powers of their deviations, before
-    one scaling by 1 / cell count, as on the flat walk (see `windows`).
+    one scaling by 1 / cell count, as on the flat walk (see `windows`). A
+    flat group's cells take a deviation and a square run each; the cubes go
+    into the deviations and the fourth powers into the squares.
     """
     orders = np.empty((len(x4), n, x4.shape[1]) + tuple(a.size for a in walk.counts))
     maps = list(orders.swapaxes(0, 1))
-    for steps, x, acc, _, inv, (e, e2) in windows.frames(walk, x4, sums=maps):
-        for st in steps:
-            acc[0][st.out] += windows.cell_sum(st.block(x))
+    cells = max(map(len, walk.groups[0]))  # every chunk has the same groups
+    for (_, x, acc, _, inv, work), groups in zip(windows.frames(
+            walk, x4, sums=maps, work=2 * cells if n >= 2 else cells // 2), walk.groups):
+        for group in groups:
+            _add_sum(acc[0][group[0].out], [st.block(x) for st in group], work)
         acc[0] *= inv
-        for st in steps if n >= 2 else ():
-            dev = windows.deviation(st, x, acc[0], e)
-            d2 = np.multiply(dev, dev, out=e2)
-            acc[1][st.out] += windows.cell_sum(d2)
-            if n >= 3:  # the powers reuse the deviation's and the square's buffers
-                acc[2][st.out] += windows.cell_sum(np.multiply(d2, dev, out=dev))
+        for group in groups if n >= 2 else ():
+            out, k = group[0].out, len(group)
+            devs = [windows.deviation(st, x, acc[0], e) for st, e in zip(group, work)]
+            squares = [np.multiply(d, d, out=e) for d, e in zip(devs, work[k:])]
+            if n >= 3:
+                _add_sum(acc[2][out], [np.multiply(d2, d, out=d)
+                                       for d2, d in zip(squares, devs)], devs)
+            _add_sum(acc[1][out], squares, devs)  # into the freed deviations
             if n >= 4:
-                acc[3][st.out] += windows.cell_sum(np.multiply(d2, d2, out=d2))
+                _add_sum(acc[3][out], [np.multiply(d2, d2, out=d2) for d2 in squares],
+                         squares)
         for a in acc[1:]:
             a *= inv
     return maps, orders.reshape(len(x4), -1, *orders.shape[3:])
@@ -182,8 +200,8 @@ def _walk_stats(x4: np.ndarray, walk: Walk, n: int):
 def _cell_grads(x4: np.ndarray, walk: Walk, m1: np.ndarray, coefficients):
     """Cell gradients over `walk`, added onto the input grid, for the n
     coefficient maps that `coefficients` = (n, f, paired) builds (see
-    `windows.frames`); a step's block holds no input cell twice, so `+=` is
-    safe."""
+    `windows.frames`), one step at a time; a step's block holds no input
+    cell twice, and a group's steps hold distinct cells, so `+=` is safe."""
     grad = np.empty(x4.shape)
     for steps, x, (mean, *coef), g, _, (e, t) in windows.frames(
             walk, x4, maps=[m1], fill=coefficients, grad=grad):
@@ -226,14 +244,18 @@ def _saved(t: Tensor, pool: PoolSpec, spec: MomentSpec,
     return _cached[4]
 
 
-def _standardize_terms(m2: np.ndarray, spec: MomentSpec):
-    """(p / 2, sigma^(p-2), sigma^p + eps) for each order p = 3..n.
+def _standardize_terms(m2: np.ndarray, spec: MomentSpec, out: np.ndarray):
+    """(p / 2, sigma^(p-2), sigma^p + eps) for each order p = 3..n, built
+    into `out`, two arrays of m2's shape, which each order's terms
+    overwrite.
 
     Order p's pre-norm channel is m_p / (sigma^p + eps), whose derivative
     in m2 is -m_p * (p / 2) * sigma^(p-2) / (sigma^p + eps)^2.
     """
-    for p, root in zip(range(3, spec.n + 1), (np.sqrt(m2), m2)):
-        yield p / 2, root, root * m2 + spec.eps_norm
+    for p, root in zip(range(3, spec.n + 1), (np.sqrt(m2, out=out[0]), m2)):
+        denom = np.multiply(root, m2, out=out[1])
+        denom += spec.eps_norm
+        yield p / 2, root, denom
 
 
 def _grouped(block: np.ndarray, spec: MomentSpec):
@@ -272,8 +294,9 @@ def _pooled(t: Tensor, pool: PoolSpec, spec: MomentSpec,
     if spec.n >= 3:
         block = out[:, 2 * stats[0].shape[1]:]
         if spec.standardize_pre_norm:
-            for order, (_, _, denom) in zip(_by_order(block, stats[1].shape),
-                                            _standardize_terms(stats[1], spec)):
+            for order, (_, _, denom) in zip(
+                    _by_order(block, stats[1].shape),
+                    _standardize_terms(stats[1], spec, np.empty((2, *stats[1].shape)))):
                 order /= denom
         if spec.norm != "none":
             x, axis = _grouped(block, spec)
@@ -303,6 +326,8 @@ def smp_forward(t: Tensor, pool: PoolSpec, spec: MomentSpec,
     it keeps no entry and leaves the saved forward as it was.
     """
     global _cached
+    if save:  # the stale entry's maps are not held while the next is built
+        _cached = None
     out, entry = _pooled(t, pool, spec, bn_state, training, save=save)
     if save:
         _cached = (weakref.ref(t, _forget), pool, spec, training, entry)
@@ -350,8 +375,10 @@ def smp_backward(t: Tensor, pool: PoolSpec, spec: MomentSpec, upstream: Tensor,
         def scaled(src, k):  # src * (k + 1) / window count, into a
             return np.multiply(src, np.multiply(scale, k + 1.0, out=b[0, 0]), out=a)
 
-        std = spec.standardize_pre_norm and _standardize_terms(m[1], spec)
-        term = np.empty(a.shape) if std else None
+        std = None
+        if spec.standardize_pre_norm:  # sigma sits in b until b takes denom ** 2
+            term, denom = np.empty((2, *a.shape))
+            std = _standardize_terms(m[1], spec, (b, denom))
         for i in range(2, n):  # order i + 1's w passes through the norm's VJP
             vi = v[i] if norm is None else normalize._vjp_apply(
                 v[i], *(t[i - 2][planes] for t in norm), out=a, tmp=b)

@@ -37,12 +37,14 @@ sums and gradients are copied out once the chunk is done. `deviation` and
     kernel cell (i, j) in phase ((i * d_h) mod s_h, (j * d_w) mod s_w) at
     o + ((i * d_h) div s_h) * W_q + (j * d_w) div s_w. At stride 1 there is
     one phase: the zero-padded planes themselves.
-  - *Groups.* A step adds the sum of the cells of one `window_steps` step,
-    a run's kernel rows as cut there, into the outputs. An offset is a row
-    part plus a column part, so a group of at most two cells per axis, in
-    two phases, is a strided (L, kr, kc) view with its one-cell axes
-    dropped, and `cell_sum` sums each kernel row first, as numpy sums the
-    strided block. `_flat_groups` names the geometries it cannot match.
+  - *Groups.* A group adds the sum of the cells of one `window_steps`
+    step, a run's kernel rows as cut there, into the outputs. Its at most
+    two cells per axis lie in distinct phases, and each is a step of its
+    own, one kernel cell's contiguous run, as at stride 1. The forward sums
+    a group's runs in pairs, (a + b) + (c + d), in work runs as long as a
+    chunk's outputs, as numpy sums the strided block each kernel row
+    first; the backward adds each cell's gradient alone, into a cell of
+    its own. `_flat_groups` names the geometries it cannot match.
   - *Bands.* Where one plane's phases exceed `_STEP_BYTES`, a chunk is a
     band of one plane's output rows; it stages their phase rows and a halo
     of (eff_kh - 1) div s_h phase rows below them, the next band's first
@@ -181,7 +183,10 @@ class Walk(NamedTuple):
     laid out as the module docstring says, has its (pad_h, pad_w), its
     scratch (s_h, s_w, planes, rows, W_q), its band halo in phase rows, and
     an `inv` over the largest chunk's outputs, or a plane's where chunks
-    are bands, with NaN at junk.
+    are bands, with NaN at junk. `groups` holds each chunk's steps again,
+    as a tuple per group whose blocks the forward sums in pairs, (a + b) +
+    (c + d): a strided step alone, a flat group's one, two or four one-cell
+    steps in kernel-row order.
     """
 
     chunks: tuple
@@ -190,6 +195,7 @@ class Walk(NamedTuple):
     pad: tuple | None = None
     scratch: tuple = ()
     halo: int = 0
+    groups: tuple = ()
 
 
 def _runs(size: int, out: int, k: int, s: int, d: int, p: int):
@@ -298,9 +304,10 @@ def window_steps(shape: tuple, spec: PoolSpec) -> Walk:
 
     inv = 1.0 / np.multiply.outer(*counts)
     inv.setflags(write=False)
-    chunks = _plane_chunks(n, c, max(1, _STEP_BYTES // inv.nbytes))
-    return Walk(tuple((ch, chunk_steps(*(s.stop - s.start for s in ch)))
-                      for ch in chunks), inv, counts)
+    chunks = tuple((ch, chunk_steps(*(s.stop - s.start for s in ch)))
+                   for ch in _plane_chunks(n, c, max(1, _STEP_BYTES // inv.nbytes)))
+    return Walk(chunks, inv, counts,
+                groups=tuple(tuple((st,) for st in steps) for _, steps in chunks))
 
 
 def _halo(spec: PoolSpec) -> tuple:
@@ -340,9 +347,10 @@ def flat_walk(shape: tuple, spec: PoolSpec) -> Walk:
 
     A chunk holds as many planes as fit their phases in `_STEP_BYTES`, at
     least one, or where one plane does not fit, a band of as many output
-    rows as fit with their halo, at least one. It has a step per group, a
-    run over its outputs up to the last real one, and the step's `bad`
-    marks the outputs for which the group is junk or padding.
+    rows as fit with their halo, at least one. It has a step per cell of
+    each group, in kernel-row order, a run over its outputs up to the last
+    real one; its group's steps share one `bad`, which marks the outputs
+    for which the group is junk or padding.
     """
     n, c, h, w = shape
     _, _, counts = _runs_and_counts(h, w, spec)
@@ -389,23 +397,22 @@ def flat_walk(shape: tuple, spec: PoolSpec) -> Walk:
     for a in (invalid, inv):
         a.setflags(write=False)
 
+    whole = (slice(None),)
+
     @lru_cache(maxsize=None)
     def steps(planes: int, start: int, rows: int) -> tuple:
+        """The chunk's one-cell steps, a tuple per group."""
         size, first = outputs(planes, rows), start * wq
-        built = []
-        for (i, kr, j, kc), bad in zip(groups, invalid):
-            axes = [(k, st - offset(i, j)) for k, st in
-                    ((kr, offset(i + 1, j)), (kc, offset(i, j + 1))) if k > 1]
-            rank = 1 + len(axes)
-            built.append(WindowStep(
-                (slice(None),), (slice(None),) + (None,) * (rank - 1), offset(i, j),
-                (size, *(k for k, _ in axes)), (8, *(st for _, st in axes)),
-                bad[first:first + size].reshape((size,) + (1,) * (rank - 1))))
-        return tuple(built)
+        run, bads = (size,), (bad[first:first + size] for bad in invalid)
+        return tuple(tuple(WindowStep(whole, whole, offset(i + r, j + q), run, (8,), bad)
+                           for r in range(kr) for q in range(kc))
+                     for (i, kr, j, kc), bad in zip(groups, bads))
 
-    return Walk(tuple((ch, steps(_planes(ch[:2]), *(
-        (ch[2].start, ch[2].stop - ch[2].start) if len(ch) > 2 else (0, h_out))))
-        for ch in chunks), inv, counts, (ph, pw), (sh, sw, per, hb, wq), halo)
+    grouped = tuple(steps(_planes(ch[:2]), *(
+        (ch[2].start, ch[2].stop - ch[2].start) if len(ch) > 2 else (0, h_out)))
+        for ch in chunks)
+    return Walk(tuple((ch, tuple(itertools.chain(*g))) for ch, g in zip(chunks, grouped)),
+                inv, counts, (ph, pw), (sh, sw, per, hb, wq), halo, grouped)
 
 
 @lru_cache(maxsize=64)
@@ -425,15 +432,9 @@ def window_walk(shape: tuple, spec: PoolSpec) -> Walk:
 
 
 def cell_sum(a: np.ndarray) -> np.ndarray:
-    """Sum over a block's kernel axes: a strided block's two at once, a flat
-    block's last axis first, so each kernel row of at most two cells is
-    summed before the rows are, as numpy sums a strided block; a one-cell
-    block or a run has none."""
-    if a.ndim == 6:
-        return a.sum(axis=(4, 5))
-    while a.ndim in (2, 3):
-        a = a.sum(axis=-1)
-    return a
+    """Sum over a strided block's two kernel axes at once; a one-cell block
+    or a flat run has none."""
+    return a.sum(axis=(4, 5)) if a.ndim == 6 else a
 
 
 def deviation(step: WindowStep, x: np.ndarray, mean: np.ndarray, out) -> np.ndarray:
@@ -456,16 +457,17 @@ def _span(size: int, pad: int, s: int, a: int, start: int, stop: int):
     return lo, hi, slice(lo * s + a - pad, hi * s + a - pad, s)
 
 
-def frames(walk: Walk, x4: np.ndarray, maps=(), fill=None, sums=(), grad=None):
+def frames(walk: Walk, x4: np.ndarray, maps=(), fill=None, sums=(), grad=None,
+           work: int = 2):
     """Each chunk of `walk` as (steps, x, maps, grad, inv, work), staged as
     the module docstring says: the chunk's input, its planes of the `maps`,
     the k maps that `fill` = (k, f, paired) builds by f(planes, out, pair)
     into `out`, its zeroed planes of the `sums` and of the gradient to add
-    into, 1 / cell count, and two buffers for a step's deviation and its
-    powers, or None. Where `paired` is set, `pair` is two contiguous
-    buffers of a built map's shape, else None: on a flat walk of one-cell
-    steps the work pair, idle while f runs, else a fresh pair that is freed
-    before the chunk's steps run."""
+    into, 1 / cell count, and `work` runs as long as its flat steps, or
+    Nones on the strided walk. Where `paired` is set, `pair` is two
+    contiguous buffers of a built map's shape, else None: on a flat walk
+    the first two work runs, idle while f runs, else a fresh pair that is
+    freed before the chunk's steps run."""
     k_fill, build, paired = fill or (0, lambda planes, out, pair: None, False)
     if walk.pad is None:
         per = max(_planes(planes) for planes, _ in walk.chunks)
@@ -483,7 +485,7 @@ def frames(walk: Walk, x4: np.ndarray, maps=(), fill=None, sums=(), grad=None):
             for a in acc if g is None else (*acc, g):
                 a.fill(0.0)
             yield steps, x, [*(m[planes] for m in maps), *chunk[:k_fill], *acc], g, \
-                walk.inv, (None, None)
+                walk.inv, (None,) * work
             for a, src in zip(sums, chunk[k_fill:]):
                 a[planes] = src
         return
@@ -495,11 +497,7 @@ def frames(walk: Walk, x4: np.ndarray, maps=(), fill=None, sums=(), grad=None):
     layers = np.zeros((k, per, hb, wq))  # maps, built maps, then sums
     cells = np.zeros((1 + (grad is not None), sh, sw, per, hb, wq))  # x, grad
     flat, cells_flat = layers.reshape(k, -1), cells.reshape(len(cells), -1)
-    # grouped steps' blocks differ in shape, so their deviations and powers
-    # take fresh arrays of each block's own shape
-    one_cell = all(len(st.shape) == 1 for _, steps in walk.chunks for st in steps)
-    work = np.empty((2, max(steps[0].shape[0] for _, steps in walk.chunks))) \
-        if one_cell else None
+    runs = np.empty((work, max(steps[0].shape[0] for _, steps in walk.chunks)))
     phases = list(itertools.product(range(sh), range(sw)))
     cols = [_span(w, pw, sw, b, 0, wq) for b in range(sw)]
     for planes, steps in walk.chunks:
@@ -517,9 +515,8 @@ def frames(walk: Walk, x4: np.ndarray, maps=(), fill=None, sums=(), grad=None):
         outs = layers[:, :q, :r, :w_out].reshape((k, *shape))
         for dst, m in zip(outs, maps):
             dst[...] = m[planes]
-        build(planes, outs[len(maps):k_read], None if not paired else
-              np.empty((2, *shape)) if work is None else
-              work[:, :math.prod(shape)].reshape((2, *shape)))
+        build(planes, outs[len(maps):k_read],
+              runs[:2, :math.prod(shape)].reshape((2, *shape)) if paired else None)
         inv = walk.inv[r0 * wq:r0 * wq + size]
         np.multiply(inv, 0.0, out=flat[k_read:k, :size])
         if grad is not None:
@@ -529,8 +526,7 @@ def frames(walk: Walk, x4: np.ndarray, maps=(), fill=None, sums=(), grad=None):
             else:
                 cells[1].fill(0.0)
         yield steps, cells_flat[0], list(flat[:k, :size]), \
-            None if grad is None else cells_flat[1], inv, \
-            (None, None) if work is None else work[:, :size]
+            None if grad is None else cells_flat[1], inv, runs[:, :size]
         for a, src in zip(sums, outs[k_read:]):
             a[planes] = src
         if grad is not None:

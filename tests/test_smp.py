@@ -444,6 +444,32 @@ class TestStatsCache:
         assert smp._cached is None
         assert y == smp_forward(self._input(), self.POOL, self.SPEC)
 
+    def test_a_saving_forward_drops_the_stale_entry_first(self):
+        """Of two training steps, each a forward and a backward whose
+        outputs are dropped, the second forward peaks above its start lower
+        than the first by at least an output: it drops the first step's
+        entry, which holds that output through its views and a raw m3
+        copy, before it builds its own. Tracing starts after a warm step on
+        a third input, whose entry is not traced, so the first forward
+        frees nothing traced."""
+        shape, pool = (4, 8, 32, 32), PoolSpec.square(3, 1, 1)
+        x1, x2, x3 = (self._input(seed, shape) for seed in (1, 2, 3))
+        up = self._upstream(x1, pool, self.SPEC)
+        smp_forward(x3, pool, self.SPEC)  # warm: the walk is cached per geometry
+        tracemalloc.start()
+        try:
+            peaks = []
+            for x in (x1, x2):
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                smp_forward(x, pool, self.SPEC)
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+                smp_backward(x, pool, self.SPEC, up)
+        finally:
+            tracemalloc.stop()
+        assert smp._cached[0]() is x2
+        assert peaks[1] <= peaks[0] - up.data.nbytes
+
     def test_cached_arrays_are_read_only_and_match_a_fresh_pass(self):
         x = self._input()
         y = smp_forward(x, self.POOL, self.SPEC)

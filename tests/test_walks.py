@@ -813,6 +813,35 @@ def test_streamed_backward_builds_no_full_size_map():
     assert peak <= bound + x.data.nbytes // 4
 
 
+def test_standardized_backward_adds_two_chunk_maps():
+    """A cached n=4 layer-norm backward on dense 8x16x64x64 at 3x3 s1 p1
+    peaks with `standardize_pre_norm` above the same backward without it by
+    at most two of a chunk's maps, the m2 term and sigma^p + eps, built with
+    `out=` (sigma sits in a work buffer), two of numpy's 8192-element ufunc
+    buffers, which adding the term into order 2's strided slot takes, and
+    16 KiB for numpy's own. A fresh sigma and sigma^p + eps for each order
+    would push it past."""
+    shape, pool = (8, 16, 64, 64), PoolSpec.square(3, 1, 1)
+    x = Tensor(shape, uniform(shape, 5))
+    peaks = []
+    for flag in (False, True):
+        spec = MomentSpec(n=4, norm="layer", standardize_pre_norm=flag)
+        y = smp_forward(x, pool, spec)
+        up = Tensor(y.shape, uniform(y.shape, 6))
+        smp_backward(x, pool, spec, up)  # warm: the walk is cached per geometry
+        tracemalloc.start()
+        try:
+            smp_backward(x, pool, spec, up)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    walk = window_walk(shape, pool)
+    per = max(np.prod([s.stop - s.start for s in ch]) for ch, _ in walk.chunks)
+    chunk_map = 8 * per * walk.counts[0].size * walk.counts[1].size
+    assert walk.pad is not None and per < shape[1]
+    assert peaks[1] <= peaks[0] + 2 * chunk_map + 2 * 8 * 8192 + (16 << 10)
+
+
 def test_banded_backward_holds_no_plane_beyond_its_gradient():
     """A cached n=4 layer-norm backward on 1x1x600x600 at 3x3 s1 p1, a flat
     walk in bands of one plane, holds less than one plane beyond its
@@ -863,6 +892,35 @@ def test_forward_holds_the_output_one_raw_map_and_one_chunk(norm):
     finally:
         tracemalloc.stop()
     assert peak <= bound + raw // 4
+
+
+@pytest.mark.parametrize("shape, cells", [
+    ((1, 3, 256, 256), 2),
+    ((8, 16, 64, 64), 4),
+], ids=["pairs in bands", "2x2 groups"])
+def test_strided_flat_forward_holds_no_group_shaped_scratch(shape, cells):
+    """An unsaved n=4 layer-norm forward at 3x3 s2 p1, on a flat walk whose
+    largest groups hold `cells` cells (the CLI `pool` geometry first), holds
+    its output, one chunk's staged input and four sums, and a deviation and
+    a square run of the chunk's outputs per cell of a group, with 32 KiB
+    for numpy's and Python's own. A group's deviations and squares made as
+    block-shaped arrays, with their kernel-row sums, would push it past."""
+    pool, spec = PoolSpec.square(3, 2, 1), MomentSpec(n=4, norm="layer")
+    x = Tensor(shape, uniform(shape, 5))
+    y = smp_forward(x, pool, spec, save=False)  # warm: the walk is cached
+    walk = window_walk(shape, pool)
+    assert walk.pad is not None and max(map(len, walk.groups[0])) == cells
+    sh, sw, per, rows, cols = walk.scratch
+    outputs = max(steps[0].shape[0] for _, steps in walk.chunks)
+    bound = y.data.nbytes + 8 * ((sh * sw + spec.n) * per * rows * cols
+                                 + 2 * cells * outputs)
+    tracemalloc.start()
+    try:
+        smp_forward(x, pool, spec, save=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound + (32 << 10)
 
 
 def test_strided_plane_chunks_bound_the_large_plane_peaks():

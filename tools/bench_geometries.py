@@ -13,7 +13,9 @@ Reported per tree and geometry: the median over all timed calls of the
 forward and of forward plus backward (on the forward's cache), the median
 of each round alone, which shows the drift between rounds, and the
 tracemalloc peak of one forward and of one fresh forward plus backward,
-and each tree's git commit and whether its work tree has changes.
+the memory that the geometry's cached walk holds, taken by tracemalloc
+around a `window_walk` cache miss, and each tree's git commit and whether
+its work tree has changes.
 A gradcheck row times one `finite_diff_check` of `check_forward` against
 `smp_backward` instead, at 3x3 stride 1, as `momentpool gradcheck` runs it.
 Inputs are uniform(-1, 1) from numpy's default_rng(0); the layer is n=4
@@ -51,10 +53,16 @@ import numpy as np
 import momentpool as mp
 from momentpool.grad import finite_diff_check
 from momentpool.smp import check_forward
+from momentpool.windows import window_walk
 shape, geom, repeats = json.loads(sys.argv[1])
 pool = (mp.PoolSpec(shape[2], shape[3]) if geom == "global"
         else mp.PoolSpec.square(3) if geom == "gradcheck"
         else mp.PoolSpec.square(geom[0], geom[1], geom[2]))
+window_walk.cache_clear()
+tracemalloc.start()
+walk = window_walk(tuple(shape), pool)
+out = {"walk_held_mib": tracemalloc.get_traced_memory()[0] / 2**20}
+tracemalloc.stop()
 spec = mp.MomentSpec(n=4, norm="layer")
 rng = np.random.default_rng(0)
 x = mp.Tensor(tuple(shape), rng.uniform(-1.0, 1.0, tuple(shape)))
@@ -73,7 +81,6 @@ def gradcheck():
     finite_diff_check(check_forward(x, pool, spec),
                       lambda t, u: mp.smp_backward(t, pool, spec, u), x, up)
 
-out = {}
 timed = ((("gradcheck", gradcheck),) if geom == "gradcheck"
          else (("fwd", fwd), ("fwd_bwd", fwd_bwd)))
 for name, f in timed:
@@ -132,7 +139,8 @@ def main(argv=None) -> int:
     summary = {name: {} for name in runs}
     for name, per in runs.items():
         for g, rs in per.items():
-            row = summary[name][g] = {}
+            row = summary[name][g] = {"walk_held_mib": max(one.pop("walk_held_mib")
+                                                            for one in rs)}
             for k in rs[0]:
                 times = [t for one in rs for t in one[k]["ms"]]
                 row[f"{k}_median_ms"] = statistics.median(times)
