@@ -10,12 +10,13 @@ Each of ROUNDS rounds runs every tree once per geometry, each in a fresh
 process with one BLAS thread, in alternating order; a run times REPEATS
 warm calls.
 Reported per tree and geometry: the median over all timed calls of the
-forward and of forward plus backward (on the forward's cache), the median
-of each round alone, which shows the drift between rounds, and the
-tracemalloc peak of one forward and of one fresh forward plus backward,
-the memory that the geometry's cached walk holds, taken by tracemalloc
-around a `window_walk` cache miss, and each tree's git commit and whether
-its work tree has changes.
+forward, of the unsaved forward (`save=False`, as the CLI `pool` runs it)
+and of forward plus backward (on the forward's cache), the median of each
+round alone, which shows the drift between rounds, the tracemalloc peak of
+one call of each (forward plus backward runs a fresh forward), the memory
+that the geometry's cached walk holds, taken by tracemalloc around a
+`window_walk` cache miss, and each tree's git commit and whether its work
+tree has changes.
 A gradcheck row times one `finite_diff_check` of `check_forward` against
 `smp_backward` instead, at 3x3 stride 1, as `momentpool gradcheck` runs it.
 Inputs are uniform(-1, 1) from numpy's default_rng(0); the layer is n=4
@@ -60,7 +61,7 @@ pool = (mp.PoolSpec(shape[2], shape[3]) if geom == "global"
         else mp.PoolSpec.square(geom[0], geom[1], geom[2]))
 window_walk.cache_clear()
 tracemalloc.start()
-walk = window_walk(tuple(shape), pool)
+window_walk(tuple(shape), pool)
 out = {"walk_held_mib": tracemalloc.get_traced_memory()[0] / 2**20}
 tracemalloc.stop()
 spec = mp.MomentSpec(n=4, norm="layer")
@@ -73,6 +74,9 @@ mp.smp_backward(x, pool, spec, up)
 def fwd():
     return mp.smp_forward(x, pool, spec)
 
+def fwd_unsaved():
+    return mp.smp_forward(x, pool, spec, save=False)
+
 def fwd_bwd():
     fwd()
     mp.smp_backward(x, pool, spec, up)
@@ -82,7 +86,7 @@ def gradcheck():
                       lambda t, u: mp.smp_backward(t, pool, spec, u), x, up)
 
 timed = ((("gradcheck", gradcheck),) if geom == "gradcheck"
-         else (("fwd", fwd), ("fwd_bwd", fwd_bwd)))
+         else (("fwd", fwd), ("fwd_unsaved", fwd_unsaved), ("fwd_bwd", fwd_bwd)))
 for name, f in timed:
     times = []
     for _ in range(repeats):
