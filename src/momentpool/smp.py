@@ -175,7 +175,7 @@ def _walk_stats(x4: np.ndarray, walk: Walk, n: int):
     """
     orders = np.empty((len(x4), n, x4.shape[1]) + tuple(a.size for a in walk.counts))
     maps = list(orders.swapaxes(0, 1))
-    cells = max(map(len, walk.groups[0]))  # every chunk has the same groups
+    cells = max(map(len, walk.groups[0]))  # a flat walk's chunks share their groups
     for (_, x, acc, _, inv, work), groups in zip(windows.frames(
             walk, x4, sums=maps, work=2 * cells if n >= 2 else cells // 2), walk.groups):
         for group in groups:
@@ -244,7 +244,7 @@ def _saved(t: Tensor, pool: PoolSpec, spec: MomentSpec,
     return _cached[4]
 
 
-def _standardize_terms(m2: np.ndarray, spec: MomentSpec, out: np.ndarray):
+def _standardize_terms(m2: np.ndarray, spec: MomentSpec, out):
     """(p / 2, sigma^(p-2), sigma^p + eps) for each order p = 3..n, built
     into `out`, two arrays of m2's shape, which each order's terms
     overwrite.
