@@ -73,6 +73,7 @@ plus divide). The total is strictly monotone in n.
 
 from __future__ import annotations
 
+import itertools
 import math
 import weakref
 from dataclasses import dataclass
@@ -154,7 +155,7 @@ def _by_order(a: np.ndarray, shape: tuple) -> list:
 def _add_sum(acc: np.ndarray, blocks: list, work) -> None:
     """Add the sum of a group's 1, 2 or 4 blocks into `acc`, in pairs,
     (a + b) + (c + d), as numpy sums a strided 2x2 block each kernel row
-    first; the pairs' sums go into the `work` runs, which may be the
+    first; the pairs' sums go into the `work` buffers, which may be the
     blocks'."""
     while len(blocks) > 1:
         blocks = [np.add(a, b, out=w) for a, b, w in zip(blocks[::2], blocks[1::2], work)]
@@ -170,16 +171,23 @@ def _walk_stats(x4: np.ndarray, walk: Walk, n: int):
     H', W' >= 2, each output adds its in-bounds cells one at a time in
     raster order onto +0.0, and so do the powers of their deviations, before
     one scaling by 1 / cell count, as on the flat walk (see `windows`). A
-    flat group's cells take a deviation and a square run each; the cubes go
-    into the deviations and the fourth powers into the squares.
+    flat group's cells take a deviation and a square buffer each; the cubes
+    go into the deviations and the fourth powers into the squares.
     """
     orders = np.empty((len(x4), n, x4.shape[1]) + tuple(a.size for a in walk.counts))
     maps = list(orders.swapaxes(0, 1))
-    cells = max(map(len, walk.groups[0]))  # a flat walk's chunks share their groups
-    for (_, x, acc, _, inv, work), groups in zip(windows.frames(
-            walk, x4, sums=maps, work=2 * cells if n >= 2 else cells // 2), walk.groups):
+    cells = max(map(len, walk.chunks[0][1]))  # a flat walk's chunks share their groups
+    for groups, x, acc, _, inv, work in windows.frames(
+            walk, x4, sums=maps, work=2 * cells if n >= 2 else cells // 2 + (cells > 1)):
+        if cells > 1:  # the sums' start: +0.0 at real outputs, NaN at junk
+            work[-1][...] = acc[0]
         for group in groups:
-            _add_sum(acc[0][group[0].out], [st.block(x) for st in group], work)
+            blocks = [st.block(x) for st in group]
+            # a junk output may read opposite infinities: each pair's first
+            # cell less the start is NaN there, and the same cell elsewhere
+            blocks[:-1:2] = [np.subtract(b, work[-1], out=e)
+                             for b, e in zip(blocks[:-1:2], work)]
+            _add_sum(acc[0][group[0].out], blocks, work)
         acc[0] *= inv
         for group in groups if n >= 2 else ():
             out, k = group[0].out, len(group)
@@ -203,9 +211,9 @@ def _cell_grads(x4: np.ndarray, walk: Walk, m1: np.ndarray, coefficients):
     `windows.frames`), one step at a time; a step's block holds no input
     cell twice, and a group's steps hold distinct cells, so `+=` is safe."""
     grad = np.empty(x4.shape)
-    for steps, x, (mean, *coef), g, _, (e, t) in windows.frames(
+    for groups, x, (mean, *coef), g, _, (e, t) in windows.frames(
             walk, x4, maps=[m1], fill=coefficients, grad=grad):
-        for st in steps:
+        for st in itertools.chain.from_iterable(groups):
             h = coef[-1][st.win]
             if len(coef) > 1:  # Horner, highest order first
                 dev = windows.deviation(st, x, mean, e)

@@ -26,8 +26,8 @@ sums and gradients are copied out once the chunk is done. `deviation` and
   planes of one output channel are strided, the sums.
 - `flat_walk`, for overlapping windows, stages every role in a chunk's
   zero-padded scratch, with the outputs in the scratch's own row layout,
-  so each group of kernel cells is one run and each elementwise operation
-  one ufunc call.
+  so each kernel cell is one contiguous block and each elementwise
+  operation one ufunc call.
   - *Phases.* At stride (s_h, s_w) the polyphase decomposition splits the
     padded plane into s_h * s_w phases: phase (a, b) holds padded cell
     (t * s_h + a, u * s_w + b) at (t, u), in rows of W_q = W' + (eff_kw - 1)
@@ -40,11 +40,11 @@ sums and gradients are copied out once the chunk is done. `deviation` and
   - *Groups.* A group adds the sum of the cells of one `window_steps`
     step, a run's kernel rows as cut there, into the outputs. Its at most
     two cells per axis lie in distinct phases, and each is a step of its
-    own, one kernel cell's contiguous run, as at stride 1. The forward sums
-    a group's runs in pairs, (a + b) + (c + d), in work runs as long as a
-    chunk's outputs, as numpy sums the strided block each kernel row
-    first; the backward adds each cell's gradient alone, into a cell of
-    its own. `_flat_groups` names the geometries it cannot match.
+    own, one kernel cell's block, as at stride 1. The forward sums a
+    group's blocks in pairs, (a + b) + (c + d), in work buffers shaped as
+    a block, as numpy sums the strided block each kernel row first; the
+    backward adds each cell's gradient alone, into a cell of its own.
+    `_flat_groups` names the geometries it cannot match.
   - *Bands.* Where one plane's phases exceed `_STEP_BYTES`, a chunk is a
     band of one plane's output rows; it stages their phase rows and a halo
     of (eff_kh - 1) div s_h phase rows below them, the next band's first
@@ -53,14 +53,19 @@ sums and gradients are copied out once the chunk is done. `deviation` and
     cells: so a band starts its halo rows from the lower band's partial
     sums there, adds its own terms and copies out all its rows, its first
     rows again once the band above has completed them.
-  - *Junk and padding.* Outputs past the last output row and column are
-    junk. A step's `bad` mask marks its invalid pairs, junk or padding. A
-    padding pair adds an exact +0.0: its cell is 0, `deviation` zeroes its
-    deviation and its cell gradient is dropped; so every real output sees
-    the strided walk's additions in its order, bit for bit. A junk
-    output's sums start at NaN and scale by a 1 / count of NaN, so nothing
-    done there warns or reaches a result; the maps read and built hold 0
-    there, and with its zeroed deviations its cell gradients add +0.0.
+  - *Junk and padding.* A flat step's block covers its chunk's whole
+    grid, the rows and halo of each plane at every W_q column: outputs in
+    the halo rows or past the last output column are junk, and a block may
+    read past its phase, into the next one or the scratch's tail of
+    (halo + 1) * W_q. A step's `span` holds the group's valid output rows
+    and columns, those `_runs` gives it, cut to the chunk's rows; every
+    other pair is junk or padding. A padding pair adds an exact +0.0: its
+    cell is 0, `deviation` zeroes its deviation and its cell gradient is
+    dropped; so every real output sees the strided walk's additions in its
+    order, bit for bit. A junk output's sums start at NaN, and a group's
+    pair of cells is summed from the first less that start, so nothing done
+    there warns or reaches a result; the maps read and built hold 0 there,
+    and with its zeroed deviations its cell gradients add +0.0.
 """
 
 from __future__ import annotations
@@ -152,18 +157,19 @@ class WindowStep(NamedTuple):
     A strided step's block is (S, C', H'', W'', kr, kc) cells of S samples
     and C' channels of a chunk's planes, or (S, C', H'', W'') for one kernel
     cell; `out` indexes the slice of the chunk's output maps that it feeds
-    and `win` the same slice broadcast against the block. A flat step
-    is one kernel cell's run over a chunk's flattened padded scratch, and
-    `out` and `win` take the whole of the chunk's equally long output run.
-    `bad` marks the block's invalid (output, cell) pairs, or is None where
-    it has none."""
+    and `win` the same slice broadcast against the block. A flat step's
+    block is one kernel cell's contiguous (planes, rows, W_q) grid over a
+    chunk's padded scratch, `out` and `win` take the whole of the chunk's
+    equally shaped outputs, and `span` = (lo, hi, c0, c1) holds the output
+    rows [lo, hi) and columns [c0, c1) whose pairs are valid; it is None on
+    the strided walk, whose pairs all are."""
 
     out: tuple
     win: tuple
     offset: int
     shape: tuple
     strides: tuple
-    bad: np.ndarray | None = None
+    span: tuple | None = None
 
     def block(self, arr: np.ndarray) -> np.ndarray:
         """The block as a view of `arr`, which must have the walked shape."""
@@ -173,20 +179,19 @@ class WindowStep(NamedTuple):
 class Walk(NamedTuple):
     """A window walk, cached per shape and geometry by `window_walk`.
 
-    `chunks` holds (planes, steps) pairs: the (samples, channels) index of
+    `chunks` holds (planes, groups) pairs: the (samples, channels) index of
     a run of planes, inside one sample or of whole samples, or a flat
     walk's band, which adds its output rows; and the steps that complete
-    every window there. `inv` is 1 / cell count in the layout the steps
-    feed, read-only. `counts` is a read-only pair: the in-bounds kernel rows
-    per output row and columns per output column, whose product is a
-    window's cell count. `pad` is None on the strided walk. A flat walk,
-    laid out as the module docstring says, has its (pad_h, pad_w), its
-    scratch (s_h, s_w, planes, rows, W_q), its band halo in phase rows, and
-    an `inv` over the largest chunk's outputs, or a plane's where chunks
-    are bands, with NaN at junk. `groups` holds each chunk's steps again,
-    as a tuple per group whose blocks the forward sums in pairs, (a + b) +
-    (c + d): a strided step alone, a flat group's one, two or four one-cell
-    steps in kernel-row order.
+    every window there, as a tuple per group whose blocks the forward sums
+    in pairs, (a + b) + (c + d): a strided step alone, a flat group's one,
+    two or four one-cell steps in kernel-row order. `inv` is 1 / cell count
+    in the layout the steps feed, read-only. `counts` is a read-only pair:
+    the in-bounds kernel rows per output row and columns per output column,
+    whose product is a window's cell count. `pad` is None on the strided
+    walk. A flat walk, laid out as the module docstring says, has its
+    (pad_h, pad_w), its scratch (s_h, s_w, planes, rows, W_q), its band
+    halo in phase rows, and an `inv` over the largest chunk's grid, or a
+    plane's where chunks are bands, with NaN at junk.
     """
 
     chunks: tuple
@@ -195,7 +200,6 @@ class Walk(NamedTuple):
     pad: tuple | None = None
     scratch: tuple = ()
     halo: int = 0
-    groups: tuple = ()
 
 
 def _runs(size: int, out: int, k: int, s: int, d: int, p: int):
@@ -279,7 +283,8 @@ def window_steps(shape: tuple, spec: PoolSpec) -> Walk:
 
     @lru_cache(maxsize=None)
     def chunk_steps(n: int, c: int) -> tuple:
-        """The steps of an (n, c, h, w) chunk, laid over its own buffer."""
+        """The steps of an (n, c, h, w) chunk, laid over its own buffer, each
+        a group of its own."""
         strides = tuple(8 * s for s in (c * h * w, h * w, spec.stride_h * w,
                                         spec.stride_w, spec.dilation_h * w,
                                         spec.dilation_w))
@@ -298,16 +303,15 @@ def window_steps(shape: tuple, spec: PoolSpec) -> Walk:
                 offset = ((bs.start * c + cs.start) * h * w
                           + (y0 + r0 * spec.dilation_h) * w + x0) * 8
                 planes = (bs.stop - bs.start, cs.stop - cs.start)
-                steps.append(WindowStep(out, out + (None,) * (rank - 4), offset,
-                                        (planes + hw + cells)[:rank], strides[:rank]))
+                steps.append((WindowStep(out, out + (None,) * (rank - 4), offset,
+                                         (planes + hw + cells)[:rank], strides[:rank]),))
         return tuple(steps)
 
     inv = 1.0 / np.multiply.outer(*counts)
     inv.setflags(write=False)
     chunks = tuple((ch, chunk_steps(*(s.stop - s.start for s in ch)))
                    for ch in _plane_chunks(n, c, max(1, _STEP_BYTES // inv.nbytes)))
-    return Walk(chunks, inv, counts,
-                groups=tuple(tuple((st,) for st in steps) for _, steps in chunks))
+    return Walk(chunks, inv, counts)
 
 
 def _halo(spec: PoolSpec) -> tuple:
@@ -318,14 +322,15 @@ def _halo(spec: PoolSpec) -> tuple:
 
 def _flat_groups(h: int, w: int, spec: PoolSpec) -> list | None:
     """The kernel cells that each flat step sums, in walk order, as (first
-    kernel row, rows, first kernel column, columns): the cells of each
-    `window_steps` step, and each kernel row or column that no output holds
-    in bounds on its own. None where the flat walk cannot give the strided
-    walk's sums: a run of more than two cells on an axis; two cells of one
-    phase (a run over one output, whose dilation is a multiple of the
-    stride), whose block would hold a cell twice; or a 2x2 step over one
-    output column, whose four cells numpy adds in sequence, not each kernel
-    row first, as it does where output columns lie between them."""
+    kernel row, rows, first kernel column, columns, output rows, output
+    columns): the cells of each `window_steps` step, and each kernel row or
+    column that no output holds in bounds on its own, with the slices of
+    outputs that hold them in bounds. None where the flat walk cannot give
+    the strided walk's sums: a run of more than two cells on an axis; two
+    cells of one phase (a run over one output, whose dilation is a multiple
+    of the stride), whose block would hold a cell twice; or a 2x2 step over
+    one output column, whose four cells numpy adds in sequence, not each
+    kernel row first, as it does where output columns lie between them."""
     rows, cols, _ = _runs_and_counts(h, w, spec)
     one_phase = spec.dilation_h % spec.stride_h == 0, spec.dilation_w % spec.stride_w == 0
     groups = []
@@ -337,7 +342,7 @@ def _flat_groups(h: int, w: int, spec: PoolSpec) -> list | None:
             if (max(n_r, kc) > 2 or (n_r == 2 and one_phase[0])
                     or (kc == 2 and one_phase[1]) or (n_r, kc, ow) == (2, 2, 1)):
                 return None
-            groups.append((i + r, n_r, j, kc))
+            groups.append((i + r, n_r, j, kc, out_h, out_w))
     return groups
 
 
@@ -348,9 +353,9 @@ def flat_walk(shape: tuple, spec: PoolSpec) -> Walk:
     A chunk holds as many planes as fit their phases in `_STEP_BYTES`, at
     least one, or where one plane does not fit, a band of as many output
     rows as fit with their halo, at least one. It has a step per cell of
-    each group, in kernel-row order, a run over its outputs up to the last
-    real one; its group's steps share one `bad`, which marks the outputs
-    for which the group is junk or padding.
+    each group, in kernel-row order, whose block is the chunk's grid; its
+    group's steps share one `span`, the group's output slices cut to the
+    chunk's rows.
     """
     n, c, h, w = shape
     _, _, counts = _runs_and_counts(h, w, spec)
@@ -358,7 +363,7 @@ def flat_walk(shape: tuple, spec: PoolSpec) -> Walk:
     if groups is None:
         raise ValueError(f"{spec} on input {h}x{w} has a step that the flat walk "
                          f"cannot sum in the strided walk's order")
-    (ph, pw), (h_out, w_out) = (spec.pad_h, spec.pad_w), (a.size for a in counts)
+    h_out, w_out = (a.size for a in counts)
     sh, sw, dh, dw = spec.stride_h, spec.stride_w, spec.dilation_h, spec.dilation_w
     halo, halo_w = _halo(spec)
     hq, wq = h_out + halo, w_out + halo_w
@@ -379,40 +384,27 @@ def flat_walk(shape: tuple, spec: PoolSpec) -> Walk:
         (qi, a), (qj, b) = divmod(i * dh, sh), divmod(j * dw, sw)
         return 8 * ((a * sw + b) * phase + qi * wq + qj)
 
-    def outputs(planes: int, rows: int) -> int:
-        """Flat outputs of a chunk, up to its last real one."""
-        return ((planes - 1) * hb + rows - 1) * wq + w_out
-
-    row, col = np.arange(hq)[:, None], np.arange(wq)
-    junk = (row >= h_out) | (col >= w_out)
-    invalid = np.empty((len(groups), per, hq, wq), dtype=bool)
-    for bad, (i, _, j, _) in zip(invalid, groups):
-        bad[:] = junk | ~(((ph <= row * sh + i * dh) & (row * sh + i * dh < ph + h))
-                          & ((pw <= col * sw + j * dw) & (col * sw + j * dw < pw + w)))
     inv = np.full((per, hq, wq), np.nan)
-    inv[:, :h_out, :w_out] = 1.0 / np.multiply.outer(*counts)
-    size = outputs(per, h_out)
-    invalid = invalid.reshape(len(groups), -1)[:, :size]
-    inv = inv.reshape(-1)[:size]
-    for a in (invalid, inv):
-        a.setflags(write=False)
-
-    whole = (slice(None),)
+    np.multiply(counts[0][:, None], counts[1], out=inv[:, :h_out, :w_out])
+    np.divide(1.0, inv, out=inv)
+    inv.setflags(write=False)
+    whole, strides = (slice(None),), (8 * hb * wq, 8 * wq, 8)
 
     @lru_cache(maxsize=None)
     def steps(planes: int, start: int, rows: int) -> tuple:
         """The chunk's one-cell steps, a tuple per group."""
-        size, first = outputs(planes, rows), start * wq
-        run, bads = (size,), (bad[first:first + size] for bad in invalid)
-        return tuple(tuple(WindowStep(whole, whole, offset(i + r, j + q), run, (8,), bad)
-                           for r in range(kr) for q in range(kc))
-                     for (i, kr, j, kc), bad in zip(groups, bads))
+        grid = (planes, rows + halo, wq)
 
-    grouped = tuple(steps(_planes(ch[:2]), *(
-        (ch[2].start, ch[2].stop - ch[2].start) if len(ch) > 2 else (0, h_out)))
-        for ch in chunks)
-    return Walk(tuple((ch, tuple(itertools.chain(*g))) for ch, g in zip(chunks, grouped)),
-                inv, counts, (ph, pw), (sh, sw, per, hb, wq), halo, grouped)
+        def cut(out: slice) -> tuple:  # a group's output rows in the band
+            return tuple(min(max(0, t - start), rows) for t in (out.start, out.stop))
+        return tuple(tuple(WindowStep(whole, whole, offset(i + r, j + q), grid, strides,
+                                      cut(out_h) + (out_w.start, out_w.stop))
+                           for r in range(kr) for q in range(kc))
+                     for i, kr, j, kc, out_h, out_w in groups)
+
+    return Walk(tuple((ch, steps(_planes(ch[:2]), *(
+        (ch[2].start, ch[2].stop - ch[2].start) if len(ch) > 2 else (0, h_out))))
+        for ch in chunks), inv, counts, (spec.pad_h, spec.pad_w), (sh, sw, per, hb, wq), halo)
 
 
 @lru_cache(maxsize=64)
@@ -441,10 +433,12 @@ def deviation(step: WindowStep, x: np.ndarray, mean: np.ndarray, out) -> np.ndar
     """The step's cells less their window means, into `out`, or into a fresh
     array in the block's own layout when `out` is None (the kernel-axis sums
     then run in that layout's order). Each invalid pair's deviation is
-    zeroed, so it adds an exact +0.0 when raised and never overflows."""
+    zeroed, outside a flat step's span, so it adds an exact +0.0 when raised
+    and never overflows."""
     dev = np.subtract(step.block(x), mean[step.win], out=out)
-    if step.bad is not None:
-        np.copyto(dev, 0.0, where=step.bad)
+    if step.span is not None:
+        lo, hi, c0, c1 = step.span
+        dev[:, :lo] = dev[:, hi:] = dev[:, lo:hi, :c0] = dev[:, lo:hi, c1:] = 0.0
     return dev
 
 
@@ -459,15 +453,15 @@ def _span(size: int, pad: int, s: int, a: int, start: int, stop: int):
 
 def frames(walk: Walk, x4: np.ndarray, maps=(), fill=None, sums=(), grad=None,
            work: int = 2):
-    """Each chunk of `walk` as (steps, x, maps, grad, inv, work), staged as
+    """Each chunk of `walk` as (groups, x, maps, grad, inv, work), staged as
     the module docstring says: the chunk's input, its planes of the `maps`,
     the k maps that `fill` = (k, f, paired) builds by f(planes, out, pair)
     into `out`, its zeroed planes of the `sums` and of the gradient to add
-    into, 1 / cell count, and `work` runs as long as its flat steps, or
-    Nones on the strided walk. Where `paired` is set, `pair` is two
-    contiguous buffers of a built map's shape, else None: on a flat walk
-    the first two work runs, idle while f runs, else a fresh pair that is
-    freed before the chunk's steps run."""
+    into, 1 / cell count, and `work` buffers shaped as its flat steps'
+    blocks, or Nones on the strided walk. Where `paired` is set, `pair` is
+    two contiguous buffers of a built map's shape, else None: on a flat walk
+    the first two work buffers, idle while f runs, else a fresh pair that
+    is freed before the chunk's steps run."""
     k_fill, build, paired = fill or (0, lambda planes, out, pair: None, False)
     if walk.pad is None:
         per = max(_planes(planes) for planes, _ in walk.chunks)
@@ -476,7 +470,7 @@ def frames(walk: Walk, x4: np.ndarray, maps=(), fill=None, sums=(), grad=None,
         # sample 0) shows, add their sums in buffers
         spill = len(sums) if walk.chunks[0][0][0].stop > 1 else 0
         bufs = [np.empty((per,) + walk.inv.shape) for _ in range(k_fill + spill)]
-        for planes, steps in walk.chunks:
+        for planes, groups in walk.chunks:
             x, g = x4[planes], None if grad is None else grad[planes]
             shape = x.shape[:2] + walk.inv.shape
             chunk = [b[:_planes(planes)].reshape(shape) for b in bufs]
@@ -484,7 +478,7 @@ def frames(walk: Walk, x4: np.ndarray, maps=(), fill=None, sums=(), grad=None,
             acc = chunk[k_fill:] if spill else [a[planes] for a in sums]
             for a in acc if g is None else (*acc, g):
                 a.fill(0.0)
-            yield steps, x, [*(m[planes] for m in maps), *chunk[:k_fill], *acc], g, \
+            yield groups, x, [*(m[planes] for m in maps), *chunk[:k_fill], *acc], g, \
                 walk.inv, (None,) * work
             for a, src in zip(sums, chunk[k_fill:]):
                 a[planes] = src
@@ -495,16 +489,18 @@ def frames(walk: Walk, x4: np.ndarray, maps=(), fill=None, sums=(), grad=None,
     k_read = len(maps) + k_fill
     k = k_read + len(sums)
     layers = np.zeros((k, per, hb, wq))  # maps, built maps, then sums
-    cells = np.zeros((1 + (grad is not None), sh, sw, per, hb, wq))  # x, grad
-    flat, cells_flat = layers.reshape(k, -1), cells.reshape(len(cells), -1)
-    runs = np.empty((work, max(steps[0].shape[0] for _, steps in walk.chunks)))
+    flat = layers.reshape(k, -1)
+    # x and the gradient, with the tail that a block reads past the last phase
+    tail = (halo + 1) * wq
+    cells_flat = np.zeros((1 + (grad is not None), sh * sw * per * hb * wq + tail))
+    cells = cells_flat[:, :-tail].reshape(len(cells_flat), sh, sw, per, hb, wq)
+    runs = np.empty((work, per * hb * wq))
     phases = list(itertools.product(range(sh), range(sw)))
     cols = [_span(w, pw, sw, b, 0, wq) for b in range(sw)]
-    for planes, steps in walk.chunks:
+    for planes, groups in walk.chunks:
         x = x4[planes[:2]]
         band = planes[2] if len(planes) > 2 else slice(0, h_out)
-        q, size = _planes(planes[:2]), steps[0].shape[0]
-        r0, r = band.start, band.stop - band.start
+        q, r0, r = _planes(planes[:2]), band.start, band.stop - band.start
         rows = [_span(h, ph, sh, a, r0, r0 + r + halo) for a in range(sh)]
         for a, b in phases:
             (lo, hi, ys), (c0, c1, xs), dst = rows[a], cols[b], cells[0, a, b, :q]
@@ -512,21 +508,25 @@ def frames(walk: Walk, x4: np.ndarray, maps=(), fill=None, sums=(), grad=None,
             dst[:, hi - r0:r + halo] = 0.0
             dst[:, lo - r0:hi - r0, c0:c1] = x.reshape(q, h, w)[:, ys, xs]
         shape = (*x.shape[:2], r, w_out)
-        outs = layers[:, :q, :r, :w_out].reshape((k, *shape))
+        grid, inv = layers[:, :q, :r + halo], walk.inv[:q, r0:r0 + r + halo]
+        outs = grid[:, :, :r, :w_out].reshape((k, *shape))
         for dst, m in zip(outs, maps):
             dst[...] = m[planes]
         build(planes, outs[len(maps):k_read],
               runs[:2, :math.prod(shape)].reshape((2, *shape)) if paired else None)
-        inv = walk.inv[r0 * wq:r0 * wq + size]
-        np.multiply(inv, 0.0, out=flat[k_read:k, :size])
+        np.multiply(inv.reshape(-1), 0.0, out=flat[k_read:, :inv.size])
+        # halo rows are junk: 0 in the maps where a longer band wrote them,
+        # NaN in the sums where 1 / count holds the band below
+        grid[:k_read, :, r:] = 0.0
+        grid[k_read:, :, r:] = np.nan
         if grad is not None:
             if band.stop < h_out:  # carry the halo rows of the band below
                 cells[1, :, :, :q, r:r + halo] = cells[1, :, :, :q, :halo]
                 cells[1, :, :, :q, :r] = 0.0
             else:
                 cells[1].fill(0.0)
-        yield steps, cells_flat[0], list(flat[:k, :size]), \
-            None if grad is None else cells_flat[1], inv, runs[:, :size]
+        yield groups, cells_flat[0], list(grid), None if grad is None else cells_flat[1], \
+            inv, runs[:, :inv.size].reshape(work, *inv.shape)
         for a, src in zip(sums, outs[k_read:]):
             a[planes] = src
         if grad is not None:

@@ -46,17 +46,41 @@ def plane_range(planes, channels):
 
 
 def steps_of(walk):
-    return [step for _, steps in walk.chunks for step in steps]
+    return [step for _, groups in walk.chunks for group in groups for step in group]
 
 
 def layout(walk):
-    """A walk's pad, plane chunks, step geometry, masks and 1 / cell counts,
-    in a form that compares with ==."""
-    steps = [(planes, [(s.out, s.win, s.offset, s.shape, s.strides,
-                        None if s.bad is None else s.bad.tobytes())
-                       for s in steps]) for planes, steps in walk.chunks]
+    """A walk's pad, plane chunks, groups of step geometry and spans, and 1 /
+    cell counts, in a form that compares with ==."""
+    steps = [(planes, [[(s.out, s.win, s.offset, s.shape, s.strides, s.span)
+                        for s in group] for group in groups])
+             for planes, groups in walk.chunks]
     return (walk.pad, steps, walk.inv.tobytes(),
             [a.tobytes() for a in walk.counts])
+
+
+def run_length(walk):
+    """A flat walk's outputs of its largest chunk up to the last real one:
+    the length of each work buffer when a flat step was a run cut off there,
+    which the memory bounds below keep."""
+    _, _, per, hb, wq = walk.scratch
+    return ((per - 1) * hb + hb - walk.halo - 1) * wq + walk.counts[1].size
+
+
+def span_of(pool, shape, band, i, j):
+    """The (lo, hi, c0, c1) span that `_runs` gives kernel cell (i, j): the
+    output rows that hold kernel row i in bounds, cut to `band`, and the
+    output columns that hold kernel column j in bounds."""
+    h_out, w_out = output_dims(*shape[2:], pool)
+    rows = windows._runs(shape[2], h_out, pool.kernel_h, pool.stride_h,
+                         pool.dilation_h, pool.pad_h)
+    cols = windows._runs(shape[3], w_out, pool.kernel_w, pool.stride_w,
+                         pool.dilation_w, pool.pad_w)
+    out_h, out_w = (next(run[0] for run in runs if run[2] <= k < run[2] + run[3])
+                    for runs, k in ((rows, i), (cols, j)))
+    lo, hi = (min(max(0, t - band.start), band.stop - band.start)
+              for t in (out_h.start, out_h.stop))
+    return lo, hi, out_w.start, out_w.stop
 
 
 def ready(poly):
@@ -155,8 +179,8 @@ class TestChoice:
         matches, so the flat walk refuses it."""
         shape = (1, 4, 200, width)
         x4 = uniform(shape, 31)
-        planes, steps = window_steps(shape, pool).chunks[0]
-        b = next(st for st in steps if st.shape[4:] == (2, 2)).block(x4[planes])
+        planes, groups = window_steps(shape, pool).chunks[0]
+        b = next(st for (st,) in groups if st.shape[4:] == (2, 2)).block(x4[planes])
         rows = (b[..., 0, 0] + b[..., 0, 1]) + (b[..., 1, 0] + b[..., 1, 1])
         in_turn = ((b[..., 0, 0] + b[..., 0, 1]) + b[..., 1, 0]) + b[..., 1, 1]
         got = windows.cell_sum(b)
@@ -177,9 +201,9 @@ class TestChoice:
         on numpy 2.4.6: a numpy that reorders these sums moves pooled bits,
         and fails here with its version named."""
         shape = (2, 4, 64, 64)
-        planes, steps = window_steps(shape, pool).chunks[0]
-        assert len(steps) == 1 and steps[0].shape[:2] == shape[:2]
-        got = windows.cell_sum(steps[0].block(uniform(shape, 33)[planes]))
+        planes, [(step,)] = window_steps(shape, pool).chunks[0]
+        assert step.shape[:2] == shape[:2]
+        got = windows.cell_sum(step.block(uniform(shape, 33)[planes]))
         assert hashlib.sha256(got.tobytes()).hexdigest() == digest, \
             f"numpy {np.__version__} sums a {pool.kernel_h}x{pool.kernel_w} " \
             f"strided block in an order other than the one pinned on numpy 2.4.6"
@@ -423,9 +447,11 @@ def test_phase_walk_makes_each_inbounds_pair_valid_once(case, data):
     """Cut at a drawn budget, so into bands where one plane does not fit,
     a flat walk at any stride makes every in-bounds (window, cell) pair
     valid in exactly one step of one chunk, reading its own cell of the
-    phase-major scratch; every other pair of a step's cells is marked bad.
-    `inv` is 1 / cell count at a chunk's real outputs and NaN at junk, and
-    where one phase row and its halo fit the budget, so does the scratch."""
+    phase-major scratch: a step's block is its chunk's grid, and its span,
+    the one `_runs` gives its cell, holds exactly the grid's in-bounds
+    pairs. `inv` is 1 / cell count at a chunk's real outputs and NaN past
+    the plane's last output row and column, and where one phase row and its
+    halo fit the budget, so does the scratch."""
     shape, pool, _, _ = case
     n_s, c_s, h, w = shape
     h_out, w_out = output_dims(h, w, pool)
@@ -436,39 +462,38 @@ def test_phase_walk_makes_each_inbounds_pair_valid_once(case, data):
     (ph, pw), (sh, sw, per, hb, wq) = walk.pad, walk.scratch
     if budget >= row_bytes * (1 + walk.halo):
         assert 8 * sh * sw * per * hb * wq <= budget
+    assert np.isnan(walk.inv[:, h_out:]).all() and np.isnan(walk.inv[:, :, w_out:]).all()
     phase = per * hb * wq
     counts = np.multiply.outer(*walk.counts)
     visits = np.zeros((n_s * c_s, h_out, w_out, pool.kernel_h, pool.kernel_w), int)
-    for planes, steps in walk.chunks:
+    for planes, groups in walk.chunks:
         start, stop = plane_range(planes[:2], c_s)
         band = planes[2] if len(planes) > 2 else slice(0, h_out)
-        size = steps[0].shape[0]
-        plane, rest = np.divmod(np.arange(size), hb * wq)
-        out_row, col = np.divmod(rest, wq)
+        grid = (stop - start, band.stop - band.start + walk.halo, wq)
+        plane, out_row, col = np.indices(grid).reshape(3, -1)
         real = (out_row < band.stop - band.start) & (col < w_out)
-        out_row += band.start
-        inv = walk.inv[band.start * wq:band.start * wq + size]
-        assert np.isnan(inv[~real]).all()
+        inv = walk.inv[:grid[0], band.start:band.start + grid[1]].ravel()
         assert np.array_equal(inv[real],
                               1.0 / np.tile(counts[band], (stop - start, 1, 1)).ravel())
-        for step in steps:
-            assert step.shape[0] == size and step.strides[0] == 8
-            valid = ~step.bad.reshape(size)
-            for cell in itertools.product(*(range(k) for k in step.shape[1:])):
-                at = (step.offset + sum(np.multiply(cell, step.strides[1:]))) // 8
-                src_phase, src = np.divmod(np.arange(size) + at, phase)
-                src_plane, src = np.divmod(src, hb * wq)
-                t, u = np.divmod(src, wq)
-                (a, b), t = divmod(src_phase, sw), t + band.start
-                y, x = t * sh + a - ph, u * sw + b - pw
-                i, i_rem = np.divmod(t * sh + a - out_row * sh, pool.dilation_h)
-                j, j_rem = np.divmod(u * sw + b - col * sw, pool.dilation_w)
-                assert real[valid].all() and (src_plane[valid] == plane[valid]).all()
-                assert not i_rem[valid].any() and not j_rem[valid].any()
-                inside = real & (0 <= y) & (y < h) & (0 <= x) & (x < w)
-                assert np.array_equal(valid, inside)
-                np.add.at(visits, (start + plane[valid], out_row[valid], col[valid],
-                                   i[valid], j[valid]), 1)
+        for step in (step for group in groups for step in group):
+            assert step.shape == grid and step.strides == (8 * hb * wq, 8 * wq, 8)
+            src_phase, src = np.divmod((plane * hb + out_row) * wq + col
+                                       + step.offset // 8, phase)
+            src_plane, src = np.divmod(src, hb * wq)
+            t, u = np.divmod(src, wq)
+            (a, b), t = np.divmod(src_phase, sw), t + band.start
+            y, x = t * sh + a - ph, u * sw + b - pw
+            i, i_rem = np.divmod(t * sh + a - (out_row + band.start) * sh, pool.dilation_h)
+            j, j_rem = np.divmod(u * sw + b - col * sw, pool.dilation_w)
+            lo, hi, c0, c1 = step.span
+            valid = (lo <= out_row) & (out_row < hi) & (c0 <= col) & (col < c1)
+            assert step.span == span_of(pool, shape, band, i[0], j[0])
+            assert real[valid].all() and (src_plane[valid] == plane[valid]).all()
+            assert not i_rem[real].any() and not j_rem[real].any()
+            inside = real & (0 <= y) & (y < h) & (0 <= x) & (x < w)
+            assert np.array_equal(valid, inside)
+            np.add.at(visits, (start + plane[valid], out_row[valid] + band.start,
+                               col[valid], i[valid], j[valid]), 1)
     rows = (np.arange(h_out)[:, None] * pool.stride_h
             + np.arange(pool.kernel_h) * pool.dilation_h - pool.pad_h)
     cols = (np.arange(w_out)[:, None] * pool.stride_w
@@ -521,9 +546,10 @@ def test_flat_walk_keeps_the_strided_bits_at_stride_two(shape, pool):
 @given(stride_one_cases())
 def test_flat_walk_makes_each_inbounds_pair_valid_once(case):
     """Every in-bounds (window, cell) pair is valid in exactly one chunk at
-    the cell's offset, reading its own cell; every other (output, cell) pair
-    is marked bad by the cell's step, and `inv` is 1 / cell count at real
-    outputs and NaN at junk."""
+    the cell's offset, reading its own cell; a step's block is its chunk's
+    padded planes, and its span, the one `_runs` gives its cell, holds
+    exactly the in-bounds pairs. `inv` is 1 / cell count at real outputs and
+    NaN at junk."""
     shape, pool, _, _ = case
     n_s, c_s, h, w = shape
     h_out, w_out = output_dims(h, w, pool)
@@ -532,21 +558,24 @@ def test_flat_walk_makes_each_inbounds_pair_valid_once(case):
     hp, wp = h + 2 * ph, w + 2 * pw
     visits = np.zeros((n_s * c_s, h_out, w_out, pool.kernel_h, pool.kernel_w), int)
     cells = [(i, j) for i in range(pool.kernel_h) for j in range(pool.kernel_w)]
-    for planes, steps in walk.chunks:
+    for planes, groups in walk.chunks:
         start, stop = plane_range(planes, c_s)
-        size = steps[0].shape[0]
+        steps = [step for group in groups for step in group]
         assert len(steps) == len(cells)
-        assert all(step.shape == (size,) and step.strides == (8,) for step in steps)
-        plane, rest = np.divmod(np.arange(size), hp * wp)
-        row, col = np.divmod(rest, wp)
+        assert all(step.shape == (stop - start, hp, wp)
+                   and step.strides == (8 * hp * wp, 8 * wp, 8) for step in steps)
+        plane, row, col = np.indices(steps[0].shape).reshape(3, -1)
         real = (row < h_out) & (col < w_out)
-        assert np.isnan(walk.inv[:size][~real]).all()
+        inv = walk.inv[:stop - start].ravel()
+        assert np.isnan(inv[~real]).all()
         np.testing.assert_array_equal(
-            walk.inv[:size][real], np.tile(1.0 / np.multiply.outer(*walk.counts).ravel(),
-                                           stop - start))
+            inv[real], np.tile(1.0 / np.multiply.outer(*walk.counts).ravel(), stop - start))
         for (i, j), step in zip(cells, steps):
-            valid = ~step.bad
-            src_plane, src = np.divmod(np.arange(size) + step.offset // 8, hp * wp)
+            lo, hi, c0, c1 = step.span
+            assert step.span == span_of(pool, shape, slice(0, h_out), i, j)
+            valid = (lo <= row) & (row < hi) & (c0 <= col) & (col < c1)
+            src_plane, src = np.divmod((plane * hp + row) * wp + col + step.offset // 8,
+                                       hp * wp)
             y, x = np.divmod(src, wp)
             y, x = y - ph, x - pw
             assert real[valid].all() and (src_plane[valid] == plane[valid]).all()
@@ -659,11 +688,18 @@ def walked(builder, pool, x4, n, seed):
                  {(0, 0, 3, 15): np.inf, (0, 0, 4, 0): -np.inf}, True, id="row wrap"),
     pytest.param((1, 2, 16, 16), PoolSpec.square(2, 1, 0), 1,
                  {(0, 0, 15, 4): np.inf, (0, 1, 0, 4): -np.inf}, True, id="plane wrap"),
+    # two cells that a flat group pairs at a junk output past the last output
+    # column, and no window holds together: columns 15 and 17 of 18, which
+    # the last windows, reading columns 12, 14, 16, step between
+    *(pytest.param((1, 1, 20, 18), PoolSpec(3, 3, 1, 3, 1, 0, 1, 2), n,
+                   {(0, 0, 5, 15): np.inf, (0, 0, 5, 17): -np.inf}, True,
+                   id=f"junk pair n={n}") for n in (1, 4)),
 ])
 def test_non_finite_cells_warn_alike_on_both_walks(shape, pool, n, cells, quiet):
     """The same non-finite cells raise the same RuntimeWarnings on both
     walks, and none where no window holds two of them: a flat walk's junk
-    output, whose sums start at NaN, adds none of its own."""
+    output, whose sums start at NaN and whose pairs of cells are summed from
+    the first less that start, adds none of its own."""
     x4 = uniform(shape, 8)
     for cell, bad in cells.items():
         x4[cell] = bad
@@ -714,28 +750,28 @@ def test_non_finite_cells_reach_the_same_outputs_with_the_same_warnings(case, da
 @given(strided_cases(), st.data())
 def test_non_finite_cells_reach_the_same_outputs_at_any_stride(case, data):
     """As above at strides 1-3: 1-3 cells of +-inf or NaN among those that
-    one junk output of the flat walk's first chunk reads through its steps'
-    groups raise the same RuntimeWarnings on both walks and leave NaN, +inf
-    and -inf at the same places of the output and the gradient."""
+    one junk output of the flat walk's first chunk reads through its steps,
+    one offset each, raise the same RuntimeWarnings on both walks and leave
+    NaN, +inf and -inf at the same places of the output and the gradient."""
     shape, pool, n, seed = case
     walk = flat_walk(shape, pool)
     (ph, pw), (sh, sw, per, hb, wq) = walk.pad, walk.scratch
     h_out, w_out = output_dims(*shape[2:], pool)
-    planes, steps = walk.chunks[0]
-    row, col = np.divmod(np.arange(steps[0].shape[0]) % (hb * wq), wq)
+    planes, groups = walk.chunks[0]
+    assert len(planes) == 2  # whole planes: no band at these sizes
+    row, col = np.divmod(np.arange(windows._planes(planes) * hb * wq) % (hb * wq), wq)
     junk = np.flatnonzero((row >= h_out) | (col >= w_out))
     if not junk.size:
         reject()  # no junk output to read through
     at = int(data.draw(st.sampled_from(list(junk)), label="junk output"))
     reads = []
-    for step in steps:
-        for cell in itertools.product(*(range(k) for k in step.shape[1:])):
-            offset = step.offset + sum(np.multiply(cell, step.strides[1:]), 0)
-            phase, rest = divmod(at + int(offset) // 8, per * hb * wq)
-            plane, (t, u) = rest // (hb * wq), divmod(rest % (hb * wq), wq)
-            y, x = t * sh + phase // sw - ph, u * sw + phase % sw - pw
-            if plane < windows._planes(planes) and 0 <= y < shape[2] and 0 <= x < shape[3]:
-                reads.append((plane, y, x))
+    for step in (step for group in groups for step in group):
+        phase, rest = divmod(at + step.offset // 8, per * hb * wq)
+        plane, (t, u) = rest // (hb * wq), divmod(rest % (hb * wq), wq)
+        y, x = t * sh + phase // sw - ph, u * sw + phase % sw - pw
+        if (phase < sh * sw and plane < windows._planes(planes)
+                and 0 <= y < shape[2] and 0 <= x < shape[3]):
+            reads.append((plane, y, x))
     if not reads:
         reject()  # a window of padding alone
     x4 = uniform(shape, seed)
@@ -770,7 +806,7 @@ def test_cached_backward_copies_no_upstream_and_no_mean_map(shape, pool, flat):
     if flat:  # input, mean, coefficients, padded grad, dev, g
         per = max(np.prod([s.stop - s.start for s in ch]) for ch, _ in walk.chunks)
         padded = np.add(shape[2:], np.multiply(2, walk.pad))
-        work = 8 * (5 * per * np.prod(padded) + 2 * walk.inv.size)
+        work = 8 * (5 * per * np.prod(padded) + 2 * run_length(walk))
     else:  # the deviation and the cell gradient of the largest step
         work = 2 * 8 * max(np.prod(step.shape) for step in steps_of(walk))
     bound = x.data.nbytes + y.data.nbytes + work
@@ -801,7 +837,7 @@ def test_streamed_backward_builds_no_full_size_map():
     per = max(np.prod([s.stop - s.start for s in ch]) for ch, _ in walk.chunks)
     assert walk.pad is not None and per < shape[1]
     padded = np.add(shape[2:], np.multiply(2, walk.pad))
-    scratch = 8 * (7 * per * np.prod(padded) + 2 * walk.inv.size)
+    scratch = 8 * (7 * per * np.prod(padded) + 2 * run_length(walk))
     terms = 8 * 3 * shape[0] * (spec.n - 2)
     bound = x.data.nbytes + scratch + terms
     tracemalloc.start()
@@ -865,6 +901,23 @@ def test_banded_backward_holds_no_plane_beyond_its_gradient():
     assert peak < 2 * x.data.nbytes
 
 
+def test_cached_banded_walk_holds_its_inv_and_no_mask():
+    """A 1x3x540x960 3x3 s1 p1 flat walk, in bands of one plane, holds its
+    1 / count plane (3.98 MiB) and at most 128 KiB of steps beside it: a
+    step's valid pairs are a span of its grid. A whole-plane mask of
+    invalid pairs per group, nine of them, would hold 4.5 MiB more."""
+    shape, pool = (1, 3, 540, 960), PoolSpec.square(3, 1, 1)
+    assert window_walk(shape, pool).pad is not None
+    tracemalloc.start()
+    try:
+        walk = flat_walk(shape, pool)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(walk.chunks) > shape[1]
+    assert held <= walk.inv.nbytes + (128 << 10)
+
+
 @pytest.mark.parametrize("norm", ["layer", "max"])
 def test_forward_holds_the_output_one_raw_map_and_one_chunk(norm):
     """An n=4 forward on a flat walk whose chunks split each sample's
@@ -882,7 +935,7 @@ def test_forward_holds_the_output_one_raw_map_and_one_chunk(norm):
     per = max(np.prod([s.stop - s.start for s in ch]) for ch, _ in walk.chunks)
     assert walk.pad is not None and per < shape[1]
     padded = np.add(shape[2:], np.multiply(2, walk.pad))
-    scratch = 8 * (5 * per * np.prod(padded) + 2 * walk.inv.size)
+    scratch = 8 * (5 * per * np.prod(padded) + 2 * run_length(walk))
     raw = y.data.nbytes // spec.n
     bound = y.data.nbytes + raw + scratch
     tracemalloc.start()
@@ -909,11 +962,10 @@ def test_strided_flat_forward_holds_no_group_shaped_scratch(shape, cells):
     x = Tensor(shape, uniform(shape, 5))
     y = smp_forward(x, pool, spec, save=False)  # warm: the walk is cached
     walk = window_walk(shape, pool)
-    assert walk.pad is not None and max(map(len, walk.groups[0])) == cells
+    assert walk.pad is not None and max(map(len, walk.chunks[0][1])) == cells
     sh, sw, per, rows, cols = walk.scratch
-    outputs = max(steps[0].shape[0] for _, steps in walk.chunks)
     bound = y.data.nbytes + 8 * ((sh * sw + spec.n) * per * rows * cols
-                                 + 2 * cells * outputs)
+                                 + 2 * cells * run_length(walk))
     tracemalloc.start()
     try:
         smp_forward(x, pool, spec, save=False)

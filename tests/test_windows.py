@@ -332,10 +332,10 @@ def walk(shape, spec, x, g):
     walk = window_steps(shape, spec)
     count_h, count_w = walk.counts
     assert walk.pad is None
-    for planes, steps in walk.chunks:
+    for planes, groups in walk.chunks:
         assert (windows._planes(planes) == 1 or windows._planes(planes)
                 * count_h.size * count_w.size * 8 <= windows._STEP_BYTES)
-        for step in steps:
+        for (step,) in groups:
             flat, idx = step_cells(step, shape, spec, planes)
             assert np.unique(flat).size == flat.size
             np.add.at(visits, idx, 1)
