@@ -18,11 +18,10 @@ from typing import Callable
 
 import numpy as np
 
+from . import windows
 from .smp import MomentSpec, output_shape, smp_backward
 from .tensor import Tensor
 from .windows import PoolSpec
-
-_CHUNK_BYTES = 256 * 1024  # probe inputs plus outputs of one chunk
 
 
 @dataclass(frozen=True)
@@ -71,7 +70,7 @@ def numeric_gradient(forward: Callable[[Tensor], Tensor], x: Tensor,
     Elements are probed in order, a chunk at a time: the x + h and x - h
     probes of each element of a chunk, interleaved on the sample axis, go
     to one call, and a chunk holds as many elements as keep its probes
-    plus outputs within `_CHUNK_BYTES`. A forward separable by sample
+    plus outputs within `windows._STEP_BYTES`. A forward separable by sample
     carries `sample`: each sample b is then a block of its own, and
     `sample(b)` takes a chunk's K probes of x[b], shape (K, C, H, W) for
     x's (N, C, H, W), and returns their K outputs in order, so the check
@@ -96,7 +95,7 @@ def numeric_gradient(forward: Callable[[Tensor], Tensor], x: Tensor,
     for call, base, u, grad in zip(
             forwards, np.split(x.data, parts),
             np.array_split(upstream.data, parts), np.split(numeric, parts)):
-        per_chunk = max(1, _CHUNK_BYTES // (16 * (base.size + u.size)))
+        per_chunk = max(1, windows._STEP_BYTES // (16 * (base.size + u.size)))
         for start in range(0, base.size, per_chunk):
             cols = np.arange(start, min(start + per_chunk, base.size))
             rows = 2 * np.arange(cols.size)  # x + h at rows, x - h at rows + 1

@@ -70,22 +70,22 @@ class BatchNormState:
 def _by_groups(reduce, x: np.ndarray, axis, *more):
     """reduce(x, *more), a reduction over `axis` that keeps it, over chunks
     of whole groups where each group lies inside one sample, an int `axis`
-    > 0; `more` are arrays of x's shape. A chunk holds whole samples of at
-    most `windows._STEP_BYTES` of x, at least one; where one sample exceeds
-    that and `axis` >= 2, it holds a run of one sample along axis 1, at
-    least one index long. A group is reduced whole, along the same axis in
-    the same order, so the bits equal reduce(x, *more)'s."""
+    > 0; `more` are arrays of x's shape. The chunks are
+    `windows._plane_chunks` over x's first two axes: whole samples, or runs
+    of one sample along axis 1, each of at most `windows._STEP_BYTES` of x
+    and at least one index of axis 1, and whole samples where `axis` is 1.
+    A group is reduced whole, along the same axis in the same order, so the
+    bits equal reduce(x, *more)'s."""
     if not (isinstance(axis, int) and axis > 0):
         return reduce(x, *more)
-    cut = int(axis >= 2 and x[:1].nbytes > windows._STEP_BYTES)  # 1: along axis 1
-    per = max(1, windows._STEP_BYTES // max(1, (x[:1, :1] if cut else x[:1]).nbytes))
-    if not cut and per >= len(x):
+    per = max(1, windows._STEP_BYTES // max(1, x[:1, :1].nbytes))
+    chunks = windows._plane_chunks(len(x), x.shape[1],
+                                   max(per, x.shape[1]) if axis == 1 else per)
+    if len(chunks) == 1:
         return reduce(x, *more)
     out = np.empty(x.shape[:axis] + (1,) + x.shape[axis + 1:])
-    for sample in [(slice(b, b + 1),) for b in range(len(x))] if cut else [()]:
-        for b in range(0, x.shape[cut], per):
-            part = (*sample, slice(b, b + per))
-            out[part] = reduce(*(a[part] for a in (x, *more)))
+    for part in chunks:
+        out[part] = reduce(*(a[part] for a in (x, *more)))
     return out
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from momentpool import grad, smp
+from momentpool import smp, windows
 from momentpool.grad import (finite_diff_check, gradient_magnitude_profile,
                              numeric_gradient)
 from momentpool.normalize import BatchNormState
@@ -427,8 +427,16 @@ def test_stacked_probes_match_scalar_loop_eval_batch_norm():
     _assert_bits_match_oracle(forward, x, up)
 
 
+@pytest.fixture
+def step_bytes(monkeypatch):
+    """Sets `windows._STEP_BYTES`, which sizes the probe chunks as well as
+    the walks; walks cached under it are dropped afterwards."""
+    yield lambda nbytes: monkeypatch.setattr(windows, "_STEP_BYTES", nbytes)
+    window_walk.cache_clear()
+
+
 @pytest.mark.parametrize("pairs", [None, 5], ids=["default-budget", "5-per-chunk"])
-def test_chunks_cover_every_element_once_in_order(monkeypatch, pairs):
+def test_chunks_cover_every_element_once_in_order(step_bytes, pairs):
     """A forward with no `sample` sees each probe alone, at x's batch size:
     every element's x + h probe, then its x - h probe, once each and in
     order, however many chunks the budget makes; and the same bits."""
@@ -437,8 +445,8 @@ def test_chunks_cover_every_element_once_in_order(monkeypatch, pairs):
     x, up = make_case(101, (4, 2, 6, 6), pool, spec)
     probe_bytes = 16 * (x.size + up.size)  # one element's two probes
     if pairs is not None:
-        monkeypatch.setattr(grad, "_CHUNK_BYTES", pairs * probe_bytes)
-    per_chunk = grad._CHUNK_BYTES // probe_bytes
+        step_bytes(pairs * probe_bytes)
+    per_chunk = windows._STEP_BYTES // probe_bytes
     assert per_chunk < x.size and x.size % per_chunk != 0
 
     forward = check_forward(x, pool, spec)
@@ -458,7 +466,7 @@ def test_chunks_cover_every_element_once_in_order(monkeypatch, pairs):
 
 
 @pytest.mark.parametrize("pairs", [None, 5], ids=["default-budget", "5-per-chunk"])
-def test_sample_chunks_cover_each_sample_once_in_order(monkeypatch, pairs):
+def test_sample_chunks_cover_each_sample_once_in_order(step_bytes, pairs):
     """`sample(b)` sees probes of x[b] only, one element each; its chunks
     cover x[b]'s elements once, in order, the last one short, sized from
     one sample's bytes; and the bits are the scalar loop's."""
@@ -469,8 +477,8 @@ def test_sample_chunks_cover_each_sample_once_in_order(monkeypatch, pairs):
     size = x.size // n_samples
     probe_bytes = 16 * (x.size + up.size) // n_samples  # one element's two
     if pairs is not None:
-        monkeypatch.setattr(grad, "_CHUNK_BYTES", pairs * probe_bytes)
-    per_chunk = grad._CHUNK_BYTES // probe_bytes
+        step_bytes(pairs * probe_bytes)
+    per_chunk = windows._STEP_BYTES // probe_bytes
     assert per_chunk < size and size % per_chunk != 0
 
     forward = check_forward(x, pool, spec)
