@@ -14,9 +14,9 @@ forward, of the unsaved forward (`save=False`, as the CLI `pool` runs it)
 and of forward plus backward (on the forward's cache), the median of each
 round alone, which shows the drift between rounds, the tracemalloc peak of
 one call of each (forward plus backward runs a fresh forward), the memory
-that the geometry's cached walk holds, taken by tracemalloc around a
-`window_walk` cache miss, and each tree's git commit and whether its work
-tree has changes.
+that the geometry's cached walk holds and the peak of building it, taken by
+tracemalloc around a `window_walk` cache miss, and each tree's git commit
+and whether its work tree has changes.
 A gradcheck row times one `finite_diff_check` of `check_forward` against
 `smp_backward` instead, at 3x3 stride 1, as `momentpool gradcheck` runs it.
 Inputs are uniform(-1, 1) from numpy's default_rng(0); the layer is n=4
@@ -62,7 +62,8 @@ pool = (mp.PoolSpec(shape[2], shape[3]) if geom == "global"
 window_walk.cache_clear()
 tracemalloc.start()
 window_walk(tuple(shape), pool)
-out = {"walk_held_mib": tracemalloc.get_traced_memory()[0] / 2**20}
+held, peak = tracemalloc.get_traced_memory()
+out = {"walk_held_mib": held / 2**20, "walk_build_peak_mib": peak / 2**20}
 tracemalloc.stop()
 spec = mp.MomentSpec(n=4, norm="layer")
 rng = np.random.default_rng(0)
@@ -143,8 +144,8 @@ def main(argv=None) -> int:
     summary = {name: {} for name in runs}
     for name, per in runs.items():
         for g, rs in per.items():
-            row = summary[name][g] = {"walk_held_mib": max(one.pop("walk_held_mib")
-                                                            for one in rs)}
+            row = summary[name][g] = {k: max(one.pop(k) for one in rs) for k in
+                                      ("walk_held_mib", "walk_build_peak_mib")}
             for k in rs[0]:
                 times = [t for one in rs for t in one[k]["ms"]]
                 row[f"{k}_median_ms"] = statistics.median(times)
