@@ -708,6 +708,31 @@ def test_non_finite_cells_warn_alike_on_both_walks(shape, pool, n, cells, quiet)
     assert not quiet or messages[0] == set()
 
 
+def test_band_halo_rows_are_junk_that_adds_no_warnings():
+    """A band's halo rows hold the first output rows of the band below, and
+    are junk in it: at 3x3 s2 p1 a halo row's third kernel row reads past
+    its phase, into the next phase's first row. In bands of two output rows
+    of 1x1x8x8, +inf at input row 0 and -inf at row 3, which no window holds
+    together but such a halo output reads, raise no RuntimeWarning in n=1
+    sums on the flat walk, as on the strided walk (a deviation from an
+    infinite mean would warn on both), and reach the same outputs."""
+    shape, pool = (1, 1, 8, 8), PoolSpec.square(3, 2, 1)
+    x4 = uniform(shape, 8)
+    x4[0, 0, 0, 1], x4[0, 0, 3, 2] = np.inf, -np.inf
+
+    def banded(shape, pool):
+        with mock.patch.object(windows, "_STEP_BYTES", 3 * phase_plane(shape, pool)[0]):
+            walk = flat_walk(shape, pool)
+        assert [planes[2] for planes, _ in walk.chunks] == [slice(2, 4), slice(0, 2)]
+        return walk
+
+    strided, flat = (walked(builder, pool, x4, 1, 9) for builder in (window_steps, banded))
+    assert strided[2] == flat[2] == set()
+    for a, b in zip(strided[:2], flat[:2]):
+        for where in (np.isnan, np.isposinf, np.isneginf):
+            assert np.array_equal(where(a), where(b))
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(stride_one_cases(), st.data())
 def test_non_finite_cells_reach_the_same_outputs_with_the_same_warnings(case, data):
