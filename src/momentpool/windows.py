@@ -53,19 +53,20 @@ sums and gradients are copied out once the chunk is done. `deviation` and
     cells: so a band starts its halo rows from the lower band's partial
     sums there, adds its own terms and copies out all its rows, its first
     rows again once the band above has completed them.
-  - *Junk and padding.* A flat step's block covers its chunk's whole
-    grid, the rows and halo of each plane at every W_q column: outputs in
-    the halo rows or past the last output column are junk, and a block may
-    read past its phase, into the next one or the scratch's tail of
-    (halo + 1) * W_q. A step's `span` holds the group's valid output rows
-    and columns, those `_runs` gives it, cut to the chunk's rows; every
-    other pair is junk or padding. A padding pair adds an exact +0.0: its
-    cell is 0, `deviation` zeroes its deviation and its cell gradient is
-    dropped; so every real output sees the strided walk's additions in its
-    order, bit for bit. A junk output's sums start at NaN, and a group's
-    pair of cells is summed from the first less that start, so nothing done
-    there warns or reaches a result; the maps read and built hold 0 there,
-    and with its zeroed deviations its cell gradients add +0.0.
+  - *Junk and padding.* A flat step's block covers its chunk's grid: every
+    output row at all W_q columns and, between planes, their halo rows.
+    Outputs in halo rows or past the last output column are junk, and a
+    block may read past its phase, into the next one or the scratch's tail
+    of (halo + 1) * W_q. A step's `span` holds the group's valid output
+    rows and columns, those `_runs` gives it, cut to the chunk's rows;
+    every other pair is junk or padding. A padding pair adds an exact +0.0:
+    its cell is 0, `deviation` zeroes its deviation and its cell gradient
+    is dropped; so every real output sees the strided walk's additions in
+    its order, bit for bit. A junk output's sums start at NaN, and a
+    group's pair of cells is summed from the first less that start, so
+    nothing done there warns or reaches a result; the maps read and built
+    hold 0 there, and with its zeroed deviations its cell gradients add
+    +0.0.
 """
 
 from __future__ import annotations
@@ -393,7 +394,7 @@ def flat_walk(shape: tuple, spec: PoolSpec) -> Walk:
     @lru_cache(maxsize=None)
     def steps(planes: int, start: int, rows: int) -> tuple:
         """The chunk's one-cell steps, a tuple per group."""
-        grid = (planes, rows + halo, wq)
+        grid = (planes, rows + halo if planes > 1 else rows, wq)
 
         def cut(out: slice) -> tuple:  # a group's output rows in the band
             return tuple(min(max(0, t - start), rows) for t in (out.start, out.stop))
@@ -424,9 +425,18 @@ def window_walk(shape: tuple, spec: PoolSpec) -> Walk:
 
 
 def cell_sum(a: np.ndarray) -> np.ndarray:
-    """Sum over a strided block's two kernel axes at once; a one-cell block
-    or a flat run has none."""
-    return a.sum(axis=(4, 5)) if a.ndim == 6 else a
+    """Sum over a strided block's two kernel axes; a one-cell block or a
+    flat block has none. Two cells, or 2x2 over several output columns, are
+    added in pairs each kernel row first, as numpy sums them and as the
+    flat walk adds its blocks, so an invalid sum warns in `add` on both
+    walks; numpy's `sum` would warn in `reduce`."""
+    if a.ndim != 6:
+        return a
+    if a.shape[4] * a.shape[5] == 2:
+        return np.add(a[..., 0, 0], a[..., -1, -1])
+    if a.shape[3:] != (1, 2, 2) and a.shape[4:] == (2, 2):
+        return np.add(a[..., 0, 0], a[..., 0, 1]) + np.add(a[..., 1, 0], a[..., 1, 1])
+    return a.sum(axis=(4, 5))
 
 
 def deviation(step: WindowStep, x: np.ndarray, mean: np.ndarray, out) -> np.ndarray:
@@ -508,25 +518,22 @@ def frames(walk: Walk, x4: np.ndarray, maps=(), fill=None, sums=(), grad=None,
             dst[:, hi - r0:r + halo] = 0.0
             dst[:, lo - r0:hi - r0, c0:c1] = x.reshape(q, h, w)[:, ys, xs]
         shape = (*x.shape[:2], r, w_out)
-        grid, inv = layers[:, :q, :r + halo], walk.inv[:q, r0:r0 + r + halo]
-        outs = grid[:, :, :r, :w_out].reshape((k, *shape))
+        grid = groups[0][0].shape
+        inv = walk.inv[:q, r0:r0 + grid[1]]
+        outs = layers[:, :q, :r, :w_out].reshape((k, *shape))
         for dst, m in zip(outs, maps):
             dst[...] = m[planes]
         build(planes, outs[len(maps):k_read],
               runs[:2, :math.prod(shape)].reshape((2, *shape)) if paired else None)
         np.multiply(inv.reshape(-1), 0.0, out=flat[k_read:, :inv.size])
-        # halo rows are junk: 0 in the maps where a longer band wrote them,
-        # NaN in the sums where 1 / count holds the band below
-        grid[:k_read, :, r:] = 0.0
-        grid[k_read:, :, r:] = np.nan
         if grad is not None:
             if band.stop < h_out:  # carry the halo rows of the band below
                 cells[1, :, :, :q, r:r + halo] = cells[1, :, :, :q, :halo]
                 cells[1, :, :, :q, :r] = 0.0
             else:
                 cells[1].fill(0.0)
-        yield groups, cells_flat[0], list(grid), None if grad is None else cells_flat[1], \
-            inv, runs[:, :inv.size].reshape(work, *inv.shape)
+        yield groups, cells_flat[0], list(layers[:, :q, :grid[1]]), \
+            None if grad is None else cells_flat[1], inv, runs[:, :inv.size].reshape(work, *grid)
         for a, src in zip(sums, outs[k_read:]):
             a[planes] = src
         if grad is not None:

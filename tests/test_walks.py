@@ -447,9 +447,9 @@ def test_phase_walk_makes_each_inbounds_pair_valid_once(case, data):
     """Cut at a drawn budget, so into bands where one plane does not fit,
     a flat walk at any stride makes every in-bounds (window, cell) pair
     valid in exactly one step of one chunk, reading its own cell of the
-    phase-major scratch: a step's block is its chunk's grid, and its span,
-    the one `_runs` gives its cell, holds exactly the grid's in-bounds
-    pairs. `inv` is 1 / cell count at a chunk's real outputs and NaN past
+    phase-major scratch: a step's block is its chunk's grid, every output
+    row at W_q columns and the halo rows between planes, and its span, the
+    one `_runs` gives its cell, holds exactly the grid's in-bounds pairs. `inv` is 1 / cell count at a chunk's real outputs and NaN past
     the plane's last output row and column, and where one phase row and its
     halo fit the budget, so does the scratch."""
     shape, pool, _, _ = case
@@ -469,9 +469,10 @@ def test_phase_walk_makes_each_inbounds_pair_valid_once(case, data):
     for planes, groups in walk.chunks:
         start, stop = plane_range(planes[:2], c_s)
         band = planes[2] if len(planes) > 2 else slice(0, h_out)
-        grid = (stop - start, band.stop - band.start + walk.halo, wq)
+        r = band.stop - band.start
+        grid = (stop - start, r + walk.halo if stop - start > 1 else r, wq)
         plane, out_row, col = np.indices(grid).reshape(3, -1)
-        real = (out_row < band.stop - band.start) & (col < w_out)
+        real = (out_row < r) & (col < w_out)
         inv = walk.inv[:grid[0], band.start:band.start + grid[1]].ravel()
         assert np.array_equal(inv[real],
                               1.0 / np.tile(counts[band], (stop - start, 1, 1)).ravel())
@@ -547,8 +548,8 @@ def test_flat_walk_keeps_the_strided_bits_at_stride_two(shape, pool):
 def test_flat_walk_makes_each_inbounds_pair_valid_once(case):
     """Every in-bounds (window, cell) pair is valid in exactly one chunk at
     the cell's offset, reading its own cell; a step's block is its chunk's
-    padded planes, and its span, the one `_runs` gives its cell, holds
-    exactly the in-bounds pairs. `inv` is 1 / cell count at real outputs and
+    padded planes, or one plane's output rows, and its span, the one
+    `_runs` gives its cell, holds exactly the in-bounds pairs. `inv` is 1 / cell count at real outputs and
     NaN at junk."""
     shape, pool, _, _ = case
     n_s, c_s, h, w = shape
@@ -562,11 +563,12 @@ def test_flat_walk_makes_each_inbounds_pair_valid_once(case):
         start, stop = plane_range(planes, c_s)
         steps = [step for group in groups for step in group]
         assert len(steps) == len(cells)
-        assert all(step.shape == (stop - start, hp, wp)
-                   and step.strides == (8 * hp * wp, 8 * wp, 8) for step in steps)
-        plane, row, col = np.indices(steps[0].shape).reshape(3, -1)
+        grid = (stop - start, hp if stop - start > 1 else h_out, wp)
+        assert all(step.shape == grid and step.strides == (8 * hp * wp, 8 * wp, 8)
+                   for step in steps)
+        plane, row, col = np.indices(grid).reshape(3, -1)
         real = (row < h_out) & (col < w_out)
-        inv = walk.inv[:stop - start].ravel()
+        inv = walk.inv[:stop - start, :grid[1]].ravel()
         assert np.isnan(inv[~real]).all()
         np.testing.assert_array_equal(
             inv[real], np.tile(1.0 / np.multiply.outer(*walk.counts).ravel(), stop - start))
@@ -694,6 +696,9 @@ def walked(builder, pool, x4, n, seed):
     *(pytest.param((1, 1, 20, 18), PoolSpec(3, 3, 1, 3, 1, 0, 1, 2), n,
                    {(0, 0, 5, 15): np.inf, (0, 0, 5, 17): -np.inf}, True,
                    id=f"junk pair n={n}") for n in (1, 4)),
+    # a window's pair of kernel rows, one strided block of 2x1 cells
+    pytest.param((1, 1, 2, 4), PoolSpec(2, 4, 2, 1, 0, 2, 1, 2), 1,
+                 {(0, 0, 0, 0): np.inf, (0, 0, 1, 0): -np.inf}, False, id="real pair"),
 ])
 def test_non_finite_cells_warn_alike_on_both_walks(shape, pool, n, cells, quiet):
     """The same non-finite cells raise the same RuntimeWarnings on both
@@ -710,12 +715,13 @@ def test_non_finite_cells_warn_alike_on_both_walks(shape, pool, n, cells, quiet)
 
 def test_band_halo_rows_are_junk_that_adds_no_warnings():
     """A band's halo rows hold the first output rows of the band below, and
-    are junk in it: at 3x3 s2 p1 a halo row's third kernel row reads past
-    its phase, into the next phase's first row. In bands of two output rows
-    of 1x1x8x8, +inf at input row 0 and -inf at row 3, which no window holds
-    together but such a halo output reads, raise no RuntimeWarning in n=1
-    sums on the flat walk, as on the strided walk (a deviation from an
-    infinite mean would warn on both), and reach the same outputs."""
+    are junk in it, so its steps stop at its last output row: at 3x3 s2 p1
+    a halo output's third kernel row would read past its phase, into the
+    next phase's first row. In bands of two output rows of 1x1x8x8, +inf at
+    input row 0 and -inf at row 3, which no window holds together but such
+    a halo output would read, raise no RuntimeWarning in n=1 sums on the
+    flat walk, as on the strided walk (a deviation from an infinite mean
+    would warn on both), and reach the same outputs."""
     shape, pool = (1, 1, 8, 8), PoolSpec.square(3, 2, 1)
     x4 = uniform(shape, 8)
     x4[0, 0, 0, 1], x4[0, 0, 3, 2] = np.inf, -np.inf
@@ -784,8 +790,8 @@ def test_non_finite_cells_reach_the_same_outputs_at_any_stride(case, data):
     h_out, w_out = output_dims(*shape[2:], pool)
     planes, groups = walk.chunks[0]
     assert len(planes) == 2  # whole planes: no band at these sizes
-    row, col = np.divmod(np.arange(windows._planes(planes) * hb * wq) % (hb * wq), wq)
-    junk = np.flatnonzero((row >= h_out) | (col >= w_out))
+    plane, row, col = np.indices(groups[0][0].shape).reshape(3, -1)
+    junk = ((plane * hb + row) * wq + col)[(row >= h_out) | (col >= w_out)]
     if not junk.size:
         reject()  # no junk output to read through
     at = int(data.draw(st.sampled_from(list(junk)), label="junk output"))
