@@ -73,7 +73,6 @@ plus divide). The total is strictly monotone in n.
 
 from __future__ import annotations
 
-import itertools
 import math
 import weakref
 from dataclasses import dataclass
@@ -213,7 +212,7 @@ def _cell_grads(x4: np.ndarray, walk: Walk, m1: np.ndarray, coefficients):
     grad = np.empty(x4.shape)
     for groups, x, (mean, *coef), g, _, (e, t) in windows.frames(
             walk, x4, maps=[m1], fill=coefficients, grad=grad):
-        for st in itertools.chain.from_iterable(groups):
+        for st in sum(groups, ()):  # each group's cells in turn
             h = coef[-1][st.win]
             if len(coef) > 1:  # Horner, highest order first
                 dev = windows.deviation(st, x, mean, e)

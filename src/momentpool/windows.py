@@ -405,7 +405,8 @@ def flat_walk(shape: tuple, spec: PoolSpec) -> Walk:
 
     return Walk(tuple((ch, steps(_planes(ch[:2]), *(
         (ch[2].start, ch[2].stop - ch[2].start) if len(ch) > 2 else (0, h_out))))
-        for ch in chunks), inv, counts, (spec.pad_h, spec.pad_w), (sh, sw, per, hb, wq), halo)
+        for ch in chunks), inv, counts, (spec.pad_h, spec.pad_w), (sh, sw, per, hb, wq),
+        halo)
 
 
 @lru_cache(maxsize=64)
@@ -430,13 +431,11 @@ def cell_sum(a: np.ndarray) -> np.ndarray:
     added in pairs each kernel row first, as numpy sums them and as the
     flat walk adds its blocks, so an invalid sum warns in `add` on both
     walks; numpy's `sum` would warn in `reduce`."""
-    if a.ndim != 6:
-        return a
-    if a.shape[4] * a.shape[5] == 2:
+    if a.ndim == 6 and a.shape[4] * a.shape[5] == 2:
         return np.add(a[..., 0, 0], a[..., -1, -1])
-    if a.shape[3:] != (1, 2, 2) and a.shape[4:] == (2, 2):
+    if a.ndim == 6 and a.shape[3:] != (1, 2, 2) and a.shape[4:] == (2, 2):
         return np.add(a[..., 0, 0], a[..., 0, 1]) + np.add(a[..., 1, 0], a[..., 1, 1])
-    return a.sum(axis=(4, 5))
+    return a.sum(axis=(4, 5)) if a.ndim == 6 else a
 
 
 def deviation(step: WindowStep, x: np.ndarray, mean: np.ndarray, out) -> np.ndarray:
@@ -499,11 +498,11 @@ def frames(walk: Walk, x4: np.ndarray, maps=(), fill=None, sums=(), grad=None,
     k_read = len(maps) + k_fill
     k = k_read + len(sums)
     layers = np.zeros((k, per, hb, wq))  # maps, built maps, then sums
-    flat = layers.reshape(k, -1)
     # x and the gradient, with the tail that a block reads past the last phase
     tail = (halo + 1) * wq
     cells_flat = np.zeros((1 + (grad is not None), sh * sw * per * hb * wq + tail))
     cells = cells_flat[:, :-tail].reshape(len(cells_flat), sh, sw, per, hb, wq)
+    g_flat = None if grad is None else cells_flat[1]
     runs = np.empty((work, per * hb * wq))
     phases = list(itertools.product(range(sh), range(sw)))
     cols = [_span(w, pw, sw, b, 0, wq) for b in range(sw)]
@@ -518,22 +517,21 @@ def frames(walk: Walk, x4: np.ndarray, maps=(), fill=None, sums=(), grad=None,
             dst[:, hi - r0:r + halo] = 0.0
             dst[:, lo - r0:hi - r0, c0:c1] = x.reshape(q, h, w)[:, ys, xs]
         shape = (*x.shape[:2], r, w_out)
-        grid = groups[0][0].shape
-        inv = walk.inv[:q, r0:r0 + grid[1]]
+        inv = walk.inv[:q, r0:r0 + groups[0][0].shape[1]]  # over the steps' grid
         outs = layers[:, :q, :r, :w_out].reshape((k, *shape))
         for dst, m in zip(outs, maps):
             dst[...] = m[planes]
         build(planes, outs[len(maps):k_read],
               runs[:2, :math.prod(shape)].reshape((2, *shape)) if paired else None)
-        np.multiply(inv.reshape(-1), 0.0, out=flat[k_read:, :inv.size])
+        np.multiply(inv.reshape(-1), 0.0, out=layers.reshape(k, -1)[k_read:, :inv.size])
         if grad is not None:
             if band.stop < h_out:  # carry the halo rows of the band below
                 cells[1, :, :, :q, r:r + halo] = cells[1, :, :, :q, :halo]
                 cells[1, :, :, :q, :r] = 0.0
             else:
                 cells[1].fill(0.0)
-        yield groups, cells_flat[0], list(layers[:, :q, :grid[1]]), \
-            None if grad is None else cells_flat[1], inv, runs[:, :inv.size].reshape(work, *grid)
+        yield groups, cells_flat[0], list(layers[:, :q, :inv.shape[1]]), g_flat, inv, \
+            runs[:, :inv.size].reshape(work, *inv.shape)
         for a, src in zip(sums, outs[k_read:]):
             a[planes] = src
         if grad is not None:
