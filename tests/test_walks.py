@@ -986,9 +986,11 @@ def test_strided_flat_forward_holds_no_group_shaped_scratch(shape, cells):
     """An unsaved n=4 layer-norm forward at 3x3 s2 p1, on a flat walk whose
     largest groups hold `cells` cells (the CLI `pool` geometry first), holds
     its output, one chunk's staged input and four sums, and a deviation and
-    a square run of the chunk's outputs per cell of a group, with 32 KiB
-    for numpy's and Python's own. A group's deviations and squares made as
-    block-shaped arrays, with their kernel-row sums, would push it past."""
+    a square run of the chunk's outputs up to its last real one per cell of
+    a group, with 32 KiB for numpy's and Python's own and for the work
+    buffers' and the scratch's few rows past that. A group's deviations and
+    squares made as block-shaped arrays, with their kernel-row sums, would
+    push it past."""
     pool, spec = PoolSpec.square(3, 2, 1), MomentSpec(n=4, norm="layer")
     x = Tensor(shape, uniform(shape, 5))
     y = smp_forward(x, pool, spec, save=False)  # warm: the walk is cached
