@@ -81,8 +81,6 @@ def _by_groups(reduce, x: np.ndarray, axis, *more):
     per = max(1, windows._STEP_BYTES // max(1, x[:1, :1].nbytes))
     chunks = windows._plane_chunks(len(x), x.shape[1],
                                    max(per, x.shape[1]) if axis == 1 else per)
-    if len(chunks) == 1:
-        return reduce(x, *more)
     out = np.empty(x.shape[:axis] + (1,) + x.shape[axis + 1:])
     for part in chunks:
         out[part] = reduce(*(a[part] for a in (x, *more)))

@@ -49,10 +49,11 @@ rule once per draw.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
-from .tensor import _is_int
+from .tensor import _is_int, _is_real
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -155,11 +156,19 @@ class Xoshiro256pp:
     def fill_uniform(self, count: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
         """Flat float64 array of the next ``count`` uniform draws in [lo, hi).
 
-        Drawn in lockstep lanes (see the module docstring); the values and
-        the state left behind equal ``count`` scalar draws.
+        ``lo`` and ``hi`` are finite reals, and so is ``hi - lo``; else
+        nothing is drawn and a ValueError names the bound. ``lo > hi`` is
+        allowed, as numpy's ``uniform`` allows it: the same expression, lo
+        + (hi - lo) * u, then draws from (hi, lo]. Drawn in lockstep lanes
+        (see the module docstring); the values and the state left behind
+        equal ``count`` scalar draws.
         """
         if not _is_int(count) or count < 0:
             raise ValueError(f"count must be an int >= 0, got {count!r}")
+        span = hi - lo if _is_real(lo) and _is_real(hi) else None
+        for name, value in (("lo", lo), ("hi", hi), ("hi - lo", span)):
+            if not (_is_real(value) and math.isfinite(value)):
+                raise ValueError(f"{name} must be finite and real, got {value!r}")
         count = int(count)
         if count == 0:
             return np.empty(0, dtype=np.float64)
@@ -175,7 +184,6 @@ class Xoshiro256pp:
             m, level = 2 * m, level + 1
         s = np.ascontiguousarray(starts.T)
 
-        span = hi - lo
         last = count - (lanes - 1) * steps  # draws taken from the last lane
         out = np.empty((lanes, steps), dtype=np.float64)
         word = np.empty(lanes, dtype=np.uint64)

@@ -32,7 +32,7 @@ Saved forward
 -------------
 Each `smp_forward` saves, read-only in a one-entry cache, what the
 backward reads, unless its caller passes `save=False`: the entry (walk,
-stats, block, divisor) holds the walk with its per-axis counts, the raw
+stats, block, divisor) holds the walk with its 1 / count map, the raw
 maps m1..m_(n-1) (m1 and m2 as views of the output), the normalized
 orders >= 3 (a view of the output) and their per-group divisor, so output
 and entry hold no map twice. Order k's cell gradient reads m_(k-1); only
@@ -206,7 +206,7 @@ def _walk_stats(x4: np.ndarray, walk: Walk, n: int):
 
 def _cell_grads(x4: np.ndarray, walk: Walk, m1: np.ndarray, coefficients):
     """Cell gradients over `walk`, added onto the input grid, for the n
-    coefficient maps that `coefficients` = (n, f, paired) builds (see
+    coefficient maps that `coefficients` = (n, f) builds (see
     `windows.frames`), one step at a time; a step's block holds no input
     cell twice, and a group's steps hold distinct cells, so `+=` is safe."""
     grad = np.empty(x4.shape)
@@ -366,24 +366,18 @@ def smp_backward(t: Tensor, pool: PoolSpec, spec: MomentSpec, upstream: Tensor,
 
     # order k adds k * w_k / window count * (dev**(k-1) - m_(k-1)) to a cell,
     # m_0 = m_1 = 0, for the cell's deviation dev from the window mean;
-    # poly[j] is the coefficient of dev**j in the sum over k
-    def coefs(planes, poly, pair):
+    # poly[j] is the coefficient of dev**j in the sum over k. At every n each
+    # map is worked in the contiguous pair and copied once to its slot; a
+    # factor (k + 1) * inv, the walk's 1 / count rows, sits in b's first plane
+    def coefs(planes, poly, pair, inv):
         v, m = ([a[planes] for a in maps] for maps in (w, stats))
-        scale = np.multiply.outer(walk.counts[0][planes[2:]], walk.counts[1])
-        np.divide(1.0, scale, out=scale)  # 1 / count over a band's output rows
-        if pair is None:  # n <= 2: one multiply per map
-            for k in range(n):
-                np.multiply(v[k], (k + 1.0) * scale, out=poly[k])
-            return
-        # each map is worked in the contiguous pair and copied once to its
-        # slot; a factor (k + 1) / count sits in b's first plane
         a, b = pair
 
         def scaled(src, k):  # src * (k + 1) / window count, into a
-            return np.multiply(src, np.multiply(scale, k + 1.0, out=b[0, 0]), out=a)
+            return np.multiply(src, np.multiply(inv, k + 1.0, out=b[0, 0]), out=a)
 
-        std = None
-        if spec.standardize_pre_norm:  # sigma sits in b until b takes denom ** 2
+        std = None  # sigma sits in b until b takes denom ** 2
+        if spec.standardize_pre_norm and n >= 3:
             term, denom = np.empty((2, *a.shape))
             std = _standardize_terms(m[1], spec, (b, denom))
         for i in range(2, n):  # order i + 1's w passes through the norm's VJP
@@ -399,14 +393,14 @@ def smp_backward(t: Tensor, pool: PoolSpec, spec: MomentSpec, upstream: Tensor,
                 v[1] = np.add(v[1], np.multiply(vi, term, out=term), out=poly[1])
                 vi = np.divide(vi, denom, out=a)
             poly[i][...] = scaled(vi, i)
-        poly[1][...] = scaled(v[1], 1)
+        if n > 1:
+            poly[1][...] = scaled(v[1], 1)
         p0 = scaled(v[0], 0)
         for k in range(2, n):
             p0 -= np.multiply(poly[k], m[k - 1], out=b)
         poly[0][...] = p0
 
-    return Tensor._adopt(t.shape, _cell_grads(t.nchw, walk, stats[0],
-                                              (n, coefs, n >= 3)))
+    return Tensor._adopt(t.shape, _cell_grads(t.nchw, walk, stats[0], (n, coefs)))
 
 
 def check_forward(x: Tensor, pool: PoolSpec, spec: MomentSpec,

@@ -6,7 +6,8 @@ Patterns:
     solid         constant fill a
     ramp          element at flat index j has value j
     uniform-noise uniform [a, b) draws from the pinned generator (rng.py),
-                  filled in row-major order
+                  filled in row-major order; (b, a] where a > b, as
+                  `generate`'s defaults a = 1, b = 0 draw
 """
 
 from __future__ import annotations

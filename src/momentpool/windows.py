@@ -186,13 +186,14 @@ class Walk(NamedTuple):
     every window there, as a tuple per group whose blocks the forward sums
     in pairs, (a + b) + (c + d): a strided step alone, a flat group's one,
     two or four one-cell steps in kernel-row order. `inv` is 1 / cell count
-    in the layout the steps feed, read-only. `counts` is a read-only pair:
-    the in-bounds kernel rows per output row and columns per output column,
-    whose product is a window's cell count. `pad` is None on the strided
-    walk. A flat walk, laid out as the module docstring says, has its
-    (pad_h, pad_w), its scratch (s_h, s_w, planes, rows, W_q), its band
-    halo in phase rows, and an `inv` over the largest chunk's grid, or a
-    plane's where chunks are bands, with NaN at junk.
+    in the layout the steps feed, read-only, formed here alone: `frames`
+    hands its rows to the statistics and to the coefficient builders.
+    `counts` is a read-only pair: the in-bounds kernel rows per output row
+    and columns per output column, whose product is a window's cell count.
+    `pad` is None on the strided walk. A flat walk, laid out as the module
+    docstring says, has its (pad_h, pad_w), its scratch (s_h, s_w, planes,
+    rows, W_q), its band halo in phase rows, and an `inv` over the largest
+    chunk's grid, or a plane's where chunks are bands, with NaN at junk.
     """
 
     chunks: tuple
@@ -464,14 +465,15 @@ def frames(walk: Walk, x4: np.ndarray, maps=(), fill=None, sums=(), grad=None,
            work: int = 2):
     """Each chunk of `walk` as (groups, x, maps, grad, inv, work), staged as
     the module docstring says: the chunk's input, its planes of the `maps`,
-    the k maps that `fill` = (k, f, paired) builds by f(planes, out, pair)
+    the k maps that `fill` = (k, f) builds by f(planes, out, pair, inv)
     into `out`, its zeroed planes of the `sums` and of the gradient to add
     into, 1 / cell count, and `work` buffers shaped as its flat steps'
-    blocks, or Nones on the strided walk. Where `paired` is set, `pair` is
-    two contiguous buffers of a built map's shape, else None: on a flat walk
-    the first two work buffers, idle while f runs, else a fresh pair that
-    is freed before the chunk's steps run."""
-    k_fill, build, paired = fill or (0, lambda planes, out, pair: None, False)
+    blocks, or Nones on the strided walk. f reads `inv`, the walk's 1 / cell
+    count over the built maps' rows and columns, and works in `pair`, two
+    contiguous buffers of a built map's shape: on a flat walk the first two
+    work buffers, idle while f runs (so `work` >= 2 where `fill` is given),
+    else a fresh pair that is freed before the chunk's steps run."""
+    k_fill, build = fill or (0, None)
     if walk.pad is None:
         per = max(_planes(planes) for planes, _ in walk.chunks)
         # an output channel's planes of several samples are strided, which
@@ -483,7 +485,8 @@ def frames(walk: Walk, x4: np.ndarray, maps=(), fill=None, sums=(), grad=None,
             x, g = x4[planes], None if grad is None else grad[planes]
             shape = x.shape[:2] + walk.inv.shape
             chunk = [b[:_planes(planes)].reshape(shape) for b in bufs]
-            build(planes, chunk[:k_fill], np.empty((2, *shape)) if paired else None)
+            if k_fill:
+                build(planes, chunk[:k_fill], np.empty((2, *shape)), walk.inv)
             acc = chunk[k_fill:] if spill else [a[planes] for a in sums]
             for a in acc if g is None else (*acc, g):
                 a.fill(0.0)
@@ -521,8 +524,9 @@ def frames(walk: Walk, x4: np.ndarray, maps=(), fill=None, sums=(), grad=None,
         outs = layers[:, :q, :r, :w_out].reshape((k, *shape))
         for dst, m in zip(outs, maps):
             dst[...] = m[planes]
-        build(planes, outs[len(maps):k_read],
-              runs[:2, :math.prod(shape)].reshape((2, *shape)) if paired else None)
+        if k_fill:
+            build(planes, outs[len(maps):k_read],
+                  runs[:2, :math.prod(shape)].reshape((2, *shape)), inv[0, :r, :w_out])
         np.multiply(inv.reshape(-1), 0.0, out=layers.reshape(k, -1)[k_read:, :inv.size])
         if grad is not None:
             if band.stop < h_out:  # carry the halo rows of the band below

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, JSON reports, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -19,6 +20,11 @@ from momentpool.toytrain import ToyTrainConfig, run_toytrain
 from childenv import child_env
 
 CHECKER_MOMENTS = [5 / 9, 20 / 81, -20 / 729, 3780 / 59049]
+
+
+# a uniform-noise `generate` that writes nowhere
+NOISE = ("generate", "--pattern", "uniform-noise", "--shape", "1,1,2,2", "--seed", "1",
+         "--out", os.devnull)
 
 
 def run_cli(capsys, *argv):
@@ -373,6 +379,9 @@ class TestToytrainCommand:
         (("toytrain", "--seed", "1", "--steps", "1", "--lr", "nan"), "lr"),
         (("toytrain", "--seed", "1", "--steps", "1", "--input-scale", "inf"),
          "input_scale"),
+        *(((*NOISE, f"--a={a}", f"--b={b}"), bound)
+          for a, b, bound in [("nan", "1", "lo"), ("0", "inf", "hi"),
+                              ("-1e308", "1e308", "hi - lo")]),
     ])
     def test_non_finite_numeric_flag_is_usage_error(self, capsys, args, name):
         rc, out, err = run_cli(capsys, *args)

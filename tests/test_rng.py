@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -135,6 +136,25 @@ def test_bad_count_is_rejected(count):
     assert g._s == Xoshiro256pp(1)._s
 
 
+@pytest.mark.parametrize("lo, hi, message", [
+    (np.nan, 1.0, "lo must be finite and real, got nan"),
+    (-np.inf, 0.0, "lo must be finite and real, got -inf"),
+    (0.0, np.inf, "hi must be finite and real, got inf"),
+    (0.0, np.float64(np.nan), "hi must be finite and real, got np.float64(nan)"),
+    ("a", 1.0, "lo must be finite and real, got 'a'"),
+    (0.0, None, "hi must be finite and real, got None"),
+    (True, 1.0, "lo must be finite and real, got True"),
+    (1j, 1.0, "lo must be finite and real, got 1j"),
+    (-1e308, 1e308, "hi - lo must be finite and real, got inf"),
+])
+def test_bad_bounds_are_rejected_and_draw_nothing(lo, hi, message):
+    g = Xoshiro256pp(1)
+    for count in (0, 3):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            g.fill_uniform(count, lo, hi)
+    assert g._s == Xoshiro256pp(1)._s
+
+
 def test_zero_count_is_empty_and_draws_nothing():
     g = Xoshiro256pp(4)
     xs = g.fill_uniform(0)
@@ -151,7 +171,7 @@ def test_zero_count_is_empty_and_draws_nothing():
 LANE_COUNTS = [*range(66), 255, 256, 257, 1021, 196608]
 
 
-@pytest.mark.parametrize("lo, hi", [(-2.0, 3.0), (0.0, 1e-300)])
+@pytest.mark.parametrize("lo, hi", [(-2.0, 3.0), (0.0, 1e-300), (3.0, -2.0)])
 def test_fill_matches_scalar_oracle_bitwise(lo, hi):
     for count in LANE_COUNTS:
         got = Xoshiro256pp(13, stream=2).fill_uniform(count, lo, hi)

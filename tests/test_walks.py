@@ -86,10 +86,19 @@ def span_of(pool, shape, band, i, j):
 def ready(poly):
     """`smp._cell_grads`' coefficient builder for a ready (n, N, C, H', W')
     array: it copies each chunk's planes."""
-    def fill(planes, out, pair):
+    def fill(planes, out, pair, inv):
         for dst, c in zip(out, poly):
             dst[...] = c[planes]
-    return len(poly), fill, False
+    return len(poly), fill
+
+
+def per_count(poly):
+    """As `ready`, with each chunk's planes scaled by the 1 / count that
+    `frames` hands the builder, as `smp_backward`'s coefficients are."""
+    def fill(planes, out, pair, inv):
+        for dst, c in zip(out, poly):
+            np.multiply(c[planes], inv, out=dst)
+    return len(poly), fill
 
 
 class TestChoice:
@@ -602,14 +611,15 @@ def test_walks_cut_at_small_budgets_match_the_default_strided_walk(case, data):
     """Cut at a budget of one padded row up to four padded planes, so into
     bands of a few rows with a short last one, or into chunks of a few
     planes with a short last one, both walks give the output bytes and cell
-    gradients of the strided walk at the default budget."""
+    gradients of the strided walk at the default budget, for coefficients
+    scaled by the 1 / count rows that `frames` hands each chunk or band."""
     shape, pool, n, seed = case
     x4 = uniform(shape, seed)
     poly = uniform((n,) + shape[:2] + output_dims(*shape[2:], pool), seed + 1)
 
     def run(walk):
         maps, out = smp._walk_stats(x4, walk, n)
-        return out.tobytes(), smp._cell_grads(x4, walk, maps[0], ready(poly)).tobytes()
+        return out.tobytes(), smp._cell_grads(x4, walk, maps[0], per_count(poly)).tobytes()
 
     want = run(window_steps(shape, pool))
     row = 8 * (shape[3] + 2 * pool.pad_w)
@@ -666,15 +676,16 @@ def test_non_finite_cells_spread_alike_on_both_walks(bad):
     assert np.isfinite(np.frombuffer(results[0][0])).mean() > 0.9
 
 
-def walked(builder, pool, x4, n, seed):
-    """The `_walk_stats` output and the `_cell_grads` gradient, for
-    coefficients drawn from `seed`, on the walk that `builder` makes for `x4`,
-    and the messages of the RuntimeWarnings they raised."""
+def walked(builder, pool, x4, n, seed, fill=ready):
+    """The `_walk_stats` output and the `_cell_grads` gradient, for the
+    builder that `fill` makes of coefficients drawn from `seed`, on the walk
+    that `builder` makes for `x4`, and the messages of the RuntimeWarnings
+    they raised."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         walk = builder(x4.shape, pool)
         maps, out = smp._walk_stats(x4, walk, n)
-        g = smp._cell_grads(x4, walk, maps[0], ready(uniform((n,) + maps[0].shape, seed)))
+        g = smp._cell_grads(x4, walk, maps[0], fill(uniform((n,) + maps[0].shape, seed)))
     return out, g, {str(w.message) for w in caught
                     if issubclass(w.category, RuntimeWarning)}
 
@@ -777,32 +788,33 @@ def test_non_finite_cells_reach_the_same_outputs_with_the_same_warnings(case, da
             assert np.array_equal(where(a), where(b))
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(strided_cases(), st.data())
-def test_non_finite_cells_reach_the_same_outputs_at_any_stride(case, data):
-    """As above at strides 1-3: 1-3 cells of +-inf or NaN among those that
-    one junk output of the flat walk's first chunk reads through its steps,
-    one offset each, raise the same RuntimeWarnings on both walks and leave
-    NaN, +inf and -inf at the same places of the output and the gradient."""
+def assert_junk_reads_alike(case, data, chunk=0, fill=ready):
+    """Put 1-3 cells of +-inf or NaN among those that one junk output of the
+    flat walk's `chunk` reads through its steps, one offset each, and assert
+    that both walks raise the same RuntimeWarnings and leave NaN, +inf and
+    -inf at the same places of the output and of the gradient that `fill`'s
+    coefficients give."""
     shape, pool, n, seed = case
     walk = flat_walk(shape, pool)
     (ph, pw), (sh, sw, per, hb, wq) = walk.pad, walk.scratch
     h_out, w_out = output_dims(*shape[2:], pool)
-    planes, groups = walk.chunks[0]
-    assert len(planes) == 2  # whole planes: no band at these sizes
+    planes, groups = walk.chunks[chunk]
+    (samples, channels), band = planes[:2], (*planes[2:], slice(0, h_out))[0]
     plane, row, col = np.indices(groups[0][0].shape).reshape(3, -1)
-    junk = ((plane * hb + row) * wq + col)[(row >= h_out) | (col >= w_out)]
+    junk = ((plane * hb + row) * wq + col)[(row >= band.stop - band.start) | (col >= w_out)]
     if not junk.size:
         reject()  # no junk output to read through
     at = int(data.draw(st.sampled_from(list(junk)), label="junk output"))
-    reads = []
+    reads, per_sample = [], channels.stop - channels.start
     for step in (step for group in groups for step in group):
         phase, rest = divmod(at + step.offset // 8, per * hb * wq)
         plane, (t, u) = rest // (hb * wq), divmod(rest % (hb * wq), wq)
-        y, x = t * sh + phase // sw - ph, u * sw + phase % sw - pw
-        if (phase < sh * sw and plane < windows._planes(planes)
+        y, x = (band.start + t) * sh + phase // sw - ph, u * sw + phase % sw - pw
+        if (phase < sh * sw and plane < windows._planes(planes[:2])
                 and 0 <= y < shape[2] and 0 <= x < shape[3]):
-            reads.append((plane, y, x))
+            sample, channel = divmod(plane, per_sample)
+            reads.append(((samples.start + sample) * shape[1] + channels.start + channel,
+                          y, x))
     if not reads:
         reject()  # a window of padding alone
     x4 = uniform(shape, seed)
@@ -810,12 +822,40 @@ def test_non_finite_cells_reach_the_same_outputs_at_any_stride(case, data):
     for cell in data.draw(st.permutations(reads))[:data.draw(st.integers(1, 3))]:
         x4.reshape(-1, *shape[2:])[cell] = value
         value = data.draw(st.sampled_from([-value, np.nan, value]))
-    strided, flat = (walked(builder, pool, x4, n, seed + 1)
+    strided, flat = (walked(builder, pool, x4, n, seed + 1, fill)
                      for builder in (window_steps, flat_walk))
     assert strided[2] == flat[2]
     for a, b in zip(strided[:2], flat[:2]):
         for where in (np.isnan, np.isposinf, np.isneginf):
             assert np.array_equal(where(a), where(b))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(strided_cases(), st.data())
+def test_non_finite_cells_reach_the_same_outputs_at_any_stride(case, data):
+    """As `..._with_the_same_warnings` at strides 1-3, through
+    `assert_junk_reads_alike`: 1-3 cells of +-inf or NaN among those that
+    one junk output of the flat walk's first chunk reads through its steps,
+    one offset each, raise the same RuntimeWarnings on both walks and leave
+    NaN, +inf and -inf at the same places of the output and the gradient."""
+    assert len(flat_walk(*case[:2]).chunks[0][0]) == 2  # whole planes: no band
+    assert_junk_reads_alike(case, data)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(strided_cases(), st.data())
+def test_non_finite_cells_reach_the_same_outputs_in_bands_and_small_chunks(case, data):
+    """As `..._at_any_stride`, with both walks cut at a budget of one phase
+    row up to four phase planes, and through any chunk: a band's junk
+    outputs lie past its last output column only. The coefficients are
+    scaled by the 1 / count rows that `frames` hands a builder, which a band
+    takes from its rows of the walk's `inv`."""
+    row, rows = phase_plane(*case[:2])
+    budget = data.draw(st.integers(row, 4 * row * rows), label="budget")
+    with mock.patch.object(windows, "_STEP_BYTES", budget):
+        chunks = len(flat_walk(*case[:2]).chunks)
+        assert_junk_reads_alike(case, data, data.draw(st.integers(0, chunks - 1),
+                                                      label="chunk"), per_count)
 
 
 @pytest.mark.parametrize("shape, pool, flat", [
