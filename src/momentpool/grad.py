@@ -13,14 +13,14 @@ the input gradient of `smp.smp_backward`.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from math import fsum, isfinite, prod
+from math import fsum, prod
 from typing import Callable
 
 import numpy as np
 
 from . import windows
 from .smp import MomentSpec, output_shape, smp_backward
-from .tensor import Tensor
+from .tensor import Tensor, _check_finite
 from .windows import PoolSpec
 
 
@@ -52,11 +52,6 @@ def _one_by_one(forward: Callable[[Tensor], Tensor],
     return each
 
 
-def _check_step(h: float) -> None:
-    if not (isfinite(h) and h > 0):
-        raise ValueError(f"step size must be finite and positive, got {h!r}")
-
-
 def _check_upstream(out_size: int, upstream_size: int) -> None:
     if out_size != upstream_size:
         raise ValueError("upstream size does not match forward output")
@@ -84,7 +79,7 @@ def numeric_gradient(forward: Callable[[Tensor], Tensor], x: Tensor,
     samples, windows the probe does not touch) leaves every derivative
     bit-identical.
     """
-    _check_step(h)
+    _check_finite("step size", h, positive=True)
     n_samples, *cell = x.nchw.shape
     if hasattr(forward, "sample"):
         parts, forwards = n_samples, map(forward.sample, range(n_samples))
@@ -125,9 +120,8 @@ def finite_diff_check(forward: Callable[[Tensor], Tensor],
     deterministic (it is called twice up front and the outputs compared
     bitwise). Error metric per the module docstring.
     """
-    _check_step(h)
-    if not (isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    _check_finite("step size", h, positive=True)
+    _check_finite("tol", tol, positive=True)
     ref = forward(x)
     again = forward(x)
     if ref.data.tobytes() != again.data.tobytes():

@@ -128,8 +128,11 @@ def _normalized(kind: str, x: np.ndarray, eps: float, axis=None,
     `out` when given, and the per-group divisor, broadcastable against x.
 
     `out` may be `x` itself: the means are read before it is written, and
-    the variances from the deviations written there.
+    the variances from the deviations written there. An empty `x` has no
+    group to normalize and is a ValueError.
     """
+    if x.size == 0:
+        raise ValueError(f"cannot normalize an empty block of shape {x.shape}")
     if kind == "max":
         divisor = _by_groups(lambda part: np.abs(part).max(axis=axis, keepdims=True),
                              x, axis) + eps

@@ -49,11 +49,10 @@ rule once per draw.
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
-from .tensor import _is_int, _is_real
+from .tensor import _check_finite, _is_int
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -165,10 +164,10 @@ class Xoshiro256pp:
         """
         if not _is_int(count) or count < 0:
             raise ValueError(f"count must be an int >= 0, got {count!r}")
-        span = hi - lo if _is_real(lo) and _is_real(hi) else None
-        for name, value in (("lo", lo), ("hi", hi), ("hi - lo", span)):
-            if not (_is_real(value) and math.isfinite(value)):
-                raise ValueError(f"{name} must be finite and real, got {value!r}")
+        _check_finite("lo", lo)
+        _check_finite("hi", hi)
+        span = hi - lo
+        _check_finite("hi - lo", span)
         count = int(count)
         if count == 0:
             return np.empty(0, dtype=np.float64)

@@ -82,7 +82,7 @@ import numpy as np
 
 from . import normalize, windows
 from .normalize import BatchNormState
-from .tensor import Tensor, _is_int, _is_real, nchw_shape
+from .tensor import Tensor, _check_finite, _is_int, nchw_shape
 from .windows import PoolSpec, Walk, output_dims, window_walk
 
 NORM_KINDS = ("none", "layer", "max", "batch")
@@ -118,9 +118,7 @@ class MomentSpec:
         if self.norm_axis not in NORM_AXES:
             raise ValueError(
                 f"norm_axis must be one of {NORM_AXES}, got {self.norm_axis!r}")
-        if not (_is_real(self.eps_norm) and 0 < self.eps_norm < math.inf):
-            raise ValueError(
-                f"eps_norm must be finite and positive, got {self.eps_norm!r}")
+        _check_finite("eps_norm", self.eps_norm, positive=True)
         for flag in ("standardize_pre_norm", "unsafe_no_norm"):
             if not isinstance(getattr(self, flag), bool):
                 raise ValueError(f"{flag} must be a bool, got {getattr(self, flag)!r}")
@@ -151,27 +149,17 @@ def _by_order(a: np.ndarray, shape: tuple) -> list:
     return list(a.reshape(shape[0], -1, *shape[1:]).swapaxes(0, 1))
 
 
-def _add_sum(acc: np.ndarray, blocks: list, work) -> None:
-    """Add the sum of a group's 1, 2 or 4 blocks into `acc`, in pairs,
-    (a + b) + (c + d), as numpy sums a strided 2x2 block each kernel row
-    first; the pairs' sums go into the `work` buffers, which may be the
-    blocks'."""
-    while len(blocks) > 1:
-        blocks = [np.add(a, b, out=w) for a, b, w in zip(blocks[::2], blocks[1::2], work)]
-    acc += windows.cell_sum(blocks[0])
-
-
 def _walk_stats(x4: np.ndarray, walk: Walk, n: int):
     """(maps, output): the (N, C, H', W') maps m1..mn over `walk`, as views
     of an array of `output_shape` that holds them in its moment-major
     channels, into which the walk adds them.
 
-    Where every strided step is one kernel cell, as at stride 1 with
-    H', W' >= 2, each output adds its in-bounds cells one at a time in
-    raster order onto +0.0, and so do the powers of their deviations, before
-    one scaling by 1 / cell count, as on the flat walk (see `windows`). A
-    flat group's cells take a deviation and a square buffer each; the cubes
-    go into the deviations and the fourth powers into the squares.
+    Each group's blocks, and the powers of their deviations from the window
+    means, are summed by `windows.add_sum` into the outputs before one
+    scaling by 1 / cell count; where a group holds several cells, the mean
+    pass hands it the sums' start, copied before any is added. A group's
+    cells take a deviation and a square buffer each; the cubes go into the
+    deviations and the fourth powers into the squares.
     """
     orders = np.empty((len(x4), n, x4.shape[1]) + tuple(a.size for a in walk.counts))
     maps = list(orders.swapaxes(0, 1))
@@ -181,24 +169,20 @@ def _walk_stats(x4: np.ndarray, walk: Walk, n: int):
         if cells > 1:  # the sums' start: +0.0 at real outputs, NaN at junk
             work[-1][...] = acc[0]
         for group in groups:
-            blocks = [st.block(x) for st in group]
-            # a junk output may read opposite infinities: each pair's first
-            # cell less the start is NaN there, and the same cell elsewhere
-            blocks[:-1:2] = [np.subtract(b, work[-1], out=e)
-                             for b, e in zip(blocks[:-1:2], work)]
-            _add_sum(acc[0][group[0].out], blocks, work)
+            windows.add_sum(acc[0][group[0].out], [st.block(x) for st in group], work,
+                            work[-1] if cells > 1 else None)
         acc[0] *= inv
         for group in groups if n >= 2 else ():
             out, k = group[0].out, len(group)
             devs = [windows.deviation(st, x, acc[0], e) for st, e in zip(group, work)]
             squares = [np.multiply(d, d, out=e) for d, e in zip(devs, work[k:])]
             if n >= 3:
-                _add_sum(acc[2][out], [np.multiply(d2, d, out=d)
-                                       for d2, d in zip(squares, devs)], devs)
-            _add_sum(acc[1][out], squares, devs)  # into the freed deviations
+                windows.add_sum(acc[2][out], [np.multiply(d2, d, out=d)
+                                              for d2, d in zip(squares, devs)], devs)
+            windows.add_sum(acc[1][out], squares, devs)  # into the freed deviations
             if n >= 4:
-                _add_sum(acc[3][out], [np.multiply(d2, d2, out=d2) for d2 in squares],
-                         squares)
+                windows.add_sum(acc[3][out], [np.multiply(d2, d2, out=d2)
+                                              for d2 in squares], squares)
         for a in acc[1:]:
             a *= inv
     return maps, orders.reshape(len(x4), -1, *orders.shape[3:])

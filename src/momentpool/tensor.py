@@ -22,6 +22,7 @@ import json
 import math
 import numbers
 import os
+import sys
 
 import numpy as np
 
@@ -42,6 +43,15 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _check_finite(name: str, value, positive: bool = False) -> None:
+    """A ValueError that names `name` unless `value` is a real number, not a
+    bool, within float64's finite range and, where `positive`, above 0."""
+    if not (_is_real(value) and abs(value) <= sys.float_info.max
+            and (value > 0 or not positive)):
+        kind = "positive" if positive else "real"
+        raise ValueError(f"{name} must be finite and {kind}, got {value!r}")
+
+
 def nchw_shape(shape) -> tuple[int, int, int, int]:
     """`shape` padded to rank 4 after the tensor rule: 1..4 int extents >= 1."""
     dims = tuple(shape)
@@ -53,12 +63,17 @@ def nchw_shape(shape) -> tuple[int, int, int, int]:
 
 
 class Tensor:
-    """Immutable dense float64 array with explicit shape bookkeeping."""
+    """Immutable dense float64 array with explicit shape bookkeeping, built
+    from bool, integer or float data; complex, string or object data is a
+    ValueError."""
 
     __slots__ = ("shape", "data", "__weakref__")
 
     def __init__(self, shape, data):
-        self._hold(shape, np.array(data, dtype=np.float64, copy=True))
+        arr = np.asarray(data)
+        if arr.dtype.kind not in "biuf":
+            raise ValueError(f"tensor data must be bool, integer or float, got {arr.dtype}")
+        self._hold(shape, np.array(arr, dtype=np.float64, copy=True))
 
     @classmethod
     def _adopt(cls, shape, arr: np.ndarray) -> "Tensor":

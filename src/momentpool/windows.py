@@ -40,11 +40,11 @@ sums and gradients are copied out once the chunk is done. `deviation` and
   - *Groups.* A group adds the sum of the cells of one `window_steps`
     step, a run's kernel rows as cut there, into the outputs. Its at most
     two cells per axis lie in distinct phases, and each is a step of its
-    own, one kernel cell's block, as at stride 1. The forward sums a
-    group's blocks in pairs, (a + b) + (c + d), in work buffers shaped as
-    a block, as numpy sums the strided block each kernel row first; the
-    backward adds each cell's gradient alone, into a cell of its own.
-    `_flat_groups` names the geometries it cannot match.
+    own, one kernel cell's block, as at stride 1. `add_sum` sums a group's
+    blocks in pairs, (a + b) + (c + d), in work buffers shaped as a block,
+    as numpy sums the strided block each kernel row first; the backward
+    adds each cell's gradient alone, into a cell of its own. `flat_walk` is
+    None where `_flat_groups` names a geometry it cannot match.
   - *Bands.* Where one plane's phases exceed `_STEP_BYTES`, a chunk is a
     band of one plane's output rows; it stages their phase rows and a halo
     of (eff_kh - 1) div s_h phase rows below them, the next band's first
@@ -62,9 +62,9 @@ sums and gradients are copied out once the chunk is done. `deviation` and
     every other pair is junk or padding. A padding pair adds an exact +0.0:
     its cell is 0, `deviation` zeroes its deviation and its cell gradient
     is dropped; so every real output sees the strided walk's additions in
-    its order, bit for bit. A junk output's sums start at NaN, and a
-    group's pair of cells is summed from the first less that start, so
-    nothing done there warns or reaches a result; the maps read and built
+    its order, bit for bit. A junk output's sums start at NaN, and
+    `add_sum` sums a group's pair of cells from the first less that start,
+    so nothing done there warns or reaches a result; the maps read and built
     hold 0 there, and with its zeroed deviations its cell gradients add
     +0.0.
 """
@@ -215,17 +215,25 @@ def _runs(size: int, out: int, k: int, s: int, d: int, p: int):
     """
     runs, prev = [], None
     for i in range(k):
-        lo = max(0, -((i * d - p) // s))  # first output with o*s + i*d >= p
-        hi = min(out, (size - 1 + p - i * d) // s + 1)
-        if lo >= hi:
+        lo, hi, cells = _span(size, p, s, i * d, 0, out)
+        if lo == hi:
             prev = None
             runs.append([slice(0, 0), None, i, 1])
         elif prev and prev[0] == slice(lo, hi) and (hi - lo == 1 or prev[3] * d < s):
             prev[3] += 1
         else:
-            prev = [slice(lo, hi), lo * s + i * d - p, i, 1]
+            prev = [slice(lo, hi), cells.start, i, 1]
             runs.append(prev)
     return runs
+
+
+def _span(size: int, pad: int, s: int, a: int, start: int, stop: int):
+    """(lo, hi, cells): the indices t in [start, stop) whose cell t*s + a -
+    pad of a padded axis (phase a, or kernel index i at a = i*d) lies in the
+    input, [lo, hi), and the slice of the input that holds those cells."""
+    lo = max(start, -((a - pad) // s))
+    hi = max(lo, min(stop, (size - 1 + pad - a) // s + 1))
+    return lo, hi, slice(lo * s + a - pad, hi * s + a - pad, s)
 
 
 def _runs_and_counts(h: int, w: int, spec: PoolSpec):
@@ -265,12 +273,14 @@ def _planes(index: tuple) -> int:
     return math.prod(s.stop - s.start for s in index)
 
 
-def _kernel_rows(outputs: int, kr: int, kc: int) -> range:
-    """The first kernel row of each step that cuts a run of kr x kc kernel
-    cells over `outputs` outputs of a plane. The range's step is the rows a
-    step takes: as many as fit one plane's block in `_STEP_BYTES`, at least
-    one."""
-    return range(0, kr, max(1, _STEP_BYTES // max(1, outputs * kc * 8)))
+def _cuts(rows: list, cols: list):
+    """Each row run x column run pair of `_runs`, in order, with the cuts of
+    its kernel rows that the walks' steps take: (first kernel row, rows) of
+    as many rows as fit one plane's block in `_STEP_BYTES`, at least one."""
+    for row, col in itertools.product(rows, cols):
+        outputs = (row[0].stop - row[0].start) * (col[0].stop - col[0].start)
+        step = max(1, _STEP_BYTES // max(1, outputs * col[3] * 8))
+        yield row, col, [(r, min(step, row[3] - r)) for r in range(0, row[3], step)]
 
 
 def window_steps(shape: tuple, spec: PoolSpec) -> Walk:
@@ -291,16 +301,15 @@ def window_steps(shape: tuple, spec: PoolSpec) -> Walk:
                                         spec.stride_w, spec.dilation_h * w,
                                         spec.dilation_w))
         steps = []
-        for (out_h, y0, _, kr), (out_w, x0, _, kc) in itertools.product(rows, cols):
+        for (out_h, y0, _, kr), (out_w, x0, _, kc), cuts in _cuts(rows, cols):
             hw = (out_h.stop - out_h.start, out_w.stop - out_w.start)
             if not all(hw):
                 continue  # kernel cells that no output holds in bounds
-            cut = _kernel_rows(hw[0] * hw[1], kr, kc)
             run = hw[0] * hw[1] * kr * kc * 8  # one plane's block of the whole run
             blocks = _plane_chunks(n, c, max(1, _STEP_BYTES // run))
-            for (bs, cs), r0 in itertools.product(blocks, cut):
+            for (bs, cs), (r0, n_r) in itertools.product(blocks, cuts):
                 out = (bs, cs, out_h, out_w)
-                cells = (min(cut.step, kr - r0), kc)
+                cells = (n_r, kc)
                 rank = 4 if cells == (1, 1) else 6
                 offset = ((bs.start * c + cs.start) * h * w
                           + (y0 + r0 * spec.dilation_h) * w + x0) * 8
@@ -309,7 +318,8 @@ def window_steps(shape: tuple, spec: PoolSpec) -> Walk:
                                          (planes + hw + cells)[:rank], strides[:rank]),))
         return tuple(steps)
 
-    inv = 1.0 / np.multiply.outer(*counts)
+    inv = np.multiply.outer(*counts)
+    np.divide(1.0, inv, out=inv)
     inv.setflags(write=False)
     chunks = tuple((ch, chunk_steps(*(s.stop - s.start for s in ch)))
                    for ch in _plane_chunks(n, c, max(1, _STEP_BYTES // inv.nbytes)))
@@ -336,21 +346,18 @@ def _flat_groups(h: int, w: int, spec: PoolSpec) -> list | None:
     rows, cols, _ = _runs_and_counts(h, w, spec)
     one_phase = spec.dilation_h % spec.stride_h == 0, spec.dilation_w % spec.stride_w == 0
     groups = []
-    for (out_h, _, i, kr), (out_w, _, j, kc) in itertools.product(rows, cols):
-        ow = out_w.stop - out_w.start
-        cut = _kernel_rows((out_h.stop - out_h.start) * ow, kr, kc)
-        for r in cut:
-            n_r = min(cut.step, kr - r)
-            if (max(n_r, kc) > 2 or (n_r == 2 and one_phase[0])
-                    or (kc == 2 and one_phase[1]) or (n_r, kc, ow) == (2, 2, 1)):
+    for (out_h, _, i, _), (out_w, _, j, kc), cuts in _cuts(rows, cols):
+        for r, n_r in cuts:
+            if (max(n_r, kc) > 2 or (n_r == 2 and one_phase[0]) or (kc == 2 and one_phase[1])
+                    or (n_r, kc, out_w.stop - out_w.start) == (2, 2, 1)):
                 return None
             groups.append((i + r, n_r, j, kc, out_h, out_w))
     return groups
 
 
-def flat_walk(shape: tuple, spec: PoolSpec) -> Walk:
+def flat_walk(shape: tuple, spec: PoolSpec) -> Walk | None:
     """The flat walk for an (N, C, H, W) `shape`, laid out as the module
-    docstring says; a ValueError where `_flat_groups` refuses the geometry.
+    docstring says; None where `_flat_groups` refuses the geometry.
 
     A chunk holds as many planes as fit their phases in `_STEP_BYTES`, at
     least one, or where one plane does not fit, a band of as many output
@@ -363,8 +370,7 @@ def flat_walk(shape: tuple, spec: PoolSpec) -> Walk:
     _, _, counts = _runs_and_counts(h, w, spec)
     groups = _flat_groups(h, w, spec)
     if groups is None:
-        raise ValueError(f"{spec} on input {h}x{w} has a step that the flat walk "
-                         f"cannot sum in the strided walk's order")
+        return None
     h_out, w_out = (a.size for a in counts)
     sh, sw, dh, dw = spec.stride_h, spec.stride_w, spec.dilation_h, spec.dilation_w
     halo, halo_w = _halo(spec)
@@ -414,16 +420,13 @@ def flat_walk(shape: tuple, spec: PoolSpec) -> Walk:
 def window_walk(shape: tuple, spec: PoolSpec) -> Walk:
     """The walk that the forward and the backward take for `shape`, cached:
     `flat_walk` where windows overlap on some axis, at most a quarter of a
-    phase plane's outputs are junk and `_flat_groups` allows it; else
+    phase plane's outputs are junk and it accepts the geometry; else
     `window_steps`."""
-    h, w = shape[2:]
-    h_out, w_out = output_dims(h, w, spec)
+    h_out, w_out = output_dims(*shape[2:], spec)
     halo_h, halo_w = _halo(spec)
-    if ((spec.eff_kernel_h > spec.stride_h or spec.eff_kernel_w > spec.stride_w)
-            and 4 * h_out * w_out >= 3 * (h_out + halo_h) * (w_out + halo_w)
-            and _flat_groups(h, w, spec)):
-        return flat_walk(shape, spec)
-    return window_steps(shape, spec)
+    flat = ((spec.eff_kernel_h > spec.stride_h or spec.eff_kernel_w > spec.stride_w)
+            and 4 * h_out * w_out >= 3 * (h_out + halo_h) * (w_out + halo_w))
+    return flat and flat_walk(shape, spec) or window_steps(shape, spec)
 
 
 def cell_sum(a: np.ndarray) -> np.ndarray:
@@ -439,6 +442,18 @@ def cell_sum(a: np.ndarray) -> np.ndarray:
     return a.sum(axis=(4, 5)) if a.ndim == 6 else a
 
 
+def add_sum(acc: np.ndarray, blocks: list, work, start=None) -> None:
+    """Add the sum of a group's 1, 2 or 4 blocks into `acc` in pairs, (a +
+    b) + (c + d), as `cell_sum` adds a 2x2 block, the pairs' sums into the
+    `work` buffers, which may be the blocks'; given the sums' `start`, each
+    pair from its first block less it (*Junk* in the module docstring)."""
+    if start is not None:
+        blocks[:-1:2] = [np.subtract(b, start, out=e) for b, e in zip(blocks[:-1:2], work)]
+    while len(blocks) > 1:
+        blocks = [np.add(a, b, out=w) for a, b, w in zip(blocks[::2], blocks[1::2], work)]
+    acc += cell_sum(blocks[0])
+
+
 def deviation(step: WindowStep, x: np.ndarray, mean: np.ndarray, out) -> np.ndarray:
     """The step's cells less their window means, into `out`, or into a fresh
     array in the block's own layout when `out` is None (the kernel-axis sums
@@ -450,15 +465,6 @@ def deviation(step: WindowStep, x: np.ndarray, mean: np.ndarray, out) -> np.ndar
         lo, hi, c0, c1 = step.span
         dev[:, :lo] = dev[:, hi:] = dev[:, lo:hi, :c0] = dev[:, lo:hi, c1:] = 0.0
     return dev
-
-
-def _span(size: int, pad: int, s: int, a: int, start: int, stop: int):
-    """(lo, hi, cells): the phase-a indices t in [start, stop) of a padded
-    axis whose cell t*s + a - pad lies in the input, [lo, hi), and the slice
-    of the input that holds those cells."""
-    lo = max(start, -((a - pad) // s))
-    hi = max(lo, min(stop, (size - 1 + pad - a) // s + 1))
-    return lo, hi, slice(lo * s + a - pad, hi * s + a - pad, s)
 
 
 def frames(walk: Walk, x4: np.ndarray, maps=(), fill=None, sums=(), grad=None,

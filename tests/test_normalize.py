@@ -1,6 +1,7 @@
 """Normalization forward values, statistics, and backward correctness."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -311,3 +312,15 @@ def test_group_stats_by_sample_chunks_match_the_whole_block(samples, hw, groupin
     assert (_normalized("max", x, EPS, axis)[1].tobytes()
             == (np.abs(x).max(axis, keepdims=True) + EPS).tobytes())
     assert peak <= chunk + 4 * want[2].nbytes + 16384
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (2, 0, 4)])
+def test_an_empty_block_is_refused_by_every_norm(shape):
+    """An empty block has no group to normalize: every kind refuses it by
+    name, before numpy warns of an empty mean or fails an empty maximum."""
+    x = np.zeros(shape)
+    for call in (lambda: layer_norm(x), lambda: max_norm(x, axis=1),
+                 lambda: batch_norm(x), lambda: norm_backward("layer", x, x)):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"cannot normalize an empty block of shape {shape}")):
+            call()

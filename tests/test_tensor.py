@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from momentpool import smp
+from momentpool.grad import finite_diff_check, numeric_gradient
+from momentpool.rng import Xoshiro256pp
 from momentpool.smp import MomentSpec, smp_backward, smp_forward
 from momentpool.tensor import (
     Tensor,
@@ -19,6 +21,7 @@ from momentpool.tensor import (
     tensor_read,
     tensor_write,
 )
+from momentpool.toytrain import ToyTrainConfig
 from momentpool.windows import PoolSpec
 
 
@@ -134,6 +137,62 @@ def test_construction_validation():
     for bad in ((2.5, 2), (2.0, 2), (True, 2)):  # extents are ints, not bools
         with pytest.raises(ValueError, match="ints >= 1"):
             Tensor(bad, [0.0] * 4)
+
+
+@pytest.mark.parametrize("data, kind", [
+    (np.array([1 + 2j, 3]), "complex128"),
+    (["a", "b"], "<U1"),
+    ([None, 1.0], "object"),
+])
+def test_data_that_no_float64_cast_keeps_is_refused(data, kind):
+    """Complex, string and object data are refused before any cast, with
+    the dtype named; bool, integer and float data are taken as float64."""
+    with pytest.raises(ValueError, match=f"must be bool, integer or float, got {kind}$"):
+        Tensor((2,), data)
+    for ok in ([True, False], np.array([1, 2], np.uint8), [3, 4], np.float32([0.5, 1])):
+        assert Tensor((2,), ok).data.tolist() == np.asarray(ok, np.float64).tolist()
+
+
+_X = Tensor((1,), [0.0])
+# every real-number field: (the name its message gives, a call that passes a
+# value to it, what the message says the value must be besides finite)
+REAL_FIELDS = {
+    "eps_norm": ("eps_norm", lambda v: MomentSpec(n=4, norm="layer", eps_norm=v),
+                 "positive"),
+    "lr": ("lr", lambda v: ToyTrainConfig(seed=1, lr=v), "positive"),
+    "input_scale": ("input_scale", lambda v: ToyTrainConfig(seed=1, input_scale=v),
+                    "positive"),
+    "h numeric_gradient": ("step size", lambda v: numeric_gradient(
+        lambda t: t, _X, _X, h=v), "positive"),
+    "h finite_diff_check": ("step size", lambda v: finite_diff_check(
+        None, None, _X, _X, h=v), "positive"),
+    "tol": ("tol", lambda v: finite_diff_check(None, None, _X, _X, tol=v), "positive"),
+    "lo": ("lo", lambda v: Xoshiro256pp(1).fill_uniform(3, v, 1.0), "real"),
+    "hi": ("hi", lambda v: Xoshiro256pp(1).fill_uniform(3, 0.0, v), "real"),
+}
+
+
+@pytest.mark.parametrize("value", [10**400, True, "a", math.nan],
+                         ids=["past float64", "bool", "str", "nan"])
+@pytest.mark.parametrize("field", list(REAL_FIELDS))
+def test_every_real_field_refuses_what_is_not_a_finite_float64(field, value):
+    """One check guards every real-number field: a value that is not real,
+    is a bool, is not finite or lies past float64's range is a ValueError
+    that names the field, never numpy's or Python's own error."""
+    name, call, kind = REAL_FIELDS[field]
+    with pytest.raises(ValueError) as info:
+        call(value)
+    assert str(info.value) == f"{name} must be finite and {kind}, got {value!r}"
+
+
+@pytest.mark.parametrize("lo, hi, span", [
+    (-10**308, 10**308, 2 * 10**308), (-1e308, 1e308, math.inf)], ids=["int", "float"])
+def test_a_uniform_span_past_float64_is_refused(lo, hi, span):
+    """`hi - lo` of two finite bounds can still leave float64's range, as
+    an int or as an infinity; either is refused by name."""
+    with pytest.raises(ValueError) as info:
+        Xoshiro256pp(1).fill_uniform(3, lo, hi)
+    assert str(info.value) == f"hi - lo must be finite and real, got {span!r}"
 
 
 def test_tensor_is_immutable():

@@ -167,10 +167,9 @@ class TestChoice:
             self, shape, pool):
         """A run of three cells on an axis, or a 2x2 run over one output
         column (numpy sums such a strided block's four cells in sequence),
-        has no flat step with the strided walk's sum."""
+        has no flat step with the strided walk's sum: `flat_walk` is None."""
         assert windows._flat_groups(*shape[2:], pool) is None
-        with pytest.raises(ValueError, match="cannot sum"):
-            flat_walk(shape, pool)
+        assert flat_walk(shape, pool) is None
 
     @pytest.mark.parametrize("width, pool, rows_first", [
         (2, PoolSpec(3, 2, 2, 2), False),
@@ -226,6 +225,38 @@ class TestChoice:
         assert max(sizes) * 66 * 66 * 8 <= 1 << 18
         walk = flat_walk((6, 2, 16, 16), PoolSpec.square(3, 1, 1))
         assert [plane_range(ch, 2) for ch, _ in walk.chunks] == [(0, 12)]
+
+
+@st.composite
+def legal_geometries(draw):
+    """Any legal geometry with kernels up to 4, strides up to 3, dilations
+    up to 2 and any padding, on a shape of up to 2x3x40x40 that fits it."""
+    k, s, d = (tuple(draw(st.integers(1, hi)) for _ in "hw") for hi in (4, 3, 2))
+    p = tuple(draw(st.integers(0, di * (ki - 1))) for ki, di in zip(k, d))
+    pool = PoolSpec(*k, *s, *p, *d)
+    h = draw(st.integers(max(1, pool.eff_kernel_h - 2 * pool.pad_h), 40))
+    w = draw(st.integers(max(1, pool.eff_kernel_w - 2 * pool.pad_w), 40))
+    shape = (draw(st.integers(1, 2)), draw(st.integers(1, 3)), h, w)
+    try:
+        window_steps(shape, pool)
+    except GeometryError:
+        reject()  # a dilated window that misses the input
+    return shape, pool
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(legal_geometries())
+def test_window_walk_takes_the_flat_walk_exactly_where_the_rule_admits_it(case):
+    """`window_walk` has `flat_walk`'s layout where windows overlap on some
+    axis, at most a quarter of a phase plane's outputs are junk and
+    `flat_walk` accepts the geometry, and `window_steps`' everywhere else."""
+    shape, pool = case
+    h_out, w_out = output_dims(*shape[2:], pool)
+    hq = h_out + (pool.eff_kernel_h - 1) // pool.stride_h
+    wq = w_out + (pool.eff_kernel_w - 1) // pool.stride_w
+    overlap = pool.eff_kernel_h > pool.stride_h or pool.eff_kernel_w > pool.stride_w
+    flat = flat_walk(shape, pool) if overlap and 4 * h_out * w_out >= 3 * hq * wq else None
+    assert layout(window_walk(shape, pool)) == layout(flat or window_steps(shape, pool))
 
 
 # sha256 of smp_forward and smp_backward bytes for UNSAFE4 on uniform(-1, 1)

@@ -1,7 +1,8 @@
 """Interleaved wall time and traced peak of smp_forward and smp_backward on
 the three named geometries, three large stride-1 planes, the CLI's strided
-pool geometry and two more at 3x3 stride 2, and of the finite-difference check
-at the CLI's gradcheck geometry, for one or more source trees.
+pool geometry and two more at 3x3 stride 2, a 1080p plane at 2x2 stride 2
+(whose strided walk builds its 1 / count map), and of the finite-difference
+check at the CLI's gradcheck geometry, for one or more source trees.
 
     python3 tools/bench_geometries.py --tree parent=DIR --tree change=DIR \
         > BENCH_<tag>.json
@@ -43,6 +44,7 @@ GEOMETRIES = {
     "1x3x256x256 3x3 s2 p1": ((1, 3, 256, 256), (3, 2, 1)),
     "8x16x64x64 3x3 s2 p1": ((8, 16, 64, 64), (3, 2, 1)),
     "1x3x540x960 3x3 s2 p1": ((1, 3, 540, 960), (3, 2, 1)),
+    "1x3x1080x1920 2x2 s2": ((1, 3, 1080, 1920), (2, 2, 0)),
     "gradcheck 2x3x8x8 3x3 s1": ((2, 3, 8, 8), "gradcheck"),
     "gradcheck 4x3x8x8 3x3 s1": ((4, 3, 8, 8), "gradcheck"),
 }
